@@ -1,7 +1,15 @@
-// Serving-fleet bench: scheduler policies under a multi-tenant arrival trace.
+// Serving-fleet bench: the exit threshold and the scheduler policies under
+// seeded arrival traces.
 //
-// A serve::ServingFleet (two worker pools over copy_network_state replicas,
-// one admission queue) replays a seeded two-class trace — a deadline-bound
+// Part 1, theta sweep: a one-model, one-worker fleet (pool of 8) replays a
+// seeded Poisson trace of paired arrivals once per entropy threshold and
+// reports end-to-end latency p50/p95/p99/p99.9, queue wait, throughput,
+// accuracy and mean exit timestep — the serving-side view of the paper's
+// accuracy/latency trade: lower theta = more timesteps = higher latency.
+//
+// Part 2, schedulers: a serve::ServingFleet (two worker pools over
+// copy_network_state replicas, one admission queue) replays a seeded
+// two-class trace — a deadline-bound
 // "interactive" Poisson stream and a bursty no-deadline "bulk" stream
 // (util::make_arrival_trace multi-class overload; the workload shape never
 // touches wall-clock randomness). The same trace is replayed once per
@@ -19,10 +27,12 @@
 // which must reproduce the decision exactly (the forced exit reports the
 // same quantities a budget exhaustion would at that boundary). Any other
 // divergence fails the bench: scheduler policy, tenant mix, worker count,
-// and arrival order must never change a decision.
+// and arrival order must never change a decision. The gate covers both
+// parts.
 //
-// BENCH_serving_fleet.json carries per-policy-per-class percentile and
-// miss-rate blocks plus the identity gate and the edf-vs-fifo headline.
+// BENCH_serving_fleet.json carries per-theta sweep blocks, per-policy-per-
+// class percentile and miss-rate blocks, the identity gate, and the
+// edf-vs-fifo headline.
 
 #include <chrono>
 #include <cstdio>
@@ -51,22 +61,25 @@ struct FleetRun {
   std::vector<core::InferenceResult> results;  ///< one per arrival, trace order
   double wall_seconds = 0.0;
   double throughput_sps = 0.0;
+  double accuracy = 0.0;
 };
 
-/// Replay `trace` against a fresh two-worker fleet under `policy_name`.
+/// Replay `trace` against a fresh one-model fleet of `workers` pools of
+/// `max_pool` slots under scheduler `policy_name`.
 FleetRun replay_trace(core::Experiment& e, const data::Dataset& ds,
                       const core::ExitPolicy& policy, std::size_t timesteps,
                       const std::vector<util::ClassedArrival>& trace,
-                      const std::string& policy_name) {
+                      const std::string& policy_name, std::size_t workers,
+                      std::size_t max_pool) {
   serve::FleetModel model;
   model.name = "primary";
   model.network = &e.net;
   model.dataset = &ds;
   model.default_policy = &policy;
   model.max_timesteps = timesteps;
-  model.workers = 2;
-  model.make_replica = core::replica_factory(e);
-  model.max_pool = 4;
+  model.workers = workers;
+  if (workers > 1) model.make_replica = core::replica_factory(e);
+  model.max_pool = max_pool;
 
   serve::FleetConfig config;
   config.scheduler = policy_name;
@@ -98,8 +111,14 @@ FleetRun replay_trace(core::Experiment& e, const data::Dataset& ds,
     run.stats = fleet.stats();
   }
 
-  for (auto& f : futures) run.results.push_back(std::move(f.get().at(0)));
+  std::size_t correct = 0;
+  for (auto& f : futures) {
+    run.results.push_back(std::move(f.get().at(0)));
+    const core::InferenceResult& r = run.results.back();
+    correct += r.predicted_class == static_cast<std::size_t>(ds.label(r.sample));
+  }
   run.throughput_sps = static_cast<double>(run.results.size()) / run.wall_seconds;
+  run.accuracy = static_cast<double>(correct) / static_cast<double>(run.results.size());
   return run;
 }
 
@@ -176,7 +195,7 @@ double miss_rate(const serve::TenantStats& t) {
 int main(int argc, char** argv) {
   const bench::BenchOptions options = bench::parse_options(argc, argv);
 
-  bench::banner("Serving fleet: scheduler policies under a two-tenant trace");
+  bench::banner("Serving fleet: theta sweep and scheduler policies under arrival traces");
   bench::BenchReport report("serving_fleet", options);
 
   core::ExperimentSpec spec;
@@ -188,7 +207,65 @@ int main(int argc, char** argv) {
   core::Experiment e = bench::run(spec, options);
   const auto& ds = *e.bundle.test;
   const core::EntropyExitPolicy policy(0.3);
+  report.set("gemm_backend", std::string(util::default_gemm_backend().name()));
+  bool all_identical = true;
 
+  // ---- Part 1: theta sweep on a one-model, one-worker fleet. Paired
+  // arrivals every ~4 ms on average, no deadlines. theta = 0 never exits
+  // early (the static-T serving baseline); 0.3 is the headline point.
+  util::MultiClassTraceSpec sweep_spec;
+  sweep_spec.classes.push_back({.name = "sweep",
+                                .arrivals = static_cast<std::size_t>(192 * options.scale) + 64,
+                                .mean_gap_us = 4000.0,
+                                .burst = 2,
+                                .deadline_us = 0});
+  sweep_spec.sample_limit = ds.size();
+  sweep_spec.seed = 0x5e51;
+  const std::vector<util::ClassedArrival> sweep_trace = util::make_arrival_trace(sweep_spec);
+  constexpr std::size_t kSweepPool = 8;
+  report.set("sweep_arrivals", static_cast<double>(sweep_trace.size()));
+  report.set("sweep_max_pool", static_cast<double>(kSweepPool));
+
+  bench::TablePrinter sweep_table({"theta", "avgT", "Acc.", "p50 ms", "p95 ms", "p99 ms",
+                                   "p99.9 ms", "queue p95 ms", "req/s"},
+                                  {7, 7, 9, 9, 9, 9, 9, 13, 9});
+  util::CsvWriter sweep_csv(options.csv_dir + "/serving_theta_sweep.csv");
+  sweep_csv.write_header({"theta", "mean_exit_timestep", "accuracy", "p50_latency_ms",
+                          "p95_latency_ms", "p99_latency_ms", "p999_latency_ms",
+                          "p95_queue_ms", "throughput_sps"});
+  for (const double theta : {0.0, 0.1, 0.3, 0.6}) {
+    const core::EntropyExitPolicy sweep_policy(theta);
+    const FleetRun run = replay_trace(e, ds, sweep_policy, spec.timesteps, sweep_trace,
+                                      "fifo", /*workers=*/1, kSweepPool);
+    all_identical = identical_to_oracle(run, sweep_trace, e.net, ds, sweep_policy,
+                                        spec.timesteps) &&
+                    all_identical;
+    const util::PercentileSummary& lat = run.stats.latency_us;
+    const util::PercentileSummary& queue = run.stats.queue_us;
+    sweep_table.row({bench::fmt("%.2f", theta),
+                     bench::fmt("%.2f", run.stats.mean_exit_timestep),
+                     bench::fmt("%.2f%%", 100 * run.accuracy),
+                     bench::fmt("%.2f", lat.p50 / 1000.0),
+                     bench::fmt("%.2f", lat.p95 / 1000.0),
+                     bench::fmt("%.2f", lat.p99 / 1000.0),
+                     bench::fmt("%.2f", lat.p999 / 1000.0),
+                     bench::fmt("%.2f", queue.p95 / 1000.0),
+                     bench::fmt("%.1f", run.throughput_sps)});
+    sweep_csv.row(theta, run.stats.mean_exit_timestep, 100 * run.accuracy,
+                  lat.p50 / 1000.0, lat.p95 / 1000.0, lat.p99 / 1000.0,
+                  lat.p999 / 1000.0, queue.p95 / 1000.0, run.throughput_sps);
+    const std::string prefix = bench::fmt("sweep_theta_%.2f_", theta);
+    report.set(prefix + "mean_exit_timestep", run.stats.mean_exit_timestep);
+    report.set(prefix + "accuracy", run.accuracy);
+    report.set(prefix + "p50_latency_ms", lat.p50 / 1000.0);
+    report.set(prefix + "p95_latency_ms", lat.p95 / 1000.0);
+    report.set(prefix + "p99_latency_ms", lat.p99 / 1000.0);
+    report.set(prefix + "p999_latency_ms", lat.p999 / 1000.0);
+    report.set(prefix + "throughput_sps", run.throughput_sps);
+  }
+  std::printf("\n");
+
+  // ---- Part 2: scheduler policies on a two-worker fleet.
   // Two-class workload at 10^5 arrivals full scale: an interactive Poisson
   // stream with a 10 ms SLO and a bursty bulk stream with none. Offered load
   // (~8k samples/s) sits above this host's single-core service rate, so the
@@ -214,7 +291,6 @@ int main(int argc, char** argv) {
   report.set("interactive_deadline_ms", 10.0);
   report.set("trace_seed", static_cast<double>(trace_spec.seed));
   report.set("workers", 2.0);
-  report.set("gemm_backend", std::string(util::default_gemm_backend().name()));
 
   bench::TablePrinter table({"policy", "class", "p50 ms", "p99 ms", "p99.9 ms",
                              "miss %", "req/s"},
@@ -224,12 +300,12 @@ int main(int argc, char** argv) {
                     "p999_latency_ms", "deadline_miss_rate", "throughput_sps"});
 
   const std::vector<std::string> policies{"fifo", "edf", "weighted_fair"};
-  bool all_identical = true;
   double fifo_interactive_miss = 0.0;
   double edf_interactive_miss = 0.0;
 
   for (const std::string& policy_name : policies) {
-    const FleetRun run = replay_trace(e, ds, policy, spec.timesteps, trace, policy_name);
+    const FleetRun run = replay_trace(e, ds, policy, spec.timesteps, trace, policy_name,
+                                      /*workers=*/2, /*max_pool=*/4);
     all_identical = identical_to_oracle(run, trace, e.net, ds, policy,
                                         spec.timesteps) &&
                     all_identical;

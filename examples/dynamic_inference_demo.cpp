@@ -6,6 +6,7 @@
 // same decision, as the chip would compute it.
 
 #include <cstdio>
+#include <span>
 
 #include "core/engine.h"
 #include "core/entropy.h"
@@ -28,48 +29,41 @@ int main() {
   core::Experiment e = core::run_experiment(spec);
 
   const double theta = 0.25;
+  const core::EntropyExitPolicy policy(theta);
   imc::SigmaEModule sigma_e;
   const auto& ds = *e.bundle.test;
-  const std::size_t frame_numel = snn::shape_numel(ds.frame_shape());
 
+  // The batch-1 engine with the cumulative-mean trajectory recorded exposes
+  // the per-timestep internals of each decision.
+  core::SequentialEngine batch1(e.net, policy, spec.timesteps);
+  core::InferenceRequest first8 = core::InferenceRequest::first_n(8);
+  first8.record_logits = true;
   std::printf("Entropy threshold theta = %.2f. Stepping 8 test samples:\n\n", theta);
-  for (std::size_t sample = 0; sample < 8; ++sample) {
-    // Manual sequential loop to expose the per-timestep internals.
-    e.net.begin_inference(1);
-    std::vector<double> acc(e.net.num_classes(), 0.0);
-    std::vector<float> cum(e.net.num_classes());
-    std::printf("sample %zu (label %d, hidden difficulty n/a to the model):\n", sample,
-                ds.label(sample));
-    for (std::size_t t = 0; t < spec.timesteps; ++t) {
-      snn::Tensor frame({1, ds.frame_shape()[0], ds.frame_shape()[1],
-                         ds.frame_shape()[2]});
-      ds.write_frame(sample, t, {frame.data(), frame_numel});
-      snn::Tensor y = e.net.step(frame);
-      for (std::size_t c = 0; c < cum.size(); ++c) {
-        acc[c] += y[c];
-        cum[c] = static_cast<float>(acc[c] / static_cast<double>(t + 1));
-      }
+  for (const core::InferenceResult& res : batch1.run(ds, first8)) {
+    std::printf("sample %zu (label %d, hidden difficulty n/a to the model):\n", res.sample,
+                ds.label(res.sample));
+    const std::size_t k = res.timestep_logits.dim(1);
+    for (std::size_t t = 0; t < res.exit_timestep; ++t) {
+      const std::span<const float> cum(res.timestep_logits.data() + t * k, k);
       const double h_float = core::entropy_of_logits(cum);
       const double h_fixed = sigma_e.compute_entropy(cum);
-      const bool exit_now = h_float < theta;
+      const bool last = t + 1 == res.exit_timestep;
       std::printf("  t=%zu  entropy=%.3f (sigma-E fixed-point: %.3f)  argmax=%zu  %s\n",
                   t + 1, h_float, h_fixed, util::argmax(cum),
-                  exit_now          ? "-> EXIT"
-                  : t + 1 == spec.timesteps ? "-> out of timesteps, EXIT"
-                                            : "continue");
-      if (exit_now) break;
+                  !last             ? "continue"
+                  : h_float < theta ? "-> EXIT"
+                                    : "-> out of timesteps, EXIT");
     }
-    const auto pred = util::argmax(cum);
-    std::printf("  prediction: %zu (%s)\n\n", pred,
-                pred == static_cast<std::size_t>(ds.label(sample)) ? "correct"
-                                                                    : "WRONG");
+    std::printf("  prediction: %zu (%s)\n\n", res.predicted_class,
+                res.predicted_class == static_cast<std::size_t>(ds.label(res.sample))
+                    ? "correct"
+                    : "WRONG");
   }
 
-  // Aggregate view via the unified inference API: the batched engine steps
-  // 32 samples together, re-evaluating Eq. 8 per sample each timestep and
-  // compacting the live batch as samples exit — same decisions as the
-  // batch-1 loop above, at batch throughput.
-  const core::EntropyExitPolicy policy(theta);
+  // Aggregate view: the batched engine steps 32 samples together,
+  // re-evaluating Eq. 8 per sample each timestep and compacting the live
+  // batch as samples exit — same decisions as the batch-1 engine above, at
+  // batch throughput.
   core::BatchedSequentialEngine engine(e.net, policy, spec.timesteps, /*batch_size=*/32);
   const core::InferenceRequest request =
       core::InferenceRequest::first_n(std::min<std::size_t>(256, ds.size()));

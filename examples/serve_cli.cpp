@@ -1,6 +1,6 @@
 // Serving demo: a two-tenant DT-SNN inference service under live traffic.
 //
-// Trains a small model, starts a serve::InferenceServer with the EDF
+// Trains a small model, starts a one-model serve::ServingFleet with the EDF
 // scheduler and two tenant classes — a deadline-bound "interactive" tenant
 // and a quota-limited "bulk" tenant — then drives both from concurrent
 // client threads. The demo shows the scheduler subsystem end to end:
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/evaluator.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "util/sync.h"
 #include "util/thread.h"
 
@@ -38,19 +38,24 @@ int main() {
   const auto& ds = *e.bundle.test;
 
   const core::EntropyExitPolicy default_policy(0.3);
-  serve::ServerConfig config;
-  config.max_pool = 4;  // small pool: admission order is visible in the output
+  serve::FleetModel model;
+  model.network = &e.net;
+  model.dataset = &ds;
+  model.default_policy = &default_policy;
+  model.max_timesteps = spec.timesteps;
+  model.max_pool = 4;  // small pool: admission order is visible in the output
+  serve::FleetConfig config;
   config.scheduler = "edf";
   config.tenants.push_back({.name = "interactive", .weight = 4.0});
   config.tenants.push_back({.name = "bulk", .weight = 1.0, .max_queued = 8});
   const serve::TenantId interactive = 1;
   const serve::TenantId bulk = 2;
-  serve::InferenceServer server(e.net, ds, default_policy, spec.timesteps, config);
+  serve::ServingFleet server({model}, config);
 
   const std::string kind{serve::scheduler_kind_name(server.scheduler_kind())};
   std::printf("Serving with theta=0.30, scheduler=%s, pool=%zu, budget T=%zu.\n"
               "Tenants: interactive (deadline-bound), bulk (max_queued=8).\n\n",
-              kind.c_str(), config.max_pool, server.max_timesteps());
+              kind.c_str(), model.max_pool, server.model_max_timesteps(0));
 
   util::Mutex print_mu;
   const auto t0 = serve::ServeClock::now();
@@ -75,12 +80,12 @@ int main() {
     std::vector<std::future<std::vector<core::InferenceResult>>> futs;
     for (std::size_t i = 0; i < 8; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      serve::ServeRequest req;
+      serve::FleetRequest req;
       req.request.samples.push_back(3 * i);
       req.tenant = interactive;
       req.deadline = serve::ServeClock::now() + std::chrono::milliseconds(40);
       req.on_result = streamer("interactive");
-      futs.push_back(server.submit(std::move(req)));
+      futs.push_back(server.submit(std::move(req)).results);
     }
     for (auto& f : futs) f.wait();
   });
@@ -95,14 +100,14 @@ int main() {
       while (true) {
         // Rebuilt per attempt: submit() consumes the request even when the
         // quota bounces it.
-        serve::ServeRequest req;
+        serve::FleetRequest req;
         for (std::size_t s = 0; s < 6; ++s) {
           req.request.samples.push_back(100 + 6 * batch + s);
         }
         req.tenant = bulk;
         req.on_result = streamer("bulk       ");
         try {
-          futs.push_back(server.submit(std::move(req)));
+          futs.push_back(server.submit(std::move(req)).results);
           break;
         } catch (const serve::TenantQuotaError& err) {
           if (++rejections == 1) say("bulk        quota rejection: %s\n", err.what());
@@ -119,10 +124,10 @@ int main() {
   // timestep boundary, and the future fails with CancelledError.
   client_a.join();
   client_b.join();
-  serve::ServeRequest doomed;
+  serve::FleetRequest doomed;
   for (std::size_t s = 140; s < 146; ++s) doomed.request.samples.push_back(s);
   doomed.tenant = bulk;
-  serve::Submission sub = server.submit_with_handle(std::move(doomed));
+  serve::Submission sub = server.submit(std::move(doomed));
   const bool cancelled = server.cancel(sub.handle);
   say("bulk        cancelled request #%llu: %s\n",
       static_cast<unsigned long long>(sub.handle.id), cancelled ? "yes" : "no");
@@ -133,8 +138,8 @@ int main() {
   }
   server.drain();
 
-  const serve::ServerStats stats = server.stats();
-  std::printf("\nServer stats (gemm backend: %s):\n", server.gemm_backend().c_str());
+  const serve::FleetStats stats = server.stats();
+  std::printf("\nServer stats (gemm backend: %s):\n", server.model_gemm_backend(0).c_str());
   std::printf("  requests %zu, samples %zu served, %zu deadline-forced exits\n",
               stats.submitted_requests, stats.completed_samples,
               stats.deadline_forced_exits);
@@ -147,7 +152,7 @@ int main() {
   std::printf("  latency  p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, p99.9 %.2f ms\n",
               stats.latency_us.p50 / 1000.0, stats.latency_us.p95 / 1000.0,
               stats.latency_us.p99 / 1000.0, stats.latency_us.p999 / 1000.0);
-  std::printf("  peak pool occupancy %zu / %zu\n", stats.peak_pool, config.max_pool);
+  std::printf("  peak pool occupancy %zu / %zu\n", stats.peak_pool, model.max_pool);
   for (const serve::TenantStats& t : stats.tenants) {
     if (t.submitted_samples == 0 && t.rejected_requests == 0) continue;
     std::printf("  tenant %-12s %4zu served, %2zu deadline-missed, %2zu "

@@ -52,6 +52,15 @@ with file:line diagnostics and a nonzero exit code on any finding:
                       silently turns a portable TU into one that needs the flag,
                       crashing on non-AVX-512 hosts that never dispatch it.
 
+  decision-clock      Timing is observed, never decided on: the exit decisions
+                      of the live pool (src/core/live_pool.*) and everything
+                      under it in src/core/ and src/snn/ must be a function
+                      of logits, budgets and caller predicates only, so runs
+                      replay bit for bit. steady_clock and serve::ServeClock
+                      reads are banned under src/core/ and src/snn/; the
+                      serving layer owns the clock and passes deadlines in
+                      as a force-exit predicate.
+
   quant-bitwise-oracle  The quantized GEMM tier (int8_spike / int4_spike) is
                       tolerance-gated, not bitwise (util/gemm.h): comparing
                       its floats bitwise against the scalar_ref oracle with
@@ -107,6 +116,8 @@ RULE_DESCRIPTIONS = {
     "bench-report": "every bench/*.cpp must emit through bench::BenchReport",
     "avx512-isolation": "AVX-512 intrinsics only inside src/util/gemm_avx512.cpp "
                         "(the one TU built with -mavx512f -ffp-contract=off)",
+    "decision-clock": "no steady_clock / ServeClock reads under src/core/ or "
+                      "src/snn/ (decisions stay clock-free and replayable)",
     "quant-bitwise-oracle": "quantized-tier tests must not EXPECT_EQ floats "
                             "against the scalar_ref oracle (tolerance gate "
                             "via core::compare_decisions / EXPECT_NEAR)",
@@ -187,6 +198,18 @@ AVX512_ISOLATION_PATTERNS = [
             "opmask-register code in the dedicated TU"),
 ]
 AVX512_ISOLATION_ALLOWED = {Path("src/util/gemm_avx512.cpp")}
+
+DECISION_CLOCK_PATTERNS = [
+    Pattern(r"\bsteady_clock\b",
+            "steady_clock in decision code: src/core/ and src/snn/ decide from "
+            "logits, budgets and caller predicates only, so runs replay bit "
+            "for bit; time in the caller (serving layer, benches)"),
+    Pattern(r"\bServeClock\b",
+            "serve::ServeClock in decision code: pass deadlines into the live "
+            "pool as a force-exit predicate instead of reading the clock here"),
+]
+# The clock-free directories (relative to --root).
+DECISION_CLOCK_DIRS = {("src", "core"), ("src", "snn")}
 
 QUANT_BITWISE_ORACLE = Pattern(
     r"(EXPECT|ASSERT)_(EQ|FLOAT_EQ|DOUBLE_EQ)\s*\(.*\b(oracle|scalar_ref)",
@@ -317,6 +340,8 @@ def scan_file(path: Path, rel: Path) -> list[Finding]:
         line_rules.append(("avx512-isolation", AVX512_ISOLATION_PATTERNS))
     if rel.parts[:2] != RAW_THREAD_MMAP_ALLOWED_PREFIX:
         line_rules.append(("raw-thread-mmap", RAW_THREAD_MMAP_PATTERNS))
+    if tuple(rel.parts[:2]) in DECISION_CLOCK_DIRS:
+        line_rules.append(("decision-clock", DECISION_CLOCK_PATTERNS))
     if (rel.parts and rel.parts[0] == QUANT_TEST_DIR
             and QUANT_NAME_MARKER in rel.name.lower()):
         line_rules.append(("quant-bitwise-oracle", [QUANT_BITWISE_ORACLE]))

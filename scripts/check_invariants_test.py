@@ -6,7 +6,7 @@ Runs the linter over the fixture trees in scripts/testdata/lint/ and asserts:
     anchored to the expected file:line (no duplicates, no drift);
   * the `clean/` tree — allowlisted sync.h, banned tokens inside comments
     and string literals, a waived integer simd reduction, a BenchReport'd
-    bench — produces zero diagnostics;
+    bench, steady_clock in the serving layer — produces zero diagnostics;
   * two runs emit byte-identical output (the linter is deterministic);
   * exit codes are 1 (findings), 0 (clean), 0 (--list-rules).
 
@@ -53,6 +53,10 @@ EXPECTED_BAD = [
     ("src/serve/fleet_scheduler.cpp", 8, "naked-mutex"),
     ("src/serve/fleet_scheduler.cpp", 11, "raw-thread-mmap"),
     ("src/serve/fleet_scheduler.cpp", 16, "wall-clock"),
+    # Decision code stays clock-free: src/core/ and src/snn/ only.
+    ("src/core/live_pool_clock.cpp", 7, "decision-clock"),   # steady_clock
+    ("src/core/live_pool_clock.cpp", 11, "decision-clock"),  # ServeClock
+    ("src/snn/layer_clock.cpp", 5, "decision-clock"),        # steady_clock
     ("bench/silent_bench.cpp", 1, "bench-report"),
     ("tests/test_quant_gate.cpp", 8, "quant-bitwise-oracle"),
 ]

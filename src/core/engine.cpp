@@ -243,49 +243,6 @@ SequentialEngine::SequentialEngine(snn::SpikingNetwork& net, const ExitPolicy& p
   }
 }
 
-SequentialPrediction SequentialEngine::infer(const data::Dataset& dataset,
-                                             std::size_t sample) {
-  const snn::Shape fs = dataset.frame_shape();
-  const std::size_t frame_numel = snn::shape_numel(fs);
-  snn::Tensor frames({max_timesteps_, fs[0], fs[1], fs[2]});
-  for (std::size_t t = 0; t < max_timesteps_; ++t) {
-    dataset.write_frame(sample, t, {frames.data() + t * frame_numel, frame_numel});
-  }
-  return infer_frames(frames);
-}
-
-SequentialPrediction SequentialEngine::infer_frames(const snn::Tensor& frames) {
-  if (frames.rank() != 4 || frames.dim(0) < 1) {
-    throw std::invalid_argument("SequentialEngine: frames must be [T, C, H, W]");
-  }
-  const std::size_t timesteps = std::min<std::size_t>(frames.dim(0), max_timesteps_);
-  const std::size_t k = net_.num_classes();
-  const std::size_t frame_numel = frames.row_size();
-
-  net_.begin_inference(/*batch=*/1);
-  std::vector<double> acc(k, 0.0);
-  std::vector<float> cum(k);
-  SequentialPrediction pred;
-  for (std::size_t t = 0; t < timesteps; ++t) {
-    snn::Tensor frame({1, frames.dim(1), frames.dim(2), frames.dim(3)});
-    std::copy(frames.data() + t * frame_numel, frames.data() + (t + 1) * frame_numel,
-              frame.data());
-    snn::Tensor y = net_.step(frame);
-    assert(y.numel() == k);
-    snn::cumulative_mean_step(y.data(), acc.data(), cum.data(), k, t);
-    // Last timestep exits unconditionally (Eq. 8 fallback to T); the forced
-    // exit reports the same quantities an early exit would — prediction and
-    // entropy of the cumulative-mean logits at *this* timestep.
-    if (t + 1 == timesteps || policy_.should_exit(cum)) {
-      pred.timesteps_used = t + 1;
-      pred.predicted_class = util::argmax(cum);
-      pred.final_entropy = entropy_of_logits(cum);
-      break;
-    }
-  }
-  return pred;
-}
-
 InferenceResult SequentialEngine::infer_one(const data::Dataset& dataset,
                                             std::size_t sample, const ExitPolicy& policy,
                                             std::size_t budget, bool record_logits) {

@@ -10,16 +10,16 @@
 //
 //  * SequentialEngine: true early termination — the network is stepped one
 //    timestep at a time (batch 1) and computation stops at the exit decision.
-//    Kept as the reference oracle for the batched engine and as the model of
-//    the on-chip control flow.
+//    Kept as the reference oracle for LivePool and as the model of the
+//    on-chip control flow, so it deliberately shares no loop with it.
 //
 //  * BatchedSequentialEngine: true early termination at batch granularity —
-//    a live pool is stepped together, the exit rule is evaluated per sample
-//    each timestep, finished samples are compacted out and their slots
-//    refilled with waiting samples (continuous batching, via
-//    snn::Layer::compact_state) so compute follows the live batch.
+//    a thin driver over core::LivePool (core/live_pool.h), which steps a
+//    pool of samples together, evaluates the exit rule per sample each
+//    timestep, and compacts finished samples out; the engine refills their
+//    slots with waiting samples in request order (continuous batching).
 //    Decision-identical to SequentialEngine; used for throughput
-//    (Table III) and as the substrate for a serving layer.
+//    (Table III). The serving fleet runs its worker pools on LivePool too.
 
 #pragma once
 
@@ -124,15 +124,6 @@ class PostHocEngine final : public InferenceEngine {
   std::size_t batch_size_ = 256;
 };
 
-/// Sequential early-exit inference of one sample. Returns (prediction,
-/// timesteps used). The network must be one the outputs were trained on;
-/// frames are fetched from the dataset (direct encoding for static images).
-struct SequentialPrediction {
-  std::size_t predicted_class = 0;
-  std::size_t timesteps_used = 0;
-  double final_entropy = 0.0;
-};
-
 /// Batch-1 true early termination; the reference oracle the batched engine
 /// is tested against.
 class SequentialEngine final : public InferenceEngine {
@@ -140,12 +131,6 @@ class SequentialEngine final : public InferenceEngine {
   /// Throws std::invalid_argument when max_timesteps == 0.
   SequentialEngine(snn::SpikingNetwork& net, const ExitPolicy& policy,
                    std::size_t max_timesteps);
-
-  /// Run one sample with true early termination.
-  SequentialPrediction infer(const data::Dataset& dataset, std::size_t sample);
-
-  /// Run one pre-encoded frame sequence [T, C, H, W].
-  SequentialPrediction infer_frames(const snn::Tensor& frames);
 
   void run_streaming(const data::Dataset& dataset, const InferenceRequest& request,
                      const ResultSink& sink) override;
@@ -163,14 +148,14 @@ class SequentialEngine final : public InferenceEngine {
   std::size_t max_timesteps_;
 };
 
-/// Batched true early termination with continuous batching: a live pool of
-/// up to `batch_size` samples steps together (each at its own timestep —
-/// LIF state is per-row, so mixed-timestep batches are exact), the exit
-/// rule is evaluated per sample each step, finished samples are emitted to
-/// the sink immediately, and their slots are compacted out and refilled
-/// with waiting samples (snn::Layer::compact_state with kFreshRow) so every
-/// step runs as full as the remaining work allows. Decisions, predictions
-/// and entropies are bitwise identical to SequentialEngine.
+/// Batched true early termination with continuous batching: a core::LivePool
+/// of up to `batch_size` samples steps together (each at its own timestep),
+/// finished samples are emitted to the sink immediately, in (exit step,
+/// batch position) order, and their slots are refilled with waiting samples
+/// in request order, so every step runs as full as the remaining work
+/// allows. Decisions, predictions and entropies are bitwise identical to
+/// SequentialEngine. An exception from the exit policy propagates out of
+/// run_streaming.
 class BatchedSequentialEngine final : public InferenceEngine {
  public:
   /// Throws std::invalid_argument when max_timesteps == 0 or batch_size == 0.

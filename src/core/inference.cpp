@@ -8,6 +8,7 @@
 
 #include "core/engine.h"
 #include "core/entropy.h"
+#include "core/live_pool.h"
 #include "data/prefetch.h"
 #include "snn/loss.h"
 #include "util/gemm.h"
@@ -231,38 +232,20 @@ BatchedSequentialEngine::BatchedSequentialEngine(snn::SpikingNetwork& net,
 void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
                                             const InferenceRequest& request,
                                             const ResultSink& sink) {
-  const ExitPolicy& policy = request.policy ? *request.policy : policy_;
-  const std::size_t budget =
-      request.max_timesteps ? request.max_timesteps : max_timesteps_;
-  const snn::Shape fs = dataset.frame_shape();
-  const std::size_t frame_numel = snn::shape_numel(fs);
-  const std::size_t k = net_.num_classes();
-
+  const PoolAdmission rule{.policy = request.policy ? request.policy : &policy_,
+                           .budget = request.max_timesteps ? request.max_timesteps
+                                                           : max_timesteps_,
+                           .record_logits = request.record_logits};
   const std::size_t n_samples = validate_request_samples(
       request.samples, dataset.size(), "BatchedSequentialEngine");
   if (n_samples == 0) return;
 
   // Continuous batching: a live pool of up to batch_size_ samples, each at
-  // its own timestep (LIF state is per-row, so mixed-timestep batches are
-  // exact). When a sample exits, its slot is immediately refilled with the
-  // next waiting sample (Layer::kFreshRow resets the slot's membrane), so
-  // every step() runs as full as the remaining work allows instead of
-  // draining half-empty chunks. Per-sample trajectories are independent of
-  // the batch composition, so decisions, entropies and logits stay bitwise
-  // identical to the batch-1 engine.
-  struct Live {
-    std::size_t request_index = 0;
-    std::size_t t = 0;  ///< this sample's current (0-based) timestep
-  };
-  std::vector<Live> live;
-  std::vector<double> acc;  // [live, K] accumulators, SequentialEngine arithmetic
-  std::vector<std::vector<float>> history(batch_size_);  // empty unless recording
+  // its own timestep; every exit's slot is refilled with the next waiting
+  // sample (in request order) before the next step, so every step runs as
+  // full as the remaining work allows. The payload is the request position.
+  LivePool<std::size_t> pool(net_);
   std::size_t next = 0;  // next request position awaiting admission
-
-  const std::size_t initial = std::min(batch_size_, request.samples.size());
-  for (; next < initial; ++next) live.push_back({next, 0});
-  acc.assign(initial * k, 0.0);
-  net_.begin_inference(initial);
 
   // Background lookahead over the *waiting tail*: while the pool steps, the
   // prefetcher warms the shards of the samples that will be admitted into
@@ -271,78 +254,30 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
   // in-memory datasets or DTSNN_PREFETCH_DEPTH=0.
   data::ShardPrefetcher prefetcher(dataset);
   std::size_t hinted = 0;
-  const auto hint_waiting = [&]() {
+  const auto refill = [&]() {
+    for (; pool.size() < batch_size_ && next < n_samples; ++next) {
+      PoolAdmission admission = rule;
+      admission.sample = request.samples[next];
+      pool.admit(admission, next);
+    }
     if (!prefetcher.active()) return;
     const std::size_t horizon =
-        std::min(request.samples.size(), next + batch_size_ * prefetcher.depth());
-    if (hinted < next) hinted = next;
+        std::min(n_samples, next + batch_size_ * prefetcher.depth());
+    hinted = std::max(hinted, next);
     if (hinted >= horizon) return;
     prefetcher.enqueue(
         std::span<const std::size_t>(request.samples).subspan(hinted, horizon - hinted));
     hinted = horizon;
   };
-  hint_waiting();
 
-  std::vector<float> cum(k);
-  std::vector<std::size_t> keep;
-  while (!live.empty()) {
-    // Encode each live sample's own next frame.
-    snn::Tensor x({live.size(), fs[0], fs[1], fs[2]});
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      dataset.write_frame(request.samples[live[j].request_index], live[j].t,
-                          {x.data() + j * frame_numel, frame_numel});
+  refill();
+  while (!pool.empty()) {
+    for (LivePool<std::size_t>::Exit& exit : pool.step(dataset)) {
+      if (exit.reason == ExitReason::kFailed) std::rethrow_exception(exit.error);
+      exit.result.request_index = exit.payload;
+      sink(exit.result);
     }
-    snn::Tensor y = net_.step(x);  // [live, K]
-
-    keep.clear();
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      const std::size_t t = live[j].t;
-      snn::cumulative_mean_step(y.data() + j * k, acc.data() + j * k, cum.data(), k, t);
-      if (request.record_logits) {
-        history[j].insert(history[j].end(), cum.begin(), cum.end());
-      }
-      if (t + 1 == budget || policy.should_exit(cum)) {
-        InferenceResult r = make_exit_result(cum, t, request.record_logits, history[j]);
-        r.request_index = live[j].request_index;
-        r.sample = request.samples[live[j].request_index];
-        sink(r);
-      } else {
-        live[j].t = t + 1;
-        keep.push_back(j);
-      }
-    }
-
-    // Compact survivors and refill the freed slots with waiting samples.
-    // (live.size() < batch_size_ implies the waiting queue is empty — the
-    // initial fill and every refill top the pool up — so refilling is only
-    // ever possible when someone just exited.)
-    const std::size_t survivors = keep.size();
-    if (survivors != live.size()) {
-      // Gather survivors to the front (keep is ascending, so src >= j and
-      // in-place forward copies are safe).
-      for (std::size_t j = 0; j < survivors; ++j) {
-        const std::size_t src = keep[j];
-        live[j] = live[src];
-        if (j != src) {
-          std::copy(acc.data() + src * k, acc.data() + (src + 1) * k,
-                    acc.data() + j * k);
-          if (request.record_logits) history[j] = std::move(history[src]);
-        }
-      }
-      live.resize(survivors);
-      while (live.size() < batch_size_ && next < request.samples.size()) {
-        keep.push_back(snn::Layer::kFreshRow);
-        live.push_back({next++, 0});
-      }
-      hint_waiting();  // the admission point moved — extend the lookahead
-      if (live.empty()) break;
-      net_.compact_inference_state(keep);
-      acc.resize(live.size() * k);
-      std::fill(acc.begin() + static_cast<std::ptrdiff_t>(survivors * k), acc.end(), 0.0);
-      if (request.record_logits) {
-        for (std::size_t j = survivors; j < live.size(); ++j) history[j].clear();
-      }
-    }
+    refill();
   }
 }
 

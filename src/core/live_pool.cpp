@@ -1,0 +1,110 @@
+#include "core/live_pool.h"
+
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
+
+#include "snn/layer.h"
+#include "snn/loss.h"
+
+namespace dtsnn::core::detail {
+
+LivePoolRows::LivePoolRows(snn::SpikingNetwork& net)
+    : net_(net), classes_(net.num_classes()), cum_(classes_) {}
+
+void LivePoolRows::push_row(const PoolAdmission& admission) {
+  if (admission.policy == nullptr) {
+    throw std::invalid_argument("LivePool::admit: null exit policy");
+  }
+  if (admission.budget == 0) {
+    throw std::invalid_argument("LivePool::admit: zero timestep budget");
+  }
+  rows_.push_back({admission, 0, {}});
+  acc_.resize(rows_.size() * classes_, 0.0);
+  keep_.push_back(snn::Layer::kFreshRow);
+  reconciled_ = false;
+}
+
+snn::Tensor LivePoolRows::forward(const data::Dataset& dataset) {
+  // Survivors keep their rows (in order) and admissions become fresh
+  // zero-state rows, so admission is a pure gather that never perturbs a
+  // resident's trajectory. A drained pool starts a new inference sequence.
+  if (!active_) {
+    net_.begin_inference(rows_.size());
+    active_ = true;
+  } else if (!reconciled_) {
+    net_.compact_inference_state(keep_);
+  }
+  std::iota(keep_.begin(), keep_.end(), std::size_t{0});
+  reconciled_ = true;
+
+  const snn::Shape fs = dataset.frame_shape();
+  const std::size_t frame_numel = snn::shape_numel(fs);
+  snn::Tensor x({rows_.size(), fs[0], fs[1], fs[2]});
+  for (std::size_t j = 0; j < rows_.size(); ++j) {
+    dataset.write_frame(rows_[j].rule.sample, rows_[j].t,
+                        {x.data() + j * frame_numel, frame_numel});
+  }
+  return net_.step(x);
+}
+
+std::optional<ExitReason> LivePoolRows::decide(std::size_t j, const float* logits,
+                                               std::exception_ptr& error) {
+  Row& row = rows_[j];
+  snn::cumulative_mean_step(logits, acc_.data() + j * classes_, cum_.data(), classes_,
+                            row.t);
+  if (row.rule.record_logits) row.history.insert(row.history.end(), cum_.begin(), cum_.end());
+  if (row.t + 1 == row.rule.budget) return ExitReason::kBudget;
+  try {
+    if (row.rule.policy->should_exit(cum_)) return ExitReason::kPolicy;
+  } catch (...) {
+    error = std::current_exception();
+    return ExitReason::kFailed;
+  }
+  return std::nullopt;
+}
+
+InferenceResult LivePoolRows::exit_result(std::size_t j, ExitReason reason) {
+  Row& row = rows_[j];
+  InferenceResult r;
+  if (reason == ExitReason::kFailed) {
+    r.exit_timestep = row.t + 1;
+    row.history.clear();
+  } else {
+    r = make_exit_result(cum_, row.t, row.rule.record_logits, row.history);
+  }
+  r.sample = row.rule.sample;
+  return r;
+}
+
+void LivePoolRows::retire(bool stepped) {
+  std::size_t dst = 0;
+  for (std::size_t j = 0; j < rows_.size(); ++j) {
+    if (leaving_[j]) continue;
+    if (dst != j) {
+      rows_[dst] = std::move(rows_[j]);
+      std::copy(acc_.begin() + static_cast<std::ptrdiff_t>(j * classes_),
+                acc_.begin() + static_cast<std::ptrdiff_t>((j + 1) * classes_),
+                acc_.begin() + static_cast<std::ptrdiff_t>(dst * classes_));
+      keep_[dst] = keep_[j];
+    }
+    if (stepped) ++rows_[dst].t;
+    ++dst;
+  }
+  if (dst == rows_.size()) return;
+  rows_.resize(dst);
+  acc_.resize(dst * classes_);
+  keep_.resize(dst);
+  reconciled_ = false;
+  if (rows_.empty()) active_ = false;  // the next admission begins afresh
+}
+
+void LivePoolRows::clear_rows() {
+  rows_.clear();
+  acc_.clear();
+  keep_.clear();
+  active_ = false;
+  reconciled_ = false;
+}
+
+}  // namespace dtsnn::core::detail

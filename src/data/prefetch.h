@@ -16,9 +16,9 @@
 // the consumer's own pinned read.
 //
 // Consumers: data::BatchCursor (evaluation / collect_outputs) runs one
-// cursor-lifetime prefetcher ahead of its chunks; serve::InferenceServer
-// hints each admission cycle's samples; core::BatchedSequentialEngine hints
-// the waiting tail of its request pool.
+// cursor-lifetime prefetcher ahead of its chunks; each serve::ServingFleet
+// worker hints its admission cycle's samples; core::BatchedSequentialEngine
+// hints the waiting tail of its request pool.
 
 #pragma once
 

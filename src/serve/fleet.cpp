@@ -4,8 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "snn/layer.h"
-#include "snn/loss.h"
+#include "core/live_pool.h"
 #include "snn/quantize.h"
 #include "snn/serialize.h"
 #include "util/quant.h"
@@ -20,29 +19,24 @@ double elapsed_us(ServeClock::time_point from, ServeClock::time_point to) {
 
 }  // namespace
 
-/// Per-worker loop state: the live pool plus the row-reconciliation
-/// bookkeeping for this worker's network. Touched only by its own thread
-/// (the admission helpers mutate it while holding mu_, but always on
-/// behalf of — and called from — the owning worker).
+/// One worker's live pool. Touched only by its own thread (the admission
+/// helpers mutate it while holding mu_, but always on behalf of — and
+/// called from — the owning worker).
 struct ServingFleet::Worker {
-  /// One live pool row.
+  /// The payload of one pool row: whose sample it is.
   struct Slot {
     std::shared_ptr<Pending> owner;
     std::size_t request_index = 0;
-    std::size_t sample = 0;
-    std::size_t t = 0;           ///< this sample's current 0-based timestep
-    std::vector<double> acc;     ///< [K] logit accumulators (oracle arithmetic)
-    std::vector<float> history;  ///< cum-logit trajectory when recording
     TenantId tenant = kDefaultTenant;
     ServeClock::time_point admitted_at;
   };
 
-  std::size_t model = 0;
-  std::size_t max_pool = 0;
-  std::vector<Slot> pool;
-  bool active = false;            ///< the net holds single-step state for stepped_rows
-  std::size_t stepped_rows = 0;   ///< rows in the net's current inference state
-  std::vector<std::size_t> keep;  ///< surviving row indices into that state
+  Worker(std::size_t model_index, std::size_t pool_capacity, snn::SpikingNetwork& net)
+      : model(model_index), max_pool(pool_capacity), pool(net) {}
+
+  std::size_t model;
+  std::size_t max_pool;
+  core::LivePool<Slot> pool;
 };
 
 ServingFleet::ServingFleet(std::vector<FleetModel> models, FleetConfig config)
@@ -137,7 +131,7 @@ ServingFleet::ServingFleet(std::vector<FleetModel> models, FleetConfig config)
     for (std::size_t w = 0; w < models_[mi].spec.workers; ++w) {
       snn::SpikingNetwork* net =
           w == 0 ? models_[mi].spec.network : models_[mi].replicas[w - 1].get();
-      workers_.push_back(util::Thread([this, mi, w, net] { worker_loop(mi, w, *net); }));
+      workers_.push_back(util::Thread([this, mi, net] { worker_loop(mi, *net); }));
     }
   }
 }
@@ -442,47 +436,30 @@ bool ServingFleet::wait_for_work(util::MutexLock& lk, std::size_t model) {
   return true;
 }
 
-void ServingFleet::purge_dead_slots(Worker& w) {
-  if (w.pool.empty()) return;
-  std::size_t dropped = 0;
-  std::size_t dst = 0;
-  for (std::size_t j = 0; j < w.pool.size(); ++j) {
-    Worker::Slot& slot = w.pool[j];
-    const bool failed = slot.owner->failed.load(std::memory_order_acquire);
-    const bool cancelled =
-        !failed && slot.owner->cancelled.load(std::memory_order_acquire);
-    if (failed || cancelled) {
-      // This is the resident half of cancellation: the slot force-exits at
-      // this timestep boundary, its row never steps again. (Failed slots'
-      // results would be discarded anyway — same reclamation.)
-      TenantCounters& tc = tenant_counters_[slot.tenant];
-      --tc.in_flight;
-      if (failed) {
-        ++failed_samples_;
-        ++tc.failed_samples;
-      } else {
-        ++cancelled_live_;
-        ++tc.cancelled_live;
-      }
-      ++dropped;
-      continue;
+bool ServingFleet::purge_dead_slots(Worker& w) {
+  // The resident half of cancellation: a cancelled request's rows
+  // force-exit at this timestep boundary and never step again. (A failed
+  // request's rows would be discarded anyway — same reclamation.)
+  const std::vector<Worker::Slot> dropped = w.pool.drop_if([](const Worker::Slot& s) {
+    return s.owner->failed.load(std::memory_order_acquire) ||
+           s.owner->cancelled.load(std::memory_order_acquire);
+  });
+  for (const Worker::Slot& slot : dropped) {
+    TenantCounters& tc = tenant_counters_[slot.tenant];
+    --tc.in_flight;
+    if (slot.owner->failed.load(std::memory_order_acquire)) {
+      ++failed_samples_;
+      ++tc.failed_samples;
+    } else {
+      ++cancelled_live_;
+      ++tc.cancelled_live;
     }
-    if (dst != j) {
-      w.pool[dst] = std::move(w.pool[j]);
-      w.keep[dst] = w.keep[j];
-    }
-    ++dst;
   }
-  if (dropped > 0) {
-    w.pool.resize(dst);
-    w.keep.resize(dst);
-    live_samples_ -= dropped;
-  }
+  live_samples_ -= dropped.size();
+  return !dropped.empty();
 }
 
-std::size_t ServingFleet::admit_waiting(Worker& w,
-                                        std::vector<std::size_t>& admitted_samples,
-                                        std::size_t classes) {
+void ServingFleet::admit_waiting(Worker& w, std::vector<std::size_t>& admitted_samples) {
   const ServeClock::time_point now = ServeClock::now();
   const std::size_t model = w.model;
   auto& counters = tenant_counters_;
@@ -492,7 +469,6 @@ std::size_t ServingFleet::admit_waiting(Worker& w,
     const TenantSpec& ts = tenants.spec(u.tenant);
     return ts.max_in_flight == 0 || counters[u.tenant].in_flight < ts.max_in_flight;
   };
-  std::size_t admitted = 0;
   while (w.pool.size() < w.max_pool) {
     std::optional<QueuedSample> unit = scheduler_->pop(admissible);
     if (!unit.has_value()) break;
@@ -513,68 +489,45 @@ std::size_t ServingFleet::admit_waiting(Worker& w,
       ++tc.cancelled_queued;
       continue;
     }
-    Worker::Slot slot;
-    slot.owner = std::move(owner);
-    slot.request_index = unit->request_index;
-    slot.sample = unit->sample;
-    slot.tenant = unit->tenant;
-    slot.acc.assign(classes, 0.0);
-    slot.admitted_at = now;
+    const core::PoolAdmission rule{.sample = unit->sample,
+                                   .policy = owner->policy,
+                                   .budget = owner->budget,
+                                   .record_logits = owner->record_logits};
+    w.pool.admit(rule, {std::move(owner), unit->request_index, unit->tenant, now});
     ++tc.in_flight;
-    admitted_samples.push_back(slot.sample);
-    w.pool.push_back(std::move(slot));
-    ++admitted;
+    ++live_samples_;
+    admitted_samples.push_back(unit->sample);
   }
-  live_samples_ += admitted;
   peak_pool_ = std::max(peak_pool_, w.pool.size());
-  return admitted;
 }
 
-void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
-                               snn::SpikingNetwork& net) {
-  (void)worker_index;
+void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
   const Model& m = models_[model];
   const data::Dataset& dataset = *m.spec.dataset;
-  const std::size_t k = net.num_classes();
-  const snn::Shape fs = dataset.frame_shape();
-  const std::size_t frame_numel = snn::shape_numel(fs);
+  Worker w(model, m.spec.max_pool, net);
 
-  Worker w;
-  w.model = model;
-  w.max_pool = m.spec.max_pool;
-  std::vector<float> cum(k);
-
-  struct Finished {
-    core::InferenceResult result;
-    std::shared_ptr<Pending> owner;
-    std::size_t exit_timestep = 0;  ///< copy that survives moving `result` out
-    TenantId tenant = kDefaultTenant;
-    double queue_wait_us = 0.0;
-    double latency_us = 0.0;
-    bool deadline_forced = false;
-    bool deadline_missed = false;
-    bool delivered = false;
-    enum class Discard { kNone, kFailed, kCancelled };
-    Discard discard = Discard::kNone;  ///< classified at delivery time
+  // Settle a request with `error` exactly once; its other samples are
+  // discarded wherever they are (purged from pools, dropped at delivery).
+  const auto fail_request = [](Pending& p, const std::exception_ptr& error) {
+    p.failed.store(true, std::memory_order_release);
+    if (!p.settled.exchange(true, std::memory_order_acq_rel)) {
+      p.promise.set_exception(error);
+    }
   };
-  std::vector<Finished> done;
 
   while (true) {
     // ---- Admission. Waiting samples fill free slots at every timestep
     // boundary, in scheduler-policy order; an idle worker first blocks for
     // work (and optionally holds the admission window).
-    std::size_t admitted = 0;
     std::vector<std::size_t> admitted_samples;
     bool purged = false;
     {
       util::MutexLock lk(mu_);
       // Reclaim slots whose request failed or was cancelled since the last
       // boundary — the force-exit point of cancellation.
-      const std::size_t before = w.pool.size();
-      purge_dead_slots(w);
-      purged = w.pool.size() != before;
+      purged = purge_dead_slots(w);
       if (w.pool.empty() && !wait_for_work(lk, model)) break;
-      admitted = admit_waiting(w, admitted_samples, k);
+      admit_waiting(w, admitted_samples);
     }
     // Purged slots released tenant in-flight quota: wake quota-blocked
     // siblings.
@@ -591,104 +544,33 @@ void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
       }
     }
 
-    done.clear();
+    // ---- One timestep for the whole pool. The deadline is the caller's
+    // force-exit rule, consulted after budget and policy, against one clock
+    // read per step (taken at the first deadline check, after the step).
+    std::optional<ServeClock::time_point> decided;
+    const auto decided_at = [&decided] {
+      if (!decided) decided = ServeClock::now();
+      return *decided;
+    };
+    std::vector<core::LivePool<Worker::Slot>::Exit> exits;
     try {
-      // ---- Reconcile LIF state with the pool: survivors keep their rows
-      // (in order), admissions become fresh zero-state rows — mid-flight
-      // admission is a pure gather, so residents' trajectories are
-      // unaffected (the bitwise identity contract).
-      if (!w.active) {
-        net.begin_inference(w.pool.size());
-        w.active = true;
-      } else if (admitted > 0 || w.keep.size() != w.stepped_rows) {
-        w.keep.resize(w.keep.size() + admitted, snn::Layer::kFreshRow);
-        net.compact_inference_state(w.keep);
-      }
-      w.stepped_rows = w.pool.size();
-
-      // ---- One timestep for the whole pool, each sample at its own t.
-      snn::Tensor x({w.pool.size(), fs[0], fs[1], fs[2]});
-      for (std::size_t j = 0; j < w.pool.size(); ++j) {
-        dataset.write_frame(w.pool[j].sample, w.pool[j].t,
-                            {x.data() + j * frame_numel, frame_numel});
-      }
-      snn::Tensor y = net.step(x);  // [pool, K]
-
-      // ---- Exit decisions: same arithmetic and decision order as the
-      // offline engines (cumulative_mean_step, then budget → policy →
-      // deadline via one shared core::make_exit_result).
-      const ServeClock::time_point decided_at = ServeClock::now();
-      w.keep.clear();
-      std::size_t dst = 0;
-      for (std::size_t j = 0; j < w.pool.size(); ++j) {
-        Worker::Slot& s = w.pool[j];
-        const Pending& p = *s.owner;
-        snn::cumulative_mean_step(y.data() + j * k, s.acc.data(), cum.data(), k, s.t);
-        if (p.record_logits) s.history.insert(s.history.end(), cum.begin(), cum.end());
-        // Same short-circuit order as the offline engines (budget first,
-        // policy only when not exhausted), so a policy is consulted for
-        // exactly the same cum rows as on the batch-1 oracle; the deadline
-        // is consulted last and only breaks ties neither of them claimed.
-        const bool exhausted = s.t + 1 == p.budget;
-        const bool policy_exit = !exhausted && p.policy->should_exit(cum);
-        const bool past_deadline =
-            !exhausted && !policy_exit && p.deadline && decided_at >= *p.deadline;
-        if (exhausted || policy_exit || past_deadline) {
-          Finished f;
-          f.result = core::make_exit_result(cum, s.t, p.record_logits, s.history);
-          f.result.request_index = s.request_index;
-          f.result.sample = s.sample;
-          f.owner = std::move(s.owner);
-          f.exit_timestep = f.result.exit_timestep;
-          f.tenant = s.tenant;
-          f.queue_wait_us = elapsed_us(f.owner->submit_time, s.admitted_at);
-          f.latency_us = elapsed_us(f.owner->submit_time, decided_at);
-          f.deadline_forced = past_deadline;
-          f.deadline_missed = p.deadline && decided_at >= *p.deadline;
-          done.push_back(std::move(f));
-        } else {
-          s.t += 1;
-          w.keep.push_back(j);
-          if (dst != j) w.pool[dst] = std::move(w.pool[j]);
-          ++dst;
-        }
-      }
-      w.pool.resize(dst);
+      exits = w.pool.step(dataset, [&decided_at](const Worker::Slot& s) {
+        return s.owner->deadline.has_value() && decided_at() >= *s.owner->deadline;
+      });
     } catch (...) {
-      // A throw on a worker thread (user exit policy, encoding, OOM, ...)
-      // must never take the process down. This network's state is
-      // indeterminate mid-step, so every in-flight sample's trajectory on
-      // THIS worker is unrecoverable: fail their requests and keep serving
-      // with a fresh pool. Other workers' pools are untouched — they purge
-      // the failed requests' slots at their own next boundary.
+      // An encoding or network-step fault leaves this network's state
+      // indeterminate, so every resident trajectory on THIS worker is lost:
+      // fail their requests and keep serving with a fresh pool. Other
+      // workers purge the failed requests' slots at their next boundary.
       const std::exception_ptr error = std::current_exception();
-      std::size_t failed = 0;
-      std::vector<TenantId> failed_tenants;
-      const auto fail_owner = [&](const std::shared_ptr<Pending>& owner, TenantId tenant) {
-        if (!owner) return;
-        ++failed;
-        failed_tenants.push_back(tenant);
-        owner->failed.store(true, std::memory_order_release);
-        if (!owner->settled.exchange(true, std::memory_order_acq_rel)) {
-          owner->promise.set_exception(error);
-        }
-      };
-      // Each live sample on this worker is exactly one non-null owner ref
-      // across pool ∪ done (the decision loop's moves leave nulls behind),
-      // so `failed` is also the live-sample count to release.
-      for (const Finished& f : done) fail_owner(f.owner, f.tenant);
-      for (const Worker::Slot& s : w.pool) fail_owner(s.owner, s.tenant);
-      w.pool.clear();
-      done.clear();
-      w.active = false;
-      w.stepped_rows = 0;
-      w.keep.clear();
+      const std::vector<Worker::Slot> lost = w.pool.reset();
+      for (const Worker::Slot& s : lost) fail_request(*s.owner, error);
       {
         util::MutexLock lk(mu_);
-        failed_samples_ += failed;
-        live_samples_ -= failed;
-        for (const TenantId t : failed_tenants) {
-          TenantCounters& tc = tenant_counters_[t];
+        failed_samples_ += lost.size();
+        live_samples_ -= lost.size();
+        for (const Worker::Slot& s : lost) {
+          TenantCounters& tc = tenant_counters_[s.tenant];
           ++tc.failed_samples;
           --tc.in_flight;
         }
@@ -696,52 +578,47 @@ void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
       cv_workers_.notify_all();
       continue;
     }
-    if (w.pool.empty()) {
-      // Fully drained pool: drop the stale state; the next admission begins
-      // a fresh inference sequence (matches the offline batched engine).
-      w.active = false;
-      w.stepped_rows = 0;
-      w.keep.clear();
+    if (exits.empty()) continue;
+    const ServeClock::time_point exited_at = decided_at();
+
+    // A throwing exit policy fails its own request only (LivePool reports
+    // the row as a failed exit); fail it before delivery so the request's
+    // other samples exiting this step are discarded with it.
+    for (const auto& x : exits) {
+      if (x.reason == core::ExitReason::kFailed) fail_request(*x.payload.owner, x.error);
     }
 
-    if (done.empty()) continue;
     // Deliver outside the lock: callbacks first (streaming), then the
     // request future once its last sample has exited anywhere in the fleet
     // (remaining is the cross-worker rendezvous; each worker decrements
     // only after writing its disjoint results slots, so the finisher's
     // acquire sees them all). Samples of a failed or cancelled request are
     // discarded, not delivered.
-    std::size_t discarded_failed = 0;
-    std::size_t discarded_cancelled = 0;
-    for (Finished& f : done) {
-      Pending& p = *f.owner;
-      if (p.failed.load(std::memory_order_acquire)) {
-        f.discard = Finished::Discard::kFailed;
-        ++discarded_failed;
-        continue;
-      }
+    enum class Outcome : unsigned char { kDelivered, kFailed, kCancelled };
+    std::vector<Outcome> outcomes(exits.size(), Outcome::kFailed);
+    std::vector<std::size_t> exit_timesteps(exits.size());
+    for (std::size_t i = 0; i < exits.size(); ++i) {
+      core::InferenceResult& result = exits[i].result;
+      Pending& p = *exits[i].payload.owner;
+      exit_timesteps[i] = result.exit_timestep;
+      if (p.failed.load(std::memory_order_acquire)) continue;
       if (p.cancelled.load(std::memory_order_acquire)) {
-        f.discard = Finished::Discard::kCancelled;
-        ++discarded_cancelled;
+        outcomes[i] = Outcome::kCancelled;
         continue;
       }
+      result.request_index = exits[i].payload.request_index;
       try {
-        if (p.on_result) p.on_result(f.result);
-        p.results[f.result.request_index] = std::move(f.result);
+        if (p.on_result) p.on_result(result);
+        p.results[result.request_index] = std::move(result);
         if (p.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
           if (!p.settled.exchange(true, std::memory_order_acq_rel)) {
             p.promise.set_value(std::move(p.results));
           }
         }
-        f.delivered = true;
+        outcomes[i] = Outcome::kDelivered;
       } catch (...) {
         // A throwing result callback fails its own request only.
-        p.failed.store(true, std::memory_order_release);
-        if (!p.settled.exchange(true, std::memory_order_acq_rel)) {
-          p.promise.set_exception(std::current_exception());
-        }
-        f.discard = Finished::Discard::kFailed;
-        ++discarded_failed;
+        fail_request(p, std::current_exception());
       }
     }
     // Only delivered results enter the stats: completed, failed, and
@@ -749,36 +626,41 @@ void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
     // never skews the latency digests or the exit histogram.
     {
       util::MutexLock lk(mu_);
-      for (const Finished& f : done) {
-        TenantCounters& tc = tenant_counters_[f.tenant];
+      for (std::size_t i = 0; i < exits.size(); ++i) {
+        const Worker::Slot& slot = exits[i].payload;
+        const Pending& p = *slot.owner;
+        TenantCounters& tc = tenant_counters_[slot.tenant];
         --tc.in_flight;
-        if (!f.delivered) {
-          if (f.discard == Finished::Discard::kCancelled) {
-            ++tc.cancelled_live;
-          } else {
-            ++tc.failed_samples;
-          }
+        if (outcomes[i] == Outcome::kFailed) {
+          ++failed_samples_;
+          ++tc.failed_samples;
+          continue;
+        }
+        if (outcomes[i] == Outcome::kCancelled) {
+          ++cancelled_live_;
+          ++tc.cancelled_live;
           continue;
         }
         ++completed_samples_;
         ++tc.completed_samples;
-        if (f.deadline_forced) {
+        if (exits[i].reason == core::ExitReason::kForced) {
           ++deadline_forced_;
           ++tc.deadline_forced;
         }
-        if (f.deadline_missed) {
+        if (p.deadline && exited_at >= *p.deadline) {
           ++deadline_missed_;
           ++tc.deadline_missed;
         }
-        exit_hist_.add(f.exit_timestep - 1);
-        queue_waits_us_.add(f.queue_wait_us);
-        latencies_us_.add(f.latency_us);
-        tc.queue_us->add(f.queue_wait_us);
-        tc.latency_us->add(f.latency_us);
+        const double queue_wait_us = elapsed_us(p.submit_time, slot.admitted_at);
+        const double latency_us = elapsed_us(p.submit_time, exited_at);
+        exit_hist_.add(exit_timesteps[i] - 1);
+        queue_waits_us_.add(queue_wait_us);
+        latencies_us_.add(latency_us);
+        tc.queue_us->add(queue_wait_us);
+        tc.latency_us->add(latency_us);
       }
-      failed_samples_ += discarded_failed;
-      cancelled_live_ += discarded_cancelled;
-      live_samples_ -= done.size();
+      live_samples_ -= exits.size();
+      exits.clear();  // release this step's request references
       // Fully settled requests with no remaining references anywhere in the
       // fleet can leave the cancellation index.
       live_requests_.erase(

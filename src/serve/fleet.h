@@ -1,9 +1,10 @@
 // Multi-tenant, SLO-aware serving fleet.
 //
-// ServingFleet generalizes the single-network InferenceServer into the
-// paper-scale serving shape: several models resident at once, several
-// worker pools per model, one admission queue ordered by a pluggable
-// scheduler, per-tenant quotas, and request cancellation.
+// ServingFleet turns the live-pool execution of the offline engines into a
+// long-running service: several models resident at once, several worker
+// pools per model, one admission queue ordered by a pluggable scheduler,
+// per-tenant quotas, and request cancellation. A single-model deployment is
+// just a fleet with one FleetModel.
 //
 //   client threads ──submit()──▶ tenant quotas ──▶ scheduler (fifo / edf /
 //        │                                         weighted_fair)
@@ -14,11 +15,12 @@
 //            └──────── futures / streaming callbacks ◀────┘
 //
 // Each worker owns one network (worker 0 of a model borrows the model's
-// base network; extra workers run copy_network_state replicas) and runs the
-// exact continuous-batching loop of the single server: admit into free pool
-// slots at timestep boundaries (snn::Layer::compact_state, kFreshRow rows),
-// step the pool, apply the shared exit rule (budget → policy → deadline),
-// emit finished samples immediately. Because every sample's trajectory
+// base network; extra workers run copy_network_state replicas) and steps it
+// through a core::LivePool, the same pool loop BatchedSequentialEngine
+// drives: admit into free pool slots at timestep boundaries, step the pool,
+// apply the shared exit rule (budget → policy → the deadline as the pool's
+// force-exit rule), emit finished samples immediately. The worker adds only
+// admission, deadlines, cancellation, quotas, stats and delivery. Because every sample's trajectory
 // depends only on its own frames and per-row LIF state, fleet results are
 // bitwise identical — prediction, exit timestep, exit entropy, logits — to
 // the batch-1 SequentialEngine oracle for that sample's model, regardless
@@ -167,8 +169,8 @@ struct TenantStats {
   util::PercentileSummary latency_us;
 };
 
-/// Snapshot of fleet counters (stats()). The global section mirrors
-/// ServerStats; `tenants` slices the same events per tenant class.
+/// Snapshot of fleet counters (stats()). The global section covers every
+/// model; `tenants` slices the same events per tenant class.
 struct FleetStats {
   std::size_t submitted_requests = 0;
   std::size_t submitted_samples = 0;
@@ -207,13 +209,17 @@ class ServingFleet {
   ServingFleet(const ServingFleet&) = delete;
   ServingFleet& operator=(const ServingFleet&) = delete;
 
-  /// Thread-safe submission. Validation mirrors InferenceServer::submit
-  /// (empty sample list expands to the whole dataset of the routed model;
-  /// out-of-range indices throw std::out_of_range; duplicates and
-  /// over-budget overrides std::invalid_argument; draining or a full queue
-  /// std::runtime_error) plus: an unknown model name or tenant id throws
-  /// std::invalid_argument, and a submission over the tenant's max_queued
-  /// quota throws TenantQuotaError.
+  /// Thread-safe submission, validated up front: an empty sample list
+  /// expands to the whole dataset of the routed model; out-of-range indices
+  /// throw std::out_of_range; duplicates, over-budget overrides, and an
+  /// unknown model name or tenant id throw std::invalid_argument; draining
+  /// or a full queue throws std::runtime_error; a submission over the
+  /// tenant's max_queued quota throws TenantQuotaError. The future resolves
+  /// with results ordered by request position once the last sample exits,
+  /// or with the exception that failed the request: a throw from the
+  /// request's exit policy or result callback fails that request only, and
+  /// an encoding or network-step fault fails the requests resident on that
+  /// worker; the fleet keeps serving either way.
   Submission submit(FleetRequest req) DTSNN_EXCLUDES(mu_);
 
   /// Cancel a submitted request. Queued samples are removed immediately;
@@ -269,7 +275,7 @@ class ServingFleet {
     std::promise<std::vector<core::InferenceResult>> promise;
   };
 
-  struct Worker;  // defined in fleet.cpp: pool slots + the loop's state
+  struct Worker;  // defined in fleet.cpp: the worker's core::LivePool
 
   /// Per-model runtime: resolved config, owned replicas, GEMM context.
   struct Model {
@@ -301,21 +307,21 @@ class ServingFleet {
     std::unique_ptr<util::BoundedSampleWindow> latency_us;
   };
 
-  void worker_loop(std::size_t model, std::size_t worker_index,
-                   snn::SpikingNetwork& net) DTSNN_EXCLUDES(mu_);
+  void worker_loop(std::size_t model, snn::SpikingNetwork& net) DTSNN_EXCLUDES(mu_);
 
   /// Block until this worker can admit something (or drain). False only
   /// when draining and no sample for this model remains queued.
   bool wait_for_work(util::MutexLock& lk, std::size_t model) DTSNN_REQUIRES(mu_);
 
   /// Drop pool slots whose request failed or was cancelled; cancelled ones
-  /// are the "force-exit at the next timestep boundary" path.
-  void purge_dead_slots(Worker& w) DTSNN_REQUIRES(mu_);
+  /// are the "force-exit at the next timestep boundary" path. True when any
+  /// slot was dropped.
+  bool purge_dead_slots(Worker& w) DTSNN_REQUIRES(mu_);
 
   /// Admit via the scheduler into free pool slots; appends admitted sample
   /// indices for post-lock prefetching.
-  std::size_t admit_waiting(Worker& w, std::vector<std::size_t>& admitted_samples,
-                            std::size_t classes) DTSNN_REQUIRES(mu_);
+  void admit_waiting(Worker& w, std::vector<std::size_t>& admitted_samples)
+      DTSNN_REQUIRES(mu_);
 
   /// True when the scheduler holds a sample this worker may take right now.
   [[nodiscard]] bool has_admissible(std::size_t model) const DTSNN_REQUIRES(mu_);

@@ -21,12 +21,12 @@
 //                  time goes next (FIFO within a tenant). A bulk tenant can
 //                  saturate its own share but never starve the others.
 //
-// Selection: ServerConfig/FleetConfig carry a policy name; an empty name
+// Selection: FleetConfig carries a policy name; an empty name
 // defers to the DTSNN_SERVE_SCHEDULER environment knob (util::env_string),
 // and an unset knob means fifo. Unknown names throw, loudly, at
 // construction.
 //
-// Schedulers are NOT thread-safe: the owning server/fleet calls them only
+// Schedulers are NOT thread-safe: the owning fleet calls them only
 // under its admission mutex.
 
 #pragma once

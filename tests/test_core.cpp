@@ -267,16 +267,17 @@ TEST(Engine, SequentialMatchesPosthoc) {
   const auto posthoc = evaluate_recorded(outputs, policy, *e.bundle.test);
 
   SequentialEngine engine(e.net, policy, 3);
+  const auto preds = engine.run(*e.bundle.test, InferenceRequest::first_n(outputs.samples));
   for (std::size_t i = 0; i < outputs.samples; ++i) {
-    const auto pred = engine.infer(*e.bundle.test, i);
-    EXPECT_EQ(pred.timesteps_used, posthoc.exit_timestep[i]) << "sample " << i;
-    const auto logits = outputs.at(pred.timesteps_used - 1, i);
+    const auto& pred = preds[i];
+    EXPECT_EQ(pred.exit_timestep, posthoc.exit_timestep[i]) << "sample " << i;
+    const auto logits = outputs.at(pred.exit_timestep - 1, i);
     EXPECT_EQ(pred.predicted_class, util::argmax(logits)) << "sample " << i;
   }
 }
 
 /// Regression: both engines claim to implement Eq. 8 identically. Post-hoc
-/// replay (evaluate_recorded) and SequentialEngine::infer_frames must agree
+/// replay (evaluate_recorded) and the stepped SequentialEngine must agree
 /// on the exit timestep and the predicted class for every sample of a small
 /// synthetic dataset, across thresholds.
 TEST(Engine, PosthocAndSequentialAgreeOnEverySample) {
@@ -291,22 +292,17 @@ TEST(Engine, PosthocAndSequentialAgreeOnEverySample) {
   const auto& ds = *e.bundle.test;
   const auto outputs = test_outputs(e, spec.timesteps);
   ASSERT_EQ(outputs.samples, ds.size());
-  const snn::Shape fs = ds.frame_shape();
-  const std::size_t frame_numel = snn::shape_numel(fs);
 
   for (const double theta : {0.15, 0.5}) {
     EntropyExitPolicy policy(theta);
     const auto posthoc = evaluate_recorded(outputs, policy, *e.bundle.test);
     SequentialEngine engine(e.net, policy, spec.timesteps);
+    const auto preds = engine.run(ds, InferenceRequest::first_n(ds.size()));
     for (std::size_t i = 0; i < ds.size(); ++i) {
-      snn::Tensor frames({spec.timesteps, fs[0], fs[1], fs[2]});
-      for (std::size_t t = 0; t < spec.timesteps; ++t) {
-        ds.write_frame(i, t, {frames.data() + t * frame_numel, frame_numel});
-      }
-      const auto pred = engine.infer_frames(frames);
-      EXPECT_EQ(pred.timesteps_used, posthoc.exit_timestep[i])
+      const auto& pred = preds[i];
+      EXPECT_EQ(pred.exit_timestep, posthoc.exit_timestep[i])
           << "theta " << theta << " sample " << i;
-      const std::size_t posthoc_class = util::argmax(outputs.at(pred.timesteps_used - 1, i));
+      const std::size_t posthoc_class = util::argmax(outputs.at(pred.exit_timestep - 1, i));
       EXPECT_EQ(pred.predicted_class, posthoc_class)
           << "theta " << theta << " sample " << i;
     }
@@ -365,9 +361,10 @@ TEST(Engine, ForcedExitCarriesLastEntropy) {
   const auto outputs = test_outputs(e, spec.timesteps, /*limit=*/12);
   const NeverExitPolicy never;
   SequentialEngine engine(e.net, never, spec.timesteps);
+  const auto preds = engine.run(*e.bundle.test, InferenceRequest::first_n(outputs.samples));
   for (std::size_t i = 0; i < outputs.samples; ++i) {
-    const auto pred = engine.infer(*e.bundle.test, i);
-    ASSERT_EQ(pred.timesteps_used, spec.timesteps) << "sample " << i;
+    const auto& pred = preds[i];
+    ASSERT_EQ(pred.exit_timestep, spec.timesteps) << "sample " << i;
     const double expected = entropy_of_logits(outputs.at(spec.timesteps - 1, i));
     // The step path and the recording path accumulate identically, so the
     // forced-exit entropy must match the recorded final-timestep entropy

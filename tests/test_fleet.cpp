@@ -1,116 +1,42 @@
-// ServingFleet tests: the multi-tenant, SLO-aware generalization of the
-// single-model server. The load-bearing property is unchanged from
-// test_serve.cpp — bitwise identity of every served result against the
-// offline batch-1 SequentialEngine oracle — now under multiple worker
-// pools on copy_network_state replicas, multi-model routing, scheduler
-// policies, tenant quotas, and cancellation. Schedulers and quotas reorder
-// admission; they must never change what a sample computes.
+// ServingFleet tests. The load-bearing property is the bitwise identity
+// contract: every served result — prediction, exit timestep, exit entropy,
+// recorded cumulative-logit trajectory — equals the offline batch-1
+// SequentialEngine oracle, on every dataset preset and both shipped policy
+// families, under one or several worker pools on copy_network_state
+// replicas, multi-model routing, scheduler policies, tenant quotas,
+// cancellation and concurrent client threads. Schedulers and quotas reorder
+// admission; they must never change what a sample computes. Plus fault
+// isolation inside a shared pool. The one-model serving behaviors
+// (mid-flight admission, deadlines, drain, validation, overrides) live in
+// test_serve.cpp.
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>  // setenv/unsetenv (scheduler knob test)
 #include <future>
-#include <thread>  // std::this_thread::sleep_for (gate pacing only)
+#include <memory>
+#include <thread>  // std::this_thread::sleep_for (gate and client pacing only)
 
 #include <gtest/gtest.h>
 
-#include "core/engine.h"
-#include "core/evaluator.h"
-#include "core/exit_policy.h"
-#include "serve/fleet.h"
+#include "serve_test_support.h"
 #include "util/sync.h"
 #include "util/thread.h"
 
 namespace dtsnn::serve {
 namespace {
 
-using core::InferenceRequest;
-using core::InferenceResult;
+using namespace serve_test;
 
-core::Experiment micro_experiment(const std::string& dataset, std::size_t timesteps,
-                                  std::uint64_t seed = 1) {
-  core::ExperimentSpec spec;
-  spec.model = "vgg_micro";
-  spec.dataset = dataset;
-  spec.epochs = 1;
-  spec.timesteps = timesteps;
-  spec.data_scale = 0.05;
-  spec.seed = seed;
-  return core::run_experiment(spec);
-}
-
-FleetModel model_for(core::Experiment& e, const core::ExitPolicy& policy,
-                     std::size_t timesteps, std::size_t workers = 1,
-                     std::size_t max_pool = 4, std::string name = "") {
-  FleetModel m;
-  m.name = std::move(name);
-  m.network = &e.net;
-  m.dataset = e.bundle.test.get();
-  m.default_policy = &policy;
-  m.max_timesteps = timesteps;
-  m.workers = workers;
-  if (workers > 1) m.make_replica = core::replica_factory(e);
-  m.max_pool = max_pool;
-  return m;
-}
-
-FleetRequest request_for(std::initializer_list<std::size_t> samples,
-                         bool record_logits = false) {
-  FleetRequest req;
-  for (const std::size_t s : samples) req.request.samples.push_back(s);
-  req.request.record_logits = record_logits;
-  return req;
-}
-
-void expect_identical(const InferenceResult& served, const InferenceResult& oracle,
-                      const std::string& context) {
-  EXPECT_EQ(served.sample, oracle.sample) << context;
-  EXPECT_EQ(served.predicted_class, oracle.predicted_class) << context;
-  EXPECT_EQ(served.exit_timestep, oracle.exit_timestep) << context;
-  EXPECT_EQ(served.final_entropy, oracle.final_entropy) << context;
-  ASSERT_EQ(served.timestep_logits.shape(), oracle.timestep_logits.shape()) << context;
-  for (std::size_t j = 0; j < served.timestep_logits.numel(); ++j) {
-    ASSERT_EQ(served.timestep_logits[j], oracle.timestep_logits[j])
-        << context << " logit " << j;
-  }
-}
-
-/// Exit policy that parks the worker inside its first should_exit call
-/// until released — the deterministic way to hold samples in the queue (or
-/// the pool) while a test submits, cancels, or inspects stats. Exits every
-/// sample once released (or never, with exit_on_release=false).
-struct GatePolicy final : core::ExitPolicy {
-  explicit GatePolicy(bool exit_on_release = true) : exit_on_release(exit_on_release) {}
-  mutable std::atomic<bool> released{false};
-  mutable std::atomic<bool> blocked{false};
-  bool exit_on_release;
-
-  void wait_until_blocked() const {
-    while (!blocked.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  void release() const { released.store(true, std::memory_order_release); }
-
-  [[nodiscard]] bool should_exit(std::span<const float>) const override {
-    blocked.store(true, std::memory_order_release);
-    while (!released.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    return exit_on_release;
-  }
-  [[nodiscard]] std::string name() const override { return "gate"; }
-};
-
-/// Headline acceptance bar: with TWO worker pools per model (replica via
-/// copy_network_state) and 4 concurrent client threads, every served
-/// result is bitwise identical to the batch-1 oracle, on all four dataset
-/// presets under both shipped policy families. On this host the win is
-/// concurrency-correctness, not speedup; the contract is identity.
-TEST(ServingFleet, TwoWorkerFleetBitwiseIdenticalToOracleAcrossPresets) {
+/// Headline acceptance bar: with one and with TWO worker pools per model
+/// (replica via copy_network_state) and 4 concurrent client threads, every
+/// served result is bitwise identical to the batch-1 oracle, on all four
+/// dataset presets under both shipped policy families. The pools are
+/// smaller than the request count, so admission churns constantly.
+TEST(ServingFleet, FleetBitwiseIdenticalToOracleAcrossPresets) {
   for (const std::string preset : {"sync10", "sync100", "syntin", "syndvs"}) {
     const std::size_t timesteps = preset == "syndvs" ? 5 : 3;
-    core::Experiment e = micro_experiment(preset, timesteps);
+    core::Experiment& e = micro_experiment(preset, timesteps);
     const auto& ds = *e.bundle.test;
     const std::size_t n = std::min<std::size_t>(24, ds.size());
 
@@ -119,39 +45,98 @@ TEST(ServingFleet, TwoWorkerFleetBitwiseIdenticalToOracleAcrossPresets) {
     for (const core::ExitPolicy* policy :
          {static_cast<const core::ExitPolicy*>(&entropy),
           static_cast<const core::ExitPolicy*>(&maxprob)}) {
-      const std::string context = preset + "/" + policy->name();
-
       core::SequentialEngine batch1(e.net, *policy, timesteps);
       InferenceRequest all = InferenceRequest::first_n(n);
       all.record_logits = true;
       const std::vector<InferenceResult> oracle = batch1.run(ds, all);
 
-      std::vector<std::future<std::vector<InferenceResult>>> futures(n);
-      {
-        ServingFleet fleet(
-            {model_for(e, *policy, timesteps, /*workers=*/2, /*max_pool=*/3)});
-        constexpr std::size_t kClients = 4;
-        std::vector<util::Thread> clients;
-        for (std::size_t c = 0; c < kClients; ++c) {
-          clients.emplace_back([&, c] {
-            for (std::size_t s = c; s < n; s += kClients) {
-              futures[s] =
-                  fleet.submit(request_for({s}, /*record_logits=*/true)).results;
-            }
-          });
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+        const std::string context =
+            preset + "/" + policy->name() + "/workers" + std::to_string(workers);
+        std::vector<std::future<std::vector<InferenceResult>>> futures(n);
+        {
+          ServingFleet fleet({model_for(e, *policy, timesteps, workers, /*max_pool=*/3)});
+          constexpr std::size_t kClients = 4;
+          std::vector<util::Thread> clients;
+          for (std::size_t c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+              for (std::size_t s = c; s < n; s += kClients) {
+                futures[s] =
+                    fleet.submit(request_for({s}, /*record_logits=*/true)).results;
+              }
+            });
+          }
+          for (auto& t : clients) t.join();
+          fleet.drain();
+          const FleetStats stats = fleet.stats();
+          EXPECT_EQ(stats.completed_samples, n) << context;
+          EXPECT_EQ(stats.failed_samples, 0u) << context;
         }
-        for (auto& t : clients) t.join();
-        fleet.drain();
-        const FleetStats stats = fleet.stats();
-        EXPECT_EQ(stats.completed_samples, n) << context;
-        EXPECT_EQ(stats.failed_samples, 0u) << context;
-      }
-      for (std::size_t s = 0; s < n; ++s) {
-        const std::vector<InferenceResult> got = futures[s].get();
-        ASSERT_EQ(got.size(), 1u) << context;
-        expect_identical(got[0], oracle[s], context + " sample " + std::to_string(s));
+        for (std::size_t s = 0; s < n; ++s) {
+          const std::vector<InferenceResult> got = futures[s].get();
+          ASSERT_EQ(got.size(), 1u) << context;
+          expect_identical(got[0], oracle[s], context + " sample " + std::to_string(s));
+        }
       }
     }
+  }
+}
+
+/// A policy fault is the request's own: a request whose exit policy throws,
+/// sharing one worker's pool with well-behaved requests, fails alone. Its
+/// co-residents keep stepping and match the oracle bitwise, the second
+/// worker keeps serving, and every tenant's counters settle.
+TEST(ServingFleet, PolicyFaultFailsOnlyItsOwnRequestInASharedPool) {
+  core::Experiment& e = micro_experiment("sync10", 3);
+  const auto& ds = *e.bundle.test;
+  const core::EntropyExitPolicy good(0.35);
+  const ThrowingPolicy bad;
+  const std::size_t pool = 7;  // 2 poisoned + 5 well-behaved samples
+  const std::size_t n = 2 * pool;
+  ASSERT_GE(ds.size(), n);
+  core::SequentialEngine batch1(e.net, good, 3);
+  InferenceRequest all = InferenceRequest::first_n(n);
+  all.record_logits = true;
+  const auto oracle = batch1.run(ds, all);
+
+  // An idle worker holds its first arrivals until its pool would launch
+  // full, so the first `pool` samples submitted share one pool.
+  FleetConfig config;
+  config.admission_window = std::chrono::seconds(2);
+  config.tenants = {TenantSpec{.name = "mixed", .weight = 1.0}};
+  ServingFleet fleet({model_for(e, good, 3, /*workers=*/2, pool)}, config);
+
+  FleetRequest poisoned = request_for({0, 1}, true);
+  poisoned.request.policy = &bad;
+  poisoned.tenant = 1;
+  auto poisoned_future = fleet.submit(std::move(poisoned)).results;
+  std::vector<std::future<std::vector<InferenceResult>>> futures;
+  for (std::size_t s = 2; s < n; ++s) {
+    // The second pool's worth arrives after the first launched.
+    if (s == pool) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    FleetRequest req = request_for({s}, true);
+    req.tenant = s % 2 == 0 ? kDefaultTenant : TenantId{1};
+    futures.push_back(fleet.submit(std::move(req)).results);
+  }
+  EXPECT_THROW(poisoned_future.get(), std::runtime_error);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const std::vector<InferenceResult> got = futures[i].get();
+    ASSERT_EQ(got.size(), 1u);
+    expect_identical(got[0], oracle[i + 2], "co-resident sample " + std::to_string(i + 2));
+  }
+  fleet.drain();
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.failed_samples, 2u);
+  EXPECT_EQ(stats.completed_samples, n - 2);
+  EXPECT_GE(stats.peak_pool, pool) << "the poisoned request never shared a pool";
+  for (const TenantStats& t : stats.tenants) {
+    EXPECT_EQ(t.queue_depth, 0u) << t.name;
+    EXPECT_EQ(t.in_flight, 0u) << t.name;
+    EXPECT_EQ(t.completed_samples + t.failed_samples + t.cancelled_queued_samples +
+                  t.cancelled_live_samples,
+              t.submitted_samples)
+        << t.name;
   }
 }
 
@@ -160,8 +145,8 @@ TEST(ServingFleet, TwoWorkerFleetBitwiseIdenticalToOracleAcrossPresets) {
 /// model's oracle. An unknown model name is rejected loudly.
 TEST(ServingFleet, MultiModelRoutingMatchesEachModelsOwnOracle) {
   const std::size_t timesteps = 3;
-  core::Experiment ea = micro_experiment("sync10", timesteps, /*seed=*/1);
-  core::Experiment eb = micro_experiment("sync10", timesteps, /*seed=*/7);
+  core::Experiment& ea = micro_experiment("sync10", timesteps, /*seed=*/1);
+  core::Experiment& eb = micro_experiment("sync10", timesteps, /*seed=*/7);
   const core::EntropyExitPolicy policy(0.35);
   const std::size_t n = std::min<std::size_t>(12, ea.bundle.test->size());
 
@@ -211,7 +196,7 @@ TEST(ServingFleet, MultiModelRoutingMatchesEachModelsOwnOracle) {
 /// future fails with CancelledError, and the removal is reported as
 /// cancelled_queued (distinct from completions and failures).
 TEST(ServingFleet, CancelPurgesQueuedRequestAndFailsFuture) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const GatePolicy gate;
   {
     ServingFleet fleet({model_for(e, gate, 3, 1, /*max_pool=*/1)});
@@ -239,7 +224,7 @@ TEST(ServingFleet, CancelPurgesQueuedRequestAndFailsFuture) {
 /// timestep boundary (the pool slots are reclaimed without delivering
 /// results), reported as cancelled_live.
 TEST(ServingFleet, CancelForceExitsResidentSamplesAtNextBoundary) {
-  core::Experiment e = micro_experiment("sync10", 4);
+  core::Experiment& e = micro_experiment("sync10", 4);
   const GatePolicy gate(/*exit_on_release=*/false);  // residents would keep running
   {
     ServingFleet fleet({model_for(e, gate, 4, 1, /*max_pool=*/2)});
@@ -262,15 +247,18 @@ TEST(ServingFleet, CancelForceExitsResidentSamplesAtNextBoundary) {
 /// cancel() after the request fully completed returns false and counts
 /// nothing.
 TEST(ServingFleet, CancelAfterCompletionIsANoOp) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const core::EntropyExitPolicy policy(0.35);
   ServingFleet fleet({model_for(e, policy, 3)});
   Submission sub = fleet.submit(request_for({0, 1}));
+  EXPECT_NE(sub.handle.id, 0u);
   sub.results.get();
   EXPECT_FALSE(fleet.cancel(sub.handle));
   fleet.drain();
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.cancelled_requests, 0u);
+  EXPECT_EQ(stats.cancelled_queued_samples, 0u);
+  EXPECT_EQ(stats.cancelled_live_samples, 0u);
   EXPECT_EQ(stats.completed_samples, 2u);
 }
 
@@ -278,7 +266,7 @@ TEST(ServingFleet, CancelAfterCompletionIsANoOp) {
 /// the typed TenantQuotaError (distinct from the global queue-full
 /// runtime_error) while other tenants keep submitting freely.
 TEST(ServingFleet, TenantMaxQueuedQuotaRejectsLoudly) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const GatePolicy gate;
   FleetConfig config;
   config.tenants = {TenantSpec{.name = "bulk", .weight = 1.0, .max_queued = 2}};
@@ -307,7 +295,10 @@ TEST(ServingFleet, TenantMaxQueuedQuotaRejectsLoudly) {
     fleet.drain();
     const FleetStats stats = fleet.stats();
     EXPECT_EQ(stats.rejected_requests, 1u);
+    ASSERT_EQ(stats.tenants.size(), 2u);
+    EXPECT_EQ(stats.tenants[1].name, "bulk");
     EXPECT_EQ(stats.tenants[1].rejected_requests, 1u);
+    EXPECT_EQ(stats.tenants[1].completed_samples, 2u);
     EXPECT_EQ(stats.completed_samples, 4u);
   }
 }
@@ -316,7 +307,7 @@ TEST(ServingFleet, TenantMaxQueuedQuotaRejectsLoudly) {
 /// tenant never occupies more than max_in_flight slots at once; excess
 /// samples wait in the queue and everything still completes.
 TEST(ServingFleet, TenantMaxInFlightCapsPoolOccupancy) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const GatePolicy gate;
   FleetConfig config;
   config.tenants = {TenantSpec{.name = "bulk", .weight = 1.0, .max_in_flight = 1}};
@@ -343,7 +334,7 @@ TEST(ServingFleet, TenantMaxInFlightCapsPoolOccupancy) {
 /// queued requests (late deadline, early deadline, none) are served
 /// earliest-deadline-first, deadline-free traffic last.
 TEST(ServingFleet, EdfSchedulerAdmitsEarliestDeadlineFirst) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const GatePolicy gate;
   FleetConfig config;
   config.scheduler = "edf";
@@ -389,7 +380,7 @@ TEST(ServingFleet, EdfSchedulerAdmitsEarliestDeadlineFirst) {
 /// interleaving (FIFO within each tenant) — the bulk tenant saturates its
 /// share without starving the other.
 TEST(ServingFleet, WeightedFairInterleavesTenantsByWeight) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const GatePolicy gate;
   FleetConfig config;
   config.scheduler = "weighted_fair";
@@ -434,7 +425,7 @@ TEST(ServingFleet, WeightedFairInterleavesTenantsByWeight) {
 /// silent, an explicit config wins over the env, and a malformed value
 /// throws at construction naming the variable.
 TEST(ServingFleet, SchedulerEnvKnobResolvesAndValidates) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const core::EntropyExitPolicy policy(0.35);
 
   ASSERT_EQ(setenv("DTSNN_SERVE_SCHEDULER", "edf", 1), 0);
@@ -467,7 +458,7 @@ TEST(ServingFleet, SchedulerEnvKnobResolvesAndValidates) {
 /// results (here pinned against each other and the oracle).
 TEST(ServingFleet, SchedulerPoliciesPreserveBitwiseIdentity) {
   const std::size_t timesteps = 3;
-  core::Experiment e = micro_experiment("sync10", timesteps);
+  core::Experiment& e = micro_experiment("sync10", timesteps);
   const auto& ds = *e.bundle.test;
   const core::EntropyExitPolicy policy(0.35);
   const std::size_t n = std::min<std::size_t>(12, ds.size());
@@ -498,12 +489,17 @@ TEST(ServingFleet, SchedulerPoliciesPreserveBitwiseIdentity) {
 
 /// Construction-time validation is loud and typed.
 TEST(ServingFleet, ConstructionValidatesModelsAndConfig) {
-  core::Experiment e = micro_experiment("sync10", 3);
+  core::Experiment& e = micro_experiment("sync10", 3);
   const core::EntropyExitPolicy policy(0.35);
   EXPECT_THROW(ServingFleet({}, {}), std::invalid_argument);
   {
     FleetModel m = model_for(e, policy, 3);
     m.max_timesteps = 0;
+    EXPECT_THROW(ServingFleet({std::move(m)}), std::invalid_argument);
+  }
+  {
+    FleetModel m = model_for(e, policy, 3);
+    m.max_pool = 0;
     EXPECT_THROW(ServingFleet({std::move(m)}), std::invalid_argument);
   }
   {

@@ -1,17 +1,21 @@
-// Unified inference API tests: the batched early-exit engine must be
-// decision- and value-identical to the legacy batch-1 SequentialEngine (the
-// reference oracle) on every dataset preset and exit policy, including
-// ragged batches, all-exit-at-t=1 batches, per-request overrides, and the
-// recorded per-timestep logits.
+// Unified inference API tests: the batched early-exit engine and the
+// LivePool under it must be decision- and value-identical to the batch-1
+// SequentialEngine (the reference oracle) on every dataset preset and exit
+// policy, including ragged batches, all-exit-at-t=1 batches, per-request
+// overrides, mixed per-row rules, mid-flight admission, dropped rows, pool
+// resets, and the recorded per-timestep logits.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
 #include <tuple>
 
 #include "core/engine.h"
 #include "core/evaluator.h"
 #include "core/exit_policy.h"
 #include "core/inference.h"
+#include "core/live_pool.h"
 
 namespace dtsnn::core {
 namespace {
@@ -262,6 +266,129 @@ TEST(BatchedEngine, EvaluateEngineMatchesPostHocAggregation) {
   for (std::size_t t = 0; t < 3; ++t) {
     EXPECT_EQ(posthoc.timestep_histogram.count(t), live.timestep_histogram.count(t));
   }
+}
+
+// ------------------------------------------------------------------ LivePool
+
+using Pool = LivePool<std::size_t>;  // payload: the sample index
+
+/// Step `pool` once, filing each exit under its payload. Exits must leave
+/// in batch-position order, which here is ascending admission order.
+template <typename ForceExit>
+std::vector<Pool::Exit> step_into(Pool& pool, const data::Dataset& ds,
+                                  std::map<std::size_t, InferenceResult>& got,
+                                  ForceExit&& force_exit) {
+  std::vector<Pool::Exit> exits = pool.step(ds, force_exit);
+  for (std::size_t i = 0; i < exits.size(); ++i) {
+    if (i > 0) {
+      EXPECT_GT(exits[i].payload, exits[i - 1].payload) << "exit order";
+    }
+    if (exits[i].reason != ExitReason::kFailed) got[exits[i].payload] = exits[i].result;
+  }
+  return exits;
+}
+
+std::vector<Pool::Exit> step_into(Pool& pool, const data::Dataset& ds,
+                                  std::map<std::size_t, InferenceResult>& got) {
+  return step_into(pool, ds, got, [](std::size_t) { return false; });
+}
+
+/// The LivePool contract against the batch-1 oracle: rows with different
+/// policies and budgets share one pool; admissions join mid-flight; the
+/// caller's force-exit predicate reproduces the truncated oracle; a dropped
+/// middle row leaves its neighbours bitwise untouched; a reset mid-flight
+/// is followed by clean re-admission; and a throwing policy fails only its
+/// own row.
+TEST(LivePool, MixedRulesAdmissionDropAndResetMatchOracle) {
+  Experiment e = micro_experiment("sync10", 4);
+  const auto& ds = *e.bundle.test;
+  const EntropyExitPolicy entropy(0.35);
+  const MaxProbExitPolicy maxprob(0.6);
+  const NeverExitPolicy never;
+  struct Rule {
+    const ExitPolicy* policy;
+    std::size_t budget;
+  };
+  const std::vector<Rule> rules = {
+      {&entropy, 4}, {&maxprob, 3}, {&never, 2}, {&never, 4}, {&entropy, 1}};
+  const std::size_t n = 15;
+  ASSERT_GE(ds.size(), n);
+  const std::size_t forced = 8;  // never/4: force-exited at its first step
+  const auto rule_of = [&](std::size_t s) { return rules[s % rules.size()]; };
+  const auto admission = [&](std::size_t s) {
+    return PoolAdmission{.sample = s,
+                         .policy = rule_of(s).policy,
+                         .budget = rule_of(s).budget,
+                         .record_logits = true};
+  };
+  const auto oracle = [&](std::size_t s, std::size_t budget) {
+    SequentialEngine batch1(e.net, *rule_of(s).policy, budget);
+    InferenceRequest one;
+    one.samples.push_back(s);
+    one.record_logits = true;
+    return batch1.run(ds, one).at(0);
+  };
+
+  std::map<std::size_t, InferenceResult> got;
+  Pool pool(e.net);
+  for (std::size_t s = 0; s < 5; ++s) pool.admit(admission(s), s);
+  step_into(pool, ds, got);
+  for (std::size_t s = 5; s < 8; ++s) pool.admit(admission(s), s);  // mid-flight
+  step_into(pool, ds, got);
+
+  // Sample 3 (never, budget 4) is resident with later admissions behind it.
+  ASSERT_EQ(got.count(3), 0u);
+  const std::vector<std::size_t> dropped =
+      pool.drop_if([](std::size_t s) { return s == 3; });
+  EXPECT_EQ(dropped, std::vector<std::size_t>{3});
+  std::size_t next = 8;
+  while (!pool.empty()) {
+    for (; pool.size() < 6 && next < 12; ++next) pool.admit(admission(next), next);
+    step_into(pool, ds, got, [&](std::size_t s) { return s == forced; });
+  }
+  EXPECT_EQ(got.count(3), 0u) << "a dropped row never exits";
+
+  // Reset mid-flight: the rows still resident come back, then re-admit.
+  for (std::size_t s = 12; s < n; ++s) pool.admit(admission(s), s);
+  step_into(pool, ds, got);
+  const std::vector<std::size_t> lost = pool.reset();
+  EXPECT_TRUE(pool.empty());
+  for (const std::size_t s : lost) {
+    got.erase(s);
+    pool.admit(admission(s), s);
+  }
+  while (!pool.empty()) step_into(pool, ds, got);
+
+  for (std::size_t s = 0; s < n; ++s) {
+    if (s == 3) continue;
+    const std::size_t budget = s == forced ? 1 : rule_of(s).budget;
+    ASSERT_EQ(got.count(s), 1u) << "sample " << s;
+    expect_identical({got[s]}, {oracle(s, budget)}, "sample " + std::to_string(s));
+  }
+
+  // A throwing policy fails its own row only; its neighbour runs on.
+  struct ThrowingPolicy final : ExitPolicy {
+    [[nodiscard]] bool should_exit(std::span<const float>) const override {
+      throw std::runtime_error("policy bug");
+    }
+    [[nodiscard]] std::string name() const override { return "throwing"; }
+  };
+  const ThrowingPolicy bad;
+  got.clear();
+  pool.admit({.sample = 0, .policy = &bad, .budget = 4}, 0);
+  pool.admit(admission(1), 1);
+  const std::vector<Pool::Exit> first = step_into(pool, ds, got);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first[0].payload, 0u);
+  EXPECT_EQ(first[0].reason, ExitReason::kFailed);
+  EXPECT_THROW(std::rethrow_exception(first[0].error), std::runtime_error);
+  while (!pool.empty()) step_into(pool, ds, got);
+  expect_identical({got.at(1)}, {oracle(1, rule_of(1).budget)}, "neighbour of a fault");
+
+  EXPECT_THROW(pool.admit({.sample = 0, .policy = nullptr, .budget = 4}, 0),
+               std::invalid_argument);
+  EXPECT_THROW(pool.admit({.sample = 0, .policy = &never, .budget = 0}, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include "core/exit_policy.h"
 #include "core/inference.h"
 #include "core/quantize.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "snn/models.h"
 #include "snn/network.h"
 #include "snn/quantize.h"
@@ -717,10 +717,14 @@ TEST(QuantCheckpoint, CopyNetworkStateMirrorsQuantizedWeights) {
 TEST(QuantServer, RefusesUncalibratedNetworkAtConstruction) {
   core::Experiment e = micro_experiment("sync10", 3);
   const core::EntropyExitPolicy policy(0.35);
-  serve::ServerConfig config;
-  config.gemm_backend = "int8_spike";
+  serve::FleetModel model;
+  model.network = &e.net;
+  model.dataset = e.bundle.test.get();
+  model.default_policy = &policy;
+  model.max_timesteps = 3;
+  model.gemm_backend = "int8_spike";
   try {
-    serve::InferenceServer server(e.net, *e.bundle.test, policy, 3, config);
+    serve::ServingFleet fleet({model});
     FAIL() << "uncalibrated network must be rejected at construction";
   } catch (const util::QuantizationError& err) {
     EXPECT_EQ(err.kind(), util::QuantizationError::Kind::kUncalibrated);
@@ -728,9 +732,8 @@ TEST(QuantServer, RefusesUncalibratedNetworkAtConstruction) {
         << err.what();
   }
   // Unknown backend names still fail with the registry's invalid_argument.
-  config.gemm_backend = "no_such_backend";
-  EXPECT_THROW(serve::InferenceServer(e.net, *e.bundle.test, policy, 3, config),
-               std::invalid_argument);
+  model.gemm_backend = "no_such_backend";
+  EXPECT_THROW(serve::ServingFleet({model}), std::invalid_argument);
 }
 
 TEST(QuantServer, ServesQuantizedTierMatchingOfflineEngine) {
@@ -753,15 +756,19 @@ TEST(QuantServer, ServesQuantizedTierMatchingOfflineEngine) {
     e.net.set_gemm_context(nullptr);
   }
 
-  serve::ServerConfig config;
-  config.gemm_backend = "int8_spike";
-  config.max_pool = 3;
-  serve::InferenceServer server(e.net, *e.bundle.test, policy, 3, config);
-  EXPECT_EQ(server.gemm_backend(), "int8_spike");
-  serve::ServeRequest sreq;
+  serve::FleetModel model;
+  model.network = &e.net;
+  model.dataset = e.bundle.test.get();
+  model.default_policy = &policy;
+  model.max_timesteps = 3;
+  model.max_pool = 3;
+  model.gemm_backend = "int8_spike";
+  serve::ServingFleet fleet({model});
+  EXPECT_EQ(fleet.model_gemm_backend(0), "int8_spike");
+  serve::FleetRequest sreq;
   sreq.request = request;
-  const std::vector<core::InferenceResult> served = server.submit(std::move(sreq)).get();
-  server.drain();
+  const std::vector<core::InferenceResult> served = fleet.submit(std::move(sreq)).results.get();
+  fleet.drain();
 
   // Quantized kernels are batch-composition invariant, so served decisions
   // match the offline quantized engine exactly regardless of pool makeup.

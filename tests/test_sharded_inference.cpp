@@ -18,7 +18,7 @@
 #include "core/inference.h"
 #include "data/shard.h"
 #include "data/sharded_dataset.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 
 namespace dtsnn::core {
 namespace {
@@ -159,18 +159,22 @@ TEST(ShardedInference, ServerServesFromShardsBitwiseIdenticalToOracle) {
   for (const std::size_t cache_slots : {std::size_t{1}, std::size_t{2}}) {
     const ShardedCopy copy(array, "serve_c" + std::to_string(cache_slots), 6,
                            cache_slots);
-    serve::ServerConfig config;
-    config.max_pool = 4;  // smaller than n: constant admission churn
+    serve::FleetModel model;
+    model.network = &e.net;
+    model.dataset = &copy.dataset();
+    model.default_policy = &policy;
+    model.max_timesteps = 3;
+    model.max_pool = 4;  // smaller than n: constant admission churn
     std::vector<std::future<std::vector<InferenceResult>>> futures;
     {
-      serve::InferenceServer server(e.net, copy.dataset(), policy, 3, config);
+      serve::ServingFleet fleet({model});
       for (std::size_t s = 0; s < n; ++s) {
-        serve::ServeRequest req;
+        serve::FleetRequest req;
         req.request.samples.push_back(s);
         req.request.record_logits = true;
-        futures.push_back(server.submit(std::move(req)));
+        futures.push_back(fleet.submit(std::move(req)).results);
       }
-      server.drain();
+      fleet.drain();
     }
     for (std::size_t s = 0; s < n; ++s) {
       const std::vector<InferenceResult> got = futures[s].get();
