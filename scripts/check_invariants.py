@@ -61,7 +61,7 @@ with file:line diagnostics and a nonzero exit code on any finding:
                       serving layer owns the clock and passes deadlines in
                       as a force-exit predicate.
 
-  quant-bitwise-oracle  The quantized GEMM tier (int8_spike / int4_spike) is
+  quant-bitwise-oracle  The quantized GEMM tier (int8_lut / int4_lut) is
                       tolerance-gated, not bitwise (util/gemm.h): comparing
                       its floats bitwise against the scalar_ref oracle with
                       EXPECT_EQ / EXPECT_FLOAT_EQ encodes an identity the

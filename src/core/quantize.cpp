@@ -103,7 +103,7 @@ QuantCalibrationReport calibrate_quantized(snn::SpikingNetwork& net,
 
   const util::GemmBackend* oracle_backend = util::find_gemm_backend("scalar_ref");
   const util::GemmBackend* quant_backend = util::find_gemm_backend(
-      config.spec.bits == 4 ? "int4_spike" : "int8_spike");
+      config.spec.bits == 4 ? "int4_lut" : "int8_lut");
 
   std::vector<InferenceResult> oracle;
   {

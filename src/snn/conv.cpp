@@ -11,8 +11,8 @@ namespace dtsnn::snn {
 namespace {
 
 // The sparse/dense kernel decisions below key on snn::kSparseDensityThreshold
-// (snn/layer.h), shared with Linear and matched by the adaptive GEMM
-// backend's hysteresis enter threshold.
+// (snn/layer.h), shared with Linear: the layers pick the op form, the GEMM
+// registry only the ISA and precision.
 
 /// [N*OHW, Cout] row-per-pixel layout -> NCHW [N, Cout, OH, OW].
 void pixels_to_nchw(const Tensor& pix, std::size_t n, std::size_t c, std::size_t oh,
@@ -178,6 +178,9 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   Tensor pix({n * oh * ow, out_channels_});
   const std::size_t patch = geom_.patch_size();
   util::GemmContext& gemm = gemm_context();
+  // One density pass per forward: it picks the op form below, and the eval
+  // scatter records it.
+  const double density = x.density();
   Tensor col;
   if (train) {
     // Training path: the im2col matrix is needed for backward either way.
@@ -188,7 +191,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // contributions in ascending patch order from a zero start), so this is
     // purely a speed decision, like the eval-time kernel choice below.
     im2col(x, geom_, col);
-    if (x.density() < kSparseDensityThreshold) {
+    if (density < kSparseDensityThreshold) {
       gemm.gemm(col.data(), ensure_weight_transpose(), pix.data(), n * oh * ow, patch,
                 out_channels_);
     } else {
@@ -204,10 +207,10 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // the float tier. Requires calibrated weights at this backend's
     // bit-width — fails loudly otherwise.
     require_quantized_weights(*qb, qweight_, "Conv2d");
-    // LUT backends run fastest off a cached spike-mask table; build it once
-    // per quantized weight matrix (derived data, same single-threaded
+    // The LUT backends run fastest off a cached spike-mask table; build it
+    // once per quantized weight matrix (derived data, same single-threaded
     // dispatch discipline as the cached W^T below).
-    if (qb->prefers_lut()) qweight_.ensure_lut();
+    qweight_.ensure_lut();
     im2col(x, geom_, col);
     gemm.qgemm(col.data(), qweight_, pix.data(), n * oh * ow, patch, out_channels_);
   } else {
@@ -220,9 +223,14 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // W^T materialized; cached across the steps of one sequence (set_time
     // and begin_steps mark it dirty, and weights only change between them).
     const float* wt = ensure_weight_transpose();
-    if (x.density() < kSparseDensityThreshold) {
-      // Sparse enough that skipping the im2col materialization wins.
+    if (density < kSparseDensityThreshold) {
+      // Sparse enough that skipping the im2col materialization wins. The
+      // scatter is the NN product run here instead of dispatched, so it is
+      // recorded as one: dense-equivalent flops, x as the operand read.
       sparse_conv_scatter(x, wt, geom_, out_channels_, pix);
+      const auto elements = static_cast<double>(x.numel());
+      gemm.record_nn(n * oh * ow, patch, out_channels_, elements,
+                     std::round(density * elements));
     } else {
       im2col(x, geom_, col);
       gemm.gemm(col.data(), wt, pix.data(), n * oh * ow, patch, out_channels_);

@@ -26,10 +26,10 @@ namespace dtsnn::snn {
 
 /// Below this input spike density the A-stationary zero-skip forms win over
 /// the dense dot-product forms: Conv2d's direct scatter / NN-form im2col
-/// GEMM and Linear's NN-form product against the cached W^T. Layer-level
-/// kernel choices keyed on it are speed-only — both forms are bitwise
-/// identical for finite weights (see Conv2d::forward). The adaptive GEMM
-/// backend's enter threshold matches this value.
+/// GEMM and Linear's NN-form product against the cached W^T. This is the
+/// one sparse-vs-dense decision in the stack; the GEMM registry picks only
+/// the ISA and precision. Choices keyed on it are speed-only — both forms
+/// are bitwise identical for finite weights (see Conv2d::forward).
 inline constexpr double kSparseDensityThreshold = 0.35;
 
 /// A learnable parameter with its gradient accumulator.

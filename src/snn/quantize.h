@@ -3,8 +3,8 @@
 // Weight-bearing layers (Conv2d, Linear) additionally implement
 // QuantizedWeightHolder: alongside their float weights they can carry a
 // calibrated util::QuantizedMatrix, which the eval-time forward consumes
-// when the layer's GemmContext selects a quantized backend (int8_spike /
-// int4_spike). The float weights always remain authoritative — training,
+// when the layer's GemmContext selects a quantized backend (int8_lut /
+// int4_lut). The float weights always remain authoritative — training,
 // serialization of float params, and the bitwise-tier backends never look at
 // the quantized copy.
 //

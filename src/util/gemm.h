@@ -22,69 +22,59 @@
 //                 compiled with -mavx512f -ffp-contract=off (AVX-512F
 //                 implies FMA, and contraction would break the bitwise
 //                 contract). Auto-selected above avx2 when the CPU has it.
-//   adaptive      density-adaptive dispatcher (pseudo-backend): routes each
-//                 NN call between the best dense backend and sparse_spike
-//                 from the observed nonzero density of A, with per-call-site
-//                 hysteresis. Decisions are a pure function of the data —
-//                 never timing — and both routes are bitwise-tier, so
-//                 results are bitwise identical to scalar_ref regardless of
-//                 the route taken. Opt in via DTSNN_GEMM_ADAPTIVE=1 or by
-//                 name.
-//   int8_spike    quantized inference tier: weights pre-quantized to INT8
-//   int4_spike    (or packed INT4) with group-wise symmetric scales
+//   int8_lut      quantized inference tier: weights pre-quantized to INT8
+//   int4_lut      (or packed INT4) with group-wise symmetric scales
 //                 (util::QuantizedMatrix); binary {0,1} spike activations
-//                 take a multiply-free path (integer adds of selected
-//                 quantized weight rows, one dequantize per group per
-//                 output) with a graded-spike float fallback. Selected only
-//                 by explicit name, never by auto-selection, and usable only
-//                 on networks with calibrated scales (see snn/quantize.h).
-//   int8_lut      LUT-accelerated variants of the spike backends: per scale
-//   int4_lut      group, 4-position spike masks index precomputed code-sum
-//                 tables (util::QuantLut), replacing per-spike unpack+add
-//                 with one table gather + integer add per chunk. Bitwise
-//                 identical to the corresponding *_spike backend (the
-//                 integer group sums are exact and the graded/flush float
-//                 order is unchanged), hence the same tolerance-gated tier.
+//                 index precomputed per-chunk code-sum tables
+//                 (util::QuantLut), one table gather + integer add per
+//                 4-position chunk, with one dequantize per group per output
+//                 and a graded-spike float fallback. Small batches without a
+//                 cached table run the bit-identical spike kernel
+//                 (internal::qgemm_spike_kernel). Selected only by explicit
+//                 name, never by auto-selection, and usable only on networks
+//                 with calibrated scales (see snn/quantize.h).
+//
+// The registry picks only the ISA and the precision. Whether a product runs
+// in the sparse or the dense op form is decided once, by the layers, from the
+// input spike density (snn::kSparseDensityThreshold). Conv2d's sparsest eval
+// form, the direct scatter, runs in the layer itself and is recorded as an
+// NN op (GemmContext::record_nn), so the accounting still covers it.
 //
 // Identity contract tiers:
 //
-//   kBitwise (scalar_ref, blocked_omp, avx2, avx512, sparse_spike,
-//   adaptive): for every op, each output element accumulates its
-//   contributions in ascending-k order with exact-zero A values skipped
-//   (NN / A^T ops), and the B^T op sums each dot product sequentially into
-//   a local accumulator before a single add into C. These backends follow
-//   the contract exactly, so DT-SNN logits — and therefore early-exit
-//   decisions — are bitwise identical no matter which backend runs, and the
-//   per-backend identity suite enforces it against scalar_ref.
+//   kBitwise (scalar_ref, blocked_omp, avx2, avx512, sparse_spike): for
+//   every op, each output element accumulates its contributions in
+//   ascending-k order with exact-zero A values skipped (NN / A^T ops), and
+//   the B^T op sums each dot product sequentially into a local accumulator
+//   before a single add into C. These backends follow the contract exactly,
+//   so DT-SNN logits — and therefore early-exit decisions — are bitwise
+//   identical no matter which backend runs, and the per-backend identity
+//   suite enforces it against scalar_ref.
 //
-//   kToleranceGated (int8_spike, int4_spike, int8_lut, int4_lut): quantized
-//   weights cannot reproduce float logits bitwise. These backends instead
-//   honor a tolerance gate versus the scalar_ref oracle: per dataset
-//   preset, the early-exit decision flip rate and accuracy delta are
-//   measured (core::calibrate_quantized / core::compare_decisions) and must
-//   stay within configured bounds. Their plain float ops (gemm / gemm_at /
-//   gemm_bt, used by training and non-weight GEMMs) delegate to the
-//   blocked kernels and so remain bitwise-tier.
+//   kToleranceGated (int8_lut, int4_lut): quantized weights cannot reproduce
+//   float logits bitwise. These backends instead honor a tolerance gate
+//   versus the scalar_ref oracle: per dataset preset, the early-exit
+//   decision flip rate and accuracy delta are measured
+//   (core::calibrate_quantized / core::compare_decisions) and must stay
+//   within configured bounds. Their plain float ops (gemm / gemm_at /
+//   gemm_bt, used by training and non-weight GEMMs) delegate to the blocked
+//   kernels and so remain bitwise-tier.
 //
 // Selection: the DTSNN_GEMM_BACKEND environment variable forces a backend by
 // name (unknown or unavailable names throw, listing the registry with
-// availability); otherwise DTSNN_GEMM_ADAPTIVE=1 selects adaptive, else the
-// best available dense backend: avx512 > avx2 > blocked_omp.
+// availability); otherwise the best available dense backend runs:
+// avx512 > avx2 > blocked_omp.
 //
 // Call sites do not invoke backends directly: they go through a GemmContext
-// (selected backend + per-op call/FLOP/density accounting, attributed to the
-// backend that actually executed each call under adaptive routing). Layers
-// default to the process-wide GemmContext::global() and can be re-pointed
-// per network (snn::SpikingNetwork::set_gemm_context).
+// (selected backend + per-op call/FLOP/density accounting). Layers default
+// to the process-wide GemmContext::global() and can be re-pointed per
+// network (snn::SpikingNetwork::set_gemm_context).
 
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/sync.h"
 #include "util/thread_annotations.h"
@@ -100,11 +90,6 @@ enum class GemmIdentityTier {
   kBitwise,         ///< bitwise identical to scalar_ref, always
   kToleranceGated,  ///< quantized: accuracy-delta / decision-flip-rate gate
 };
-
-/// The op kinds a GemmContext dispatches. Passed to GemmBackend::route so a
-/// routing backend can treat the spike-carrying NN op differently from the
-/// dense A^T / B^T / quantized ops.
-enum class GemmOp { kNN, kAT, kBT, kQuant };
 
 class GemmBackend {
  public:
@@ -122,21 +107,6 @@ class GemmBackend {
   /// ISA-specific backends). Unavailable backends stay listed but are never
   /// selected.
   [[nodiscard]] virtual bool available() const { return true; }
-
-  /// Whether dispatch should measure A's nonzero density and consult route()
-  /// before executing (the adaptive pseudo-backend). Plain backends execute
-  /// themselves and dispatch skips the extra pass when stats are off.
-  [[nodiscard]] virtual bool routes_by_density() const { return false; }
-
-  /// The backend that should actually execute this call; *this by default.
-  /// `a_density` is the observed nonzero density of the A operand. The
-  /// decision must be a pure function of the arguments plus per-call-site
-  /// state derived from them (never timing or wall-clock), and every
-  /// returned backend must honor this backend's identity tier, so routing
-  /// can never change results beyond the tier's contract.
-  [[nodiscard]] virtual const GemmBackend& route(GemmOp op, double a_density,
-                                                 std::size_t m, std::size_t k,
-                                                 std::size_t n) const;
 
   /// C[m,n] (+)= A[m,k] * B[k,n]   (all row-major). With accumulate == false
   /// C is overwritten. Degenerate shapes (m, k, or n == 0) are handled
@@ -166,7 +136,7 @@ class GemmBackend {
 
 // ------------------------------------------------------------ quantized tier
 
-/// Base of the tolerance-gated quantized backends (int8_spike, int4_spike).
+/// Base of the tolerance-gated quantized backends (int8_lut, int4_lut).
 /// Adds the quantized-weight op: C[m,n] (+)= A[m,k] * Q^T where Q is a
 /// QuantizedMatrix of shape [n, k] (output-channel major, like the layers'
 /// float weights). A carries spike activations; exact-zero entries are
@@ -185,12 +155,6 @@ class QuantizedGemmBackend : public GemmBackend {
   /// QuantizedMatrix of any other width throws
   /// QuantizationError(kBitsMismatch).
   [[nodiscard]] virtual int weight_bits() const = 0;
-
-  /// Whether this backend runs fastest against a cached spike-mask LUT
-  /// (QuantizedMatrix::ensure_lut). Layers build the LUT once per quantized
-  /// weight matrix when true; backends still work without one (per-call
-  /// table for large batches, spike-path fallback for small ones).
-  [[nodiscard]] virtual bool prefers_lut() const { return false; }
 
   /// C[m,n] (+)= A[m,k] * Q^T, Q quantized [n, k]. Degenerate shapes
   /// (m, k, or n == 0) are handled like the float ops: C is zeroed when not
@@ -214,14 +178,13 @@ const QuantizedGemmBackend* as_quantized_backend(const GemmBackend* backend);
 /// All compiled-in backends in registration order: scalar_ref, blocked_omp,
 /// avx2 (when the toolchain supported -mavx2), avx512 (when the toolchain
 /// supported -mavx512f and the build did not disable it), sparse_spike,
-/// adaptive, int8_spike, int4_spike, int8_lut, int4_lut.
+/// int8_lut, int4_lut.
 std::span<const GemmBackend* const> gemm_backends();
 
 /// Lookup by name; nullptr when no such backend is compiled in.
 const GemmBackend* find_gemm_backend(std::string_view name);
 
-/// Resolve an explicit override (nullptr or empty = automatic selection:
-/// the adaptive dispatcher when DTSNN_GEMM_ADAPTIVE is set truthy, else
+/// Resolve an explicit override (nullptr or empty = automatic selection,
 /// preferred_dense_gemm_backend()). Throws std::invalid_argument for unknown
 /// names and std::runtime_error for known backends this machine cannot run —
 /// both list every registered backend and its availability — so a typo'd or
@@ -234,8 +197,7 @@ const GemmBackend& resolve_gemm_backend(const char* override_name);
 const GemmBackend& default_gemm_backend();
 
 /// The best dense bitwise backend this machine can run: avx512 > avx2 >
-/// blocked_omp. Automatic selection and the adaptive dispatcher's dense
-/// route both use this.
+/// blocked_omp. Automatic selection uses this.
 const GemmBackend& preferred_dense_gemm_backend();
 
 /// Runtime CPUID check used to gate the avx2 backend.
@@ -244,29 +206,10 @@ bool cpu_supports_avx2();
 /// Runtime CPUID check (AVX-512 Foundation) used to gate the avx512 backend.
 bool cpu_supports_avx512();
 
-// ------------------------------------------------------- adaptive dispatch
-
-/// Snapshot of one adaptive call-site: the (m, k, n) NN shape it keys on and
-/// the current hysteresis state. For introspection in tests and benches.
-struct AdaptiveGemmDecision {
-  std::size_t m = 0, k = 0, n = 0;
-  bool sparse = false;        ///< current route: sparse_spike vs dense
-  double last_density = 0.0;  ///< A-density observed by the latest call
-  std::size_t calls = 0;      ///< routed calls for this shape
-  std::size_t switches = 0;   ///< route flips after the initial decision
-};
-
-/// All call-site states of the process-wide adaptive backend, in
-/// deterministic (m, k, n) key order.
-std::vector<AdaptiveGemmDecision> adaptive_gemm_decisions();
-
-/// Drop all adaptive call-site state (tests/benches isolating runs).
-void reset_adaptive_gemm_state();
-
 // -------------------------------------------------------------------- stats
 
 /// Accounting for one GEMM op kind.
-struct GemmOpStats {
+struct GemmCallStats {
   std::size_t calls = 0;
   double flops = 0.0;       ///< dense FLOP count, 2*m*k*n per call
   double a_elements = 0.0;  ///< total elements of A seen
@@ -278,13 +221,12 @@ struct GemmOpStats {
   }
 };
 
-/// Per-op accounting for one attribution bucket (the context total, or one
-/// executed backend's slice under GemmStats::by_backend).
-struct GemmOpBreakdown {
-  GemmOpStats nn;     ///< gemm
-  GemmOpStats at;     ///< gemm_at
-  GemmOpStats bt;     ///< gemm_bt
-  GemmOpStats quant;  ///< qgemm (quantized-weight op; flops = dense equivalent)
+/// Per-op accounting of one GemmContext.
+struct GemmStats {
+  GemmCallStats nn;     ///< gemm, plus NN products recorded via record_nn
+  GemmCallStats at;     ///< gemm_at
+  GemmCallStats bt;     ///< gemm_bt
+  GemmCallStats quant;  ///< qgemm (quantized-weight op; flops = dense equivalent)
   [[nodiscard]] std::size_t calls() const {
     return nn.calls + at.calls + bt.calls + quant.calls;
   }
@@ -301,15 +243,6 @@ struct GemmOpBreakdown {
     const double e = elements();
     return e > 0.0 ? nonzeros() / e : 0.0;
   }
-};
-
-struct GemmStats : GemmOpBreakdown {
-  /// The same accounting attributed to the backend that actually *executed*
-  /// each call, keyed by backend name. Under adaptive routing this differs
-  /// from the context's selected backend; for plain backends there is one
-  /// entry matching the totals. Conservation holds exactly: summing any
-  /// counter across by_backend reproduces the aggregate above.
-  std::map<std::string, GemmOpBreakdown, std::less<>> by_backend;
 };
 
 // ------------------------------------------------------------------ context
@@ -330,13 +263,6 @@ class GemmContext {
   [[nodiscard]] const GemmBackend& backend() const { return *backend_; }
   void set_backend(const GemmBackend& backend) { backend_ = &backend; }
 
-  /// Accounting costs one pass over A per call (the nonzero count) plus a
-  /// mutex acquisition — cheap next to the GEMM itself, but measurable on
-  /// very sparse or tiny ops. Latency-critical callers can turn it off;
-  /// disabled calls record nothing at all.
-  void set_stats_enabled(bool enabled) { stats_enabled_ = enabled; }
-  [[nodiscard]] bool stats_enabled() const { return stats_enabled_; }
-
   void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
             std::size_t n, bool accumulate = false);
   void gemm_at(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
@@ -350,20 +276,25 @@ class GemmContext {
   void qgemm(const float* a, const QuantizedMatrix& q, float* c, std::size_t m,
              std::size_t k, std::size_t n, bool accumulate = false);
 
+  /// Accounts an NN-form product C[m,n] = A[m,k] * B[k,n] that the caller
+  /// executed itself instead of dispatching it (Conv2d's eval-time sparse
+  /// scatter, which reads the layer input rather than its im2col matrix).
+  /// flops are the dense equivalent 2*m*k*n, as for dispatched calls;
+  /// `a_elements` / `a_nonzeros` describe the operand actually read.
+  void record_nn(std::size_t m, std::size_t k, std::size_t n, double a_elements,
+                 double a_nonzeros) DTSNN_EXCLUDES(mutex_);
+
   [[nodiscard]] GemmStats stats() const DTSNN_EXCLUDES(mutex_);
   void reset_stats() DTSNN_EXCLUDES(mutex_);
 
  private:
-  /// Shared dispatch step: measure A's density when needed (stats on, or the
-  /// backend routes by density), consult route(), and record the call under
-  /// both the aggregate stats and the executed backend's attribution slice.
-  /// Returns the backend that must execute the call.
-  const GemmBackend& route_and_record(GemmOpStats GemmOpBreakdown::* op, GemmOp kind,
-                                      const float* a, std::size_t m, std::size_t k,
-                                      std::size_t n) DTSNN_EXCLUDES(mutex_);
+  /// The one accounting point: every dispatched op and record_nn land here.
+  /// Accounting costs one pass over A per dispatched call (the nonzero
+  /// count) plus a mutex acquisition — cheap next to the GEMM itself.
+  void record(GemmCallStats GemmStats::* op, std::size_t m, std::size_t k, std::size_t n,
+              double a_elements, double a_nonzeros) DTSNN_EXCLUDES(mutex_);
 
   const GemmBackend* backend_;
-  bool stats_enabled_ = true;
   mutable Mutex mutex_;
   GemmStats stats_ DTSNN_GUARDED_BY(mutex_);
 };

@@ -1,22 +1,22 @@
 // LUT-accelerated quantized GEMM backends: int8_lut and int4_lut.
 //
-// Same consumed data as the spike backends (util::QuantizedMatrix, k-major
-// packed codes, group-wise symmetric scales), but the inner loop is driven by
-// a precomputed spike-mask lookup table (util::QuantLut): the k dimension is
-// cut into chunks of kLutChunkWidth positions (clipped at scale-group
-// boundaries), each A row's chunk becomes a 4-bit mask of "spiked here", and
-// the table directly yields the per-output-column sum of the selected
-// integer codes. One table gather + one exact int16->int32 accumulate
-// (AVX2-vectorized in gemm_lut_avx2.cpp) replaces up to four per-spike
-// unpack-and-add passes — and, for INT4, all nibble decoding.
+// Same consumed data as the spike kernel (util::QuantizedMatrix, k-major
+// packed codes, group-wise symmetric scales; gemm_quant.cpp), but the inner
+// loop is driven by a precomputed spike-mask lookup table (util::QuantLut):
+// the k dimension is cut into chunks of kLutChunkWidth positions (clipped at
+// scale-group boundaries), each A row's chunk becomes a 4-bit mask of
+// "spiked here", and the table directly yields the per-output-column sum of
+// the selected integer codes. One table gather + one exact int16->int32
+// accumulate (AVX2-vectorized in gemm_lut_avx2.cpp) replaces up to four
+// per-spike unpack-and-add passes — and, for INT4, all nibble decoding.
 //
-// Bitwise identity with the corresponding *_spike backend holds by
-// construction: group sums of integer codes are exact whichever way they are
-// associated, graded (non-binary) spikes accumulate v * code into the float
-// side in the same ascending-k order, spike-free groups are skipped (never
-// flushed), and the per-group dequantize flush is the identical expression.
-// Hence the same tolerance-gated identity tier and batch-composition
-// invariance as the spike backends.
+// Bitwise identity with the spike kernel (internal::qgemm_spike_kernel)
+// holds by construction: group sums of integer codes are exact whichever
+// way they are associated, graded (non-binary) spikes accumulate v * code
+// into the float side in the same ascending-k order, spike-free groups are
+// skipped (never flushed), and the per-group dequantize flush is the
+// identical expression. Hence the tolerance-gated identity tier and the
+// spike kernel's batch-composition invariance.
 //
 // Table sourcing per call: a LUT cached on the matrix (ensure_lut, built
 // once by the layers) is used directly; otherwise a per-call table is built
@@ -183,7 +183,6 @@ class QuantLutBackend final : public QuantizedGemmBackend {
     return kBits == 8 ? "int8_lut" : "int4_lut";
   }
   [[nodiscard]] int weight_bits() const override { return kBits; }
-  [[nodiscard]] bool prefers_lut() const override { return true; }
 
  protected:
   void do_qgemm(const float* a, const QuantizedMatrix& q, float* c, std::size_t m,

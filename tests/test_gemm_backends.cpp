@@ -62,13 +62,25 @@ const char* fill_name(Fill fill) {
 // ----------------------------------------------------------------- registry
 
 TEST(GemmRegistry, ShipsAllBackends) {
-  // scalar_ref, blocked_omp, sparse_spike, adaptive, and the quantized tier
-  // (spike and LUT variants) are unconditional; the ISA backends (avx2,
-  // avx512) are present whenever the toolchain could target them (this
-  // repo's CI always can), and must be consistently gated by runtime CPUID.
-  for (const char* name :
-       {"scalar_ref", "blocked_omp", "sparse_spike", "adaptive", "int8_spike",
-        "int4_spike", "int8_lut", "int4_lut"}) {
+  // scalar_ref, blocked_omp, sparse_spike, and the quantized LUT tier are
+  // unconditional; the ISA backends (avx2, avx512) are present whenever the
+  // toolchain could target them (this repo's CI always can), and must be
+  // consistently gated by runtime CPUID. The registry lists exactly these,
+  // in this order.
+  std::vector<std::string> expected{"scalar_ref", "blocked_omp"};
+  for (const char* isa : {"avx2", "avx512"}) {
+    if (util::find_gemm_backend(isa) != nullptr) expected.emplace_back(isa);
+  }
+  for (const char* name : {"sparse_spike", "int8_lut", "int4_lut"}) {
+    expected.emplace_back(name);
+  }
+  std::vector<std::string> listed;
+  for (const util::GemmBackend* backend : util::gemm_backends()) {
+    listed.emplace_back(backend->name());
+  }
+  EXPECT_EQ(listed, expected);
+  for (const std::string& name : expected) {
+    if (name.starts_with("avx")) continue;  // CPUID-gated, checked below
     const util::GemmBackend* backend = util::find_gemm_backend(name);
     ASSERT_NE(backend, nullptr) << name;
     EXPECT_TRUE(backend->available()) << name;
@@ -95,24 +107,12 @@ TEST(GemmRegistry, IdentityTiers) {
   }
   EXPECT_EQ(util::find_gemm_backend("scalar_ref")->identity_tier(),
             util::GemmIdentityTier::kBitwise);
-  const auto* int8 = util::as_quantized_backend(util::find_gemm_backend("int8_spike"));
-  const auto* int4 = util::as_quantized_backend(util::find_gemm_backend("int4_spike"));
+  const auto* int8 = util::as_quantized_backend(util::find_gemm_backend("int8_lut"));
+  const auto* int4 = util::as_quantized_backend(util::find_gemm_backend("int4_lut"));
   ASSERT_NE(int8, nullptr);
   ASSERT_NE(int4, nullptr);
   EXPECT_EQ(int8->weight_bits(), 8);
   EXPECT_EQ(int4->weight_bits(), 4);
-  // The LUT variants share the spike backends' bit-widths and are the only
-  // backends that want a cached spike-mask table built on the weights.
-  const auto* int8_lut = util::as_quantized_backend(util::find_gemm_backend("int8_lut"));
-  const auto* int4_lut = util::as_quantized_backend(util::find_gemm_backend("int4_lut"));
-  ASSERT_NE(int8_lut, nullptr);
-  ASSERT_NE(int4_lut, nullptr);
-  EXPECT_EQ(int8_lut->weight_bits(), 8);
-  EXPECT_EQ(int4_lut->weight_bits(), 4);
-  EXPECT_TRUE(int8_lut->prefers_lut());
-  EXPECT_TRUE(int4_lut->prefers_lut());
-  EXPECT_FALSE(int8->prefers_lut());
-  EXPECT_FALSE(int4->prefers_lut());
   // Auto-selection must never pick the quantized tier (it additionally
   // requires calibrated weights).
   EXPECT_EQ(util::resolve_gemm_backend(nullptr).identity_tier(),
@@ -166,127 +166,7 @@ TEST(GemmRegistry, ResolutionRules) {
   EXPECT_EQ(&util::resolve_gemm_backend(""), &automatic);
 }
 
-// ------------------------------------------------------- adaptive dispatch
-
-/// The adaptive pseudo-backend routes purely from the observed A-density
-/// with hysteresis: enter the sparse route at density <= 0.35, leave it only
-/// at >= 0.50, and hold the current route inside the band. State is
-/// per-(m,k,n) call-site and introspectable; non-NN ops always go dense.
-TEST(AdaptiveGemm, HysteresisRoutesByDensityOnly) {
-  util::reset_adaptive_gemm_state();
-  const util::GemmBackend& adaptive = *util::find_gemm_backend("adaptive");
-  ASSERT_TRUE(adaptive.routes_by_density());
-  // Plain backends route to themselves.
-  const util::GemmBackend& ref = *util::find_gemm_backend("scalar_ref");
-  EXPECT_FALSE(ref.routes_by_density());
-  EXPECT_EQ(&ref.route(util::GemmOp::kNN, 0.0, 1, 1, 1), &ref);
-
-  const std::string dense_name(util::preferred_dense_gemm_backend().name());
-  const std::size_t m = 6, k = 40, n = 9;  // distinctive call-site key
-  const auto route_name = [&](double density) {
-    return std::string(adaptive.route(util::GemmOp::kNN, density, m, k, n).name());
-  };
-  EXPECT_EQ(route_name(0.10), "sparse_spike");  // first call: enter test
-  EXPECT_EQ(route_name(0.45), "sparse_spike");  // inside band: hold sparse
-  EXPECT_EQ(route_name(0.50), dense_name);      // at exit threshold: flip
-  EXPECT_EQ(route_name(0.45), dense_name);      // inside band: hold dense
-  EXPECT_EQ(route_name(0.35), "sparse_spike");  // at enter threshold: flip
-
-  // Gradients and B^T dot products are dense by construction — never routed
-  // sparse, regardless of density.
-  EXPECT_EQ(adaptive.route(util::GemmOp::kAT, 0.0, m, k, n).name(), dense_name);
-  EXPECT_EQ(adaptive.route(util::GemmOp::kBT, 0.0, m, k, n).name(), dense_name);
-
-  const auto decisions = util::adaptive_gemm_decisions();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].m, m);
-  EXPECT_EQ(decisions[0].k, k);
-  EXPECT_EQ(decisions[0].n, n);
-  EXPECT_TRUE(decisions[0].sparse);
-  EXPECT_EQ(decisions[0].calls, 5u);
-  EXPECT_EQ(decisions[0].switches, 2u);
-  EXPECT_DOUBLE_EQ(decisions[0].last_density, 0.35);
-
-  // A different shape is an independent call-site with fresh state.
-  EXPECT_EQ(std::string(adaptive.route(util::GemmOp::kNN, 0.9, m, k, n + 1).name()),
-            dense_name);
-  EXPECT_EQ(util::adaptive_gemm_decisions().size(), 2u);
-  util::reset_adaptive_gemm_state();
-  EXPECT_TRUE(util::adaptive_gemm_decisions().empty());
-}
-
-/// Satellite contract: under adaptive dispatch, GemmContext::stats() must
-/// attribute each call to the backend that actually *executed* it, and the
-/// by_backend slices must sum exactly to the aggregate across a mixed
-/// sparse/dense sequence.
-TEST(AdaptiveGemm, StatsAttributionFollowsExecutedBackend) {
-  util::reset_adaptive_gemm_state();
-  util::GemmContext ctx(*util::find_gemm_backend("adaptive"));
-  const std::string dense_name(util::preferred_dense_gemm_backend().name());
-
-  const std::size_t m = 5, k = 32, n = 7;
-  const auto sparse_a = make_matrix(m, k, Fill::kSparse90Binary, 21);  // ~10% dense
-  const auto dense_a = make_matrix(m + 1, k, Fill::kDense, 22);
-  const auto b = make_matrix(k, n, Fill::kDense, 23);
-  std::vector<float> c(m * n), c2((m + 1) * n);
-
-  // 3 sparse-routed NN calls, 2 dense-routed NN calls on a second shape,
-  // and one gemm_at (always dense).
-  for (int i = 0; i < 3; ++i) ctx.gemm(sparse_a.data(), b.data(), c.data(), m, k, n);
-  for (int i = 0; i < 2; ++i)
-    ctx.gemm(dense_a.data(), b.data(), c2.data(), m + 1, k, n);
-  const auto at = make_matrix(k, m, Fill::kDense, 24);
-  std::vector<float> cat(m * n);
-  ctx.gemm_at(at.data(), b.data(), cat.data(), m, k, n);
-
-  const util::GemmStats s = ctx.stats();
-  EXPECT_EQ(s.nn.calls, 5u);
-  EXPECT_EQ(s.at.calls, 1u);
-  ASSERT_EQ(s.by_backend.size(), 2u);
-  ASSERT_EQ(s.by_backend.count("sparse_spike"), 1u);
-  ASSERT_EQ(s.by_backend.count(dense_name), 1u);
-  const util::GemmOpBreakdown& sp = s.by_backend.at("sparse_spike");
-  const util::GemmOpBreakdown& de = s.by_backend.at(dense_name);
-  EXPECT_EQ(sp.nn.calls, 3u);
-  EXPECT_EQ(sp.at.calls, 0u);
-  EXPECT_EQ(sp.bt.calls, 0u);
-  EXPECT_EQ(de.nn.calls, 2u);
-  EXPECT_EQ(de.at.calls, 1u);
-
-  // Conservation: every counter sums exactly across the slices.
-  EXPECT_EQ(sp.calls() + de.calls(), s.calls());
-  EXPECT_EQ(sp.nn.calls + de.nn.calls, s.nn.calls);
-  EXPECT_DOUBLE_EQ(sp.flops() + de.flops(), s.flops());
-  EXPECT_DOUBLE_EQ(sp.nn.flops + de.nn.flops, s.nn.flops);
-  EXPECT_DOUBLE_EQ(sp.elements() + de.elements(), s.elements());
-  EXPECT_DOUBLE_EQ(sp.nonzeros() + de.nonzeros(), s.nonzeros());
-
-  // The adaptively-routed result is still bitwise identical to scalar_ref.
-  std::vector<float> expected(m * n);
-  util::find_gemm_backend("scalar_ref")
-      ->gemm(sparse_a.data(), b.data(), expected.data(), m, k, n);
-  EXPECT_EQ(c, expected);
-
-  // Disabled accounting records nothing, but routing still works.
-  ctx.set_stats_enabled(false);
-  std::vector<float> c3(m * n);
-  ctx.gemm(sparse_a.data(), b.data(), c3.data(), m, k, n);
-  EXPECT_EQ(c3, expected);
-  EXPECT_EQ(ctx.stats().calls(), s.calls());
-  ctx.set_stats_enabled(true);
-
-  // A plain backend attributes everything to itself: one slice matching the
-  // aggregate.
-  util::GemmContext plain(*util::find_gemm_backend("scalar_ref"));
-  plain.gemm(sparse_a.data(), b.data(), c3.data(), m, k, n);
-  plain.gemm_bt(sparse_a.data(), b.data(), c3.data(), m, k, n);  // b viewed [n,k]
-  const util::GemmStats ps = plain.stats();
-  ASSERT_EQ(ps.by_backend.size(), 1u);
-  EXPECT_EQ(ps.by_backend.begin()->first, "scalar_ref");
-  EXPECT_EQ(ps.by_backend.begin()->second.calls(), ps.calls());
-  EXPECT_DOUBLE_EQ(ps.by_backend.begin()->second.flops(), ps.flops());
-  util::reset_adaptive_gemm_state();
-}
+// ------------------------------------------------------------- accounting
 
 TEST(GemmContext, TracksCallsFlopsAndDensity) {
   util::GemmContext ctx(*util::find_gemm_backend("scalar_ref"));
@@ -314,17 +194,41 @@ TEST(GemmContext, TracksCallsFlopsAndDensity) {
 
   ctx.reset_stats();
   EXPECT_EQ(ctx.stats().calls(), 0u);
+}
 
-  // Disabled accounting records nothing (the opt-out for latency-critical
-  // callers); the math itself is unaffected.
-  std::vector<float> expected(m * n), c2(m * n);
-  ctx.gemm(a.data(), b.data(), expected.data(), m, k, n);
-  EXPECT_EQ(ctx.stats().calls(), 1u);
-  ctx.set_stats_enabled(false);
-  ctx.gemm(a.data(), b.data(), c2.data(), m, k, n);
-  EXPECT_EQ(ctx.stats().calls(), 1u);
-  EXPECT_EQ(expected, c2);
-  ctx.set_stats_enabled(true);
+/// Conv2d's eval-time scatter runs outside the registry but is still one NN
+/// product: the layer records it in its context with the dense-equivalent
+/// flops 2*(N*OH*OW)*patch*Cout, and x as the operand it read. The dense
+/// eval form dispatches the same product as an im2col GEMM.
+TEST(GemmContext, ConvScatterIsRecordedAsOneNNCall) {
+  util::Rng rng(9);
+  snn::Conv2d conv(4, 8, 3, 2, 1, /*bias=*/false, rng);
+  util::GemmContext ctx(*util::find_gemm_backend("scalar_ref"));
+  conv.set_gemm_context(&ctx);
+  const std::size_t n = 2, rows = n * 5 * 5, patch = 4 * 3 * 3, cout = 8;
+  const double flops = 2.0 * static_cast<double>(rows * patch * cout);
+  for (const double density : {0.1, 0.9}) {
+    snn::Tensor x({n, 4, 9, 9});
+    util::Rng xr(static_cast<std::uint64_t>(density * 100));
+    std::size_t nonzeros = 0;
+    for (auto& v : x.span()) {
+      v = xr.bernoulli(density) ? 1.0f : 0.0f;
+      nonzeros += v != 0.0f;
+    }
+    ctx.reset_stats();
+    conv.set_time(1, n);
+    conv.forward(x, /*train=*/false);
+    const util::GemmStats s = ctx.stats();
+    EXPECT_EQ(s.calls(), 1u) << density;
+    EXPECT_EQ(s.nn.calls, 1u) << density;
+    EXPECT_DOUBLE_EQ(s.nn.flops, flops) << density;
+    if (x.density() < snn::kSparseDensityThreshold) {
+      EXPECT_DOUBLE_EQ(s.nn.a_elements, static_cast<double>(x.numel()));
+      EXPECT_DOUBLE_EQ(s.nn.a_nonzeros, static_cast<double>(nonzeros));
+    } else {
+      EXPECT_DOUBLE_EQ(s.nn.a_elements, static_cast<double>(rows * patch));
+    }
+  }
 }
 
 // ------------------------------------------------- degenerate-shape guards
@@ -476,6 +380,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ConvSparseTraining, TrainAndEvalForwardsBitwiseEqual) {
   util::Rng rng(5);
   snn::Conv2d conv(4, 8, 3, 1, 1, /*bias=*/true, rng);
+  // A forced quantized backend has its own eval form (qgemm on calibrated
+  // weights); these float-tier forms then run on the dense float pick.
+  const util::GemmBackend& forced = util::GemmContext::global().backend();
+  util::GemmContext ctx(util::as_quantized_backend(&forced) != nullptr
+                            ? util::preferred_dense_gemm_backend()
+                            : forced);
+  conv.set_gemm_context(&ctx);
   for (const double density : {0.05, 0.2, 0.6, 1.0}) {
     snn::Tensor x({3, 4, 9, 9});
     util::Rng xr(static_cast<std::uint64_t>(density * 100) + 1);
