@@ -19,10 +19,10 @@
 // backend) GFLOP/s, the per-shape observed A-operand density histogram,
 // per-density backend totals, weight-footprint bytes per backend (the LUT
 // tier additionally reports its derived table bytes) with the headline
-// footprint_ratio, the headline sparse_spike / quantized-tier vs blocked_omp
-// speedups, the LUT-vs-spike-kernel speedups, and — at full scale — the
-// per-preset decision-flip-rate of the quantized tier versus the scalar_ref
-// oracle on trained models (core::calibrate_quantized).
+// footprint_ratio, the headline quantized-tier vs blocked_omp speedups, the
+// LUT-vs-spike-kernel speedups, and — at full scale — the per-preset
+// decision-flip-rate of the quantized tier versus the scalar_ref oracle on
+// trained models (core::calibrate_quantized).
 //
 // In-bench acceptance gates (nonzero exit on failure):
 //   * every float backend bitwise-identical to scalar_ref — including
@@ -361,10 +361,6 @@ int main(int argc, char** argv) {
                ? blocked->second / fast->second
                : 0.0;
   };
-  const double sparse70 = ratio("d30", "sparse_spike");
-  const double sparse90 = ratio("d10", "sparse_spike");
-  report.set("sparse_spike_vs_blocked_omp_speedup_70pct_sparse", sparse70);
-  report.set("sparse_spike_vs_blocked_omp_speedup_90pct_sparse", sparse90);
   const double int8_70 = ratio("d30", "int8_lut");
   const double int8_90 = ratio("d10", "int8_lut");
   report.set("int8_lut_vs_blocked_omp_speedup_70pct_sparse", int8_70);
@@ -467,7 +463,6 @@ int main(int argc, char** argv) {
       "(avx512: %s)\n"
       "Quantized kernels within %.0e of their dequantized product: %s\n"
       "LUT backends bitwise identical to the spike kernel: %s\n"
-      "sparse_spike vs blocked_omp wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%%\n"
       "int8_lut     vs blocked_omp wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%% "
       "[gate >= %.1fx: %s]\n"
       "int4_lut     vs spike kernel wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%% "
@@ -478,7 +473,7 @@ int main(int argc, char** argv) {
       all_identical ? "yes" : "NO",
       avx512_measured ? "measured" : "SKIPPED, unavailable here",
       kQuantRelTolerance, quant_within_tolerance ? "yes" : "NO",
-      lut_bitwise_matches_spike ? "yes" : "NO", sparse70, sparse90, int8_70, int8_90,
+      lut_bitwise_matches_spike ? "yes" : "NO", int8_70, int8_90,
       kInt8SpeedupGate, speed_ok ? "ok" : "FAIL", lut4_70, lut4_90,
       kInt4LutSpeedupGate, lut_speed_ok ? "ok" : "FAIL", lut8_70,
       footprint_ratio_int8, footprint_ratio_int4,

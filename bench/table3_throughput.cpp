@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
   bench::BenchReport report("table3_throughput", options);
   report.set("threads", static_cast<double>(core::evaluation_threads()));
   report.set("batch_size", static_cast<double>(kBatch));
-  // GEMM-form math below (linear layers, dense-ish convs) runs through this
-  // backend (util/gemm.h dispatch); very sparse eval convs take the direct
-  // scatter kernel instead, which follows the same bitwise contract and is
-  // counted in the same GemmStats. Backends are bitwise identical, so only
-  // speed depends on this.
+  // GEMM-form math below (the linear layers) runs through this backend
+  // (util/gemm.h dispatch); float eval convs run the direct scatter kernel
+  // instead, which follows the same bitwise contract and is counted in the
+  // same GemmStats. Backends are bitwise identical, so only speed depends on
+  // this.
   report.set("gemm_backend", std::string(util::default_gemm_backend().name()));
   const double kIsoTolerance = 0.01;  // 1pp, below ~600-sample binomial noise
   report.set("batch32_speedup_definition",

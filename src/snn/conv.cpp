@@ -10,9 +10,9 @@ namespace dtsnn::snn {
 
 namespace {
 
-// The sparse/dense kernel decisions below key on snn::kSparseDensityThreshold
-// (snn/layer.h), shared with Linear: the layers pick the op form, the GEMM
-// registry only the ISA and precision.
+// The training forward's sparse/dense op form below keys on
+// snn::kSparseDensityThreshold (snn/layer.h), shared with Linear: the layers
+// pick the op form, the GEMM registry only the ISA and precision.
 
 /// [N*OHW, Cout] row-per-pixel layout -> NCHW [N, Cout, OH, OW].
 void pixels_to_nchw(const Tensor& pix, std::size_t n, std::size_t c, std::size_t oh,
@@ -29,63 +29,63 @@ void pixels_to_nchw(const Tensor& pix, std::size_t n, std::size_t c, std::size_t
   }
 }
 
-/// Direct sparse convolution into the [N*OHW, Cout] row-per-pixel layout:
-/// iterate nonzero input pixels (c, y, x ascending) and scatter-accumulate
-/// the matching weight columns into the touched output pixels. For every
-/// output element this applies contributions in ascending (c, ky, kx) order
-/// with zero inputs skipped — exactly the order and skip rule of the
-/// A-stationary im2col GEMM — so the result is bitwise identical to
-/// util::gemm on the im2col matrix, while the im2col materialization (the
-/// dominant memory traffic at spike-level sparsity) is skipped entirely.
-/// `wt` is W^T, [Cin*K*K, Cout]. Templated on the compile-time stride
-/// (0 = generic runtime stride) so the hot loops carry no divisibility
-/// checks for stride-1 convs and strength-reduced ones for stride-2.
+/// Direct sparse convolution of one image into its [OHW, Cout] row-per-pixel
+/// block: iterate nonzero input pixels (c, y, x ascending) and
+/// scatter-accumulate the matching weight columns into the touched output
+/// pixels. For every output element this applies contributions in ascending
+/// (c, ky, kx) order with zero inputs skipped — exactly the order and skip
+/// rule of the A-stationary im2col GEMM — so the result is bitwise identical
+/// to util::gemm on the im2col matrix, while the im2col materialization is
+/// skipped entirely. `wt` is W^T, [Cin*K*K, Cout]. Templated on the
+/// compile-time stride (0 = generic runtime stride) so the hot loops carry no
+/// divisibility checks for stride-1 convs and strength-reduced ones for
+/// stride-2.
+///
+/// Out of line and 64-byte aligned: the speed of the short inner loops
+/// depends on where they fall relative to 64-byte boundaries, and pinning
+/// the function start keeps that placement — and the step time — from
+/// shifting with unrelated code linked ahead of it (swings of ~30% in
+/// per-step time were measured on an AVX-512 Xeon).
 template <std::size_t kStride>
-void sparse_conv_scatter_impl(const Tensor& x, const float* wt, const ConvGeometry& g,
-                              std::size_t cout, Tensor& pix) {
-  const std::size_t n = x.dim(0);
+[[gnu::noinline, gnu::aligned(64)]] void scatter_image(const float* xp, const float* wt,
+                                                       const ConvGeometry& g,
+                                                       std::size_t cout, float* pp) {
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
-  const auto stride =
-      static_cast<std::ptrdiff_t>(kStride ? kStride : g.stride);
+  const auto stride = static_cast<std::ptrdiff_t>(kStride ? kStride : g.stride);
   const auto pad = static_cast<std::ptrdiff_t>(g.padding);
   const auto kk = static_cast<std::ptrdiff_t>(g.kernel);
   // The (ky, kx) loops only enumerate which outputs an input touches; the
   // per-output accumulation order is fixed by the (c, y, x) input visit
   // order alone, so the stride-specialized bounds below don't affect the
   // bitwise result.
-#pragma omp parallel for schedule(static)
-  for (std::size_t img = 0; img < n; ++img) {
-    const float* xp = x.data() + img * g.in_channels * g.in_h * g.in_w;
-    float* pp = pix.data() + img * oh * ow * cout;
-    for (std::size_t c = 0; c < g.in_channels; ++c) {
-      const float* wc = wt + c * static_cast<std::size_t>(kk * kk) * cout;
-      for (std::size_t y = 0; y < g.in_h; ++y) {
-        const auto ypad = static_cast<std::ptrdiff_t>(y) + pad;
-        // oy = (y + pad - ky) / stride with exact division and 0 <= oy < oh.
-        const std::ptrdiff_t ky_lo =
-            std::max<std::ptrdiff_t>(0, ypad - stride * (static_cast<std::ptrdiff_t>(oh) - 1));
-        const std::ptrdiff_t ky_hi = std::min<std::ptrdiff_t>(kk - 1, ypad);
-        for (std::size_t xx = 0; xx < g.in_w; ++xx) {
-          const float v = xp[(c * g.in_h + y) * g.in_w + xx];
-          if (v == 0.0f) continue;
-          const auto xpad = static_cast<std::ptrdiff_t>(xx) + pad;
-          const std::ptrdiff_t kx_lo = std::max<std::ptrdiff_t>(
-              0, xpad - stride * (static_cast<std::ptrdiff_t>(ow) - 1));
-          const std::ptrdiff_t kx_hi = std::min<std::ptrdiff_t>(kk - 1, xpad);
-          for (std::ptrdiff_t ky = ky_lo; ky <= ky_hi; ++ky) {
-            if (kStride != 1 && (ypad - ky) % stride != 0) continue;
-            const auto oy = static_cast<std::size_t>((ypad - ky) / stride);
-            float* prow = pp + oy * ow * cout;
-            const float* wky = wc + static_cast<std::size_t>(ky * kk) * cout;
-            for (std::ptrdiff_t kx = kx_lo; kx <= kx_hi; ++kx) {
-              if (kStride != 1 && (xpad - kx) % stride != 0) continue;
-              const auto ox = static_cast<std::size_t>((xpad - kx) / stride);
-              float* dst = prow + ox * cout;
-              const float* wrow = wky + static_cast<std::size_t>(kx) * cout;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    const float* wc = wt + c * static_cast<std::size_t>(kk * kk) * cout;
+    for (std::size_t y = 0; y < g.in_h; ++y) {
+      const auto ypad = static_cast<std::ptrdiff_t>(y) + pad;
+      // oy = (y + pad - ky) / stride with exact division and 0 <= oy < oh.
+      const std::ptrdiff_t ky_lo =
+          std::max<std::ptrdiff_t>(0, ypad - stride * (static_cast<std::ptrdiff_t>(oh) - 1));
+      const std::ptrdiff_t ky_hi = std::min<std::ptrdiff_t>(kk - 1, ypad);
+      for (std::size_t xx = 0; xx < g.in_w; ++xx) {
+        const float v = xp[(c * g.in_h + y) * g.in_w + xx];
+        if (v == 0.0f) continue;
+        const auto xpad = static_cast<std::ptrdiff_t>(xx) + pad;
+        const std::ptrdiff_t kx_lo = std::max<std::ptrdiff_t>(
+            0, xpad - stride * (static_cast<std::ptrdiff_t>(ow) - 1));
+        const std::ptrdiff_t kx_hi = std::min<std::ptrdiff_t>(kk - 1, xpad);
+        for (std::ptrdiff_t ky = ky_lo; ky <= ky_hi; ++ky) {
+          if (kStride != 1 && (ypad - ky) % stride != 0) continue;
+          const auto oy = static_cast<std::size_t>((ypad - ky) / stride);
+          float* prow = pp + oy * ow * cout;
+          const float* wky = wc + static_cast<std::size_t>(ky * kk) * cout;
+          for (std::ptrdiff_t kx = kx_lo; kx <= kx_hi; ++kx) {
+            if (kStride != 1 && (xpad - kx) % stride != 0) continue;
+            const auto ox = static_cast<std::size_t>((xpad - kx) / stride);
+            float* dst = prow + ox * cout;
+            const float* wrow = wky + static_cast<std::size_t>(kx) * cout;
 #pragma omp simd
-              for (std::size_t j = 0; j < cout; ++j) dst[j] += v * wrow[j];
-            }
+            for (std::size_t j = 0; j < cout; ++j) dst[j] += v * wrow[j];
           }
         }
       }
@@ -93,13 +93,34 @@ void sparse_conv_scatter_impl(const Tensor& x, const float* wt, const ConvGeomet
   }
 }
 
+/// The scatter over a batch x [N, Cin, H, W] into pix [N*OHW, Cout]; images
+/// are independent, so they run in parallel.
 void sparse_conv_scatter(const Tensor& x, const float* wt, const ConvGeometry& g,
                          std::size_t cout, Tensor& pix) {
-  switch (g.stride) {
-    case 1: sparse_conv_scatter_impl<1>(x, wt, g, cout, pix); break;
-    case 2: sparse_conv_scatter_impl<2>(x, wt, g, cout, pix); break;
-    default: sparse_conv_scatter_impl<0>(x, wt, g, cout, pix); break;
+  const std::size_t in_size = g.in_channels * g.in_h * g.in_w;
+  const std::size_t out_size = g.out_h() * g.out_w() * cout;
+#pragma omp parallel for schedule(static)
+  for (std::size_t img = 0; img < x.dim(0); ++img) {
+    const float* xp = x.data() + img * in_size;
+    float* pp = pix.data() + img * out_size;
+    switch (g.stride) {
+      case 1: scatter_image<1>(xp, wt, g, cout, pp); break;
+      case 2: scatter_image<2>(xp, wt, g, cout, pp); break;
+      default: scatter_image<0>(xp, wt, g, cout, pp); break;
+    }
   }
+}
+
+/// The output extent (in + 2*pad - kernel) / stride + 1 underflows when the
+/// kernel does not fit the padded input, so reject such geometries (and a zero
+/// kernel or stride) before anything computes it.
+ConvGeometry require_valid(const ConvGeometry& g, const char* where) {
+  if (!g.valid()) {
+    throw std::invalid_argument(util::format(
+        "%s: kernel %zu, stride %zu, padding %zu do not fit a %zux%zu input", where,
+        g.kernel, g.stride, g.padding, g.in_h, g.in_w));
+  }
+  return g;
 }
 
 /// NCHW [N, C, OH, OW] -> [N*OHW, C] row-per-pixel layout.
@@ -169,7 +190,8 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   if (x.rank() != 4 || x.dim(1) != in_channels_) {
     throw std::invalid_argument("Conv2d: bad input shape " + shape_to_string(x.shape()));
   }
-  geom_ = ConvGeometry{in_channels_, x.dim(2), x.dim(3), kernel_, stride_, padding_};
+  geom_ = require_valid(
+      ConvGeometry{in_channels_, x.dim(2), x.dim(3), kernel_, stride_, padding_}, "Conv2d");
   const std::size_t n = x.dim(0);
   const std::size_t oh = geom_.out_h();
   const std::size_t ow = geom_.out_w();
@@ -178,8 +200,8 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   Tensor pix({n * oh * ow, out_channels_});
   const std::size_t patch = geom_.patch_size();
   util::GemmContext& gemm = gemm_context();
-  // One density pass per forward: it picks the op form below, and the eval
-  // scatter records it.
+  // One density pass per forward: it picks the training op form below, and
+  // the eval scatter records it.
   const double density = x.density();
   Tensor col;
   if (train) {
@@ -189,7 +211,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // of the dense dot-product form — for the same accumulation order and
     // finite weights the two are bitwise identical (both sum each output's
     // contributions in ascending patch order from a zero start), so this is
-    // purely a speed decision, like the eval-time kernel choice below.
+    // purely a speed decision.
     im2col(x, geom_, col);
     if (density < kSparseDensityThreshold) {
       gemm.gemm(col.data(), ensure_weight_transpose(), pix.data(), n * oh * ow, patch,
@@ -214,27 +236,18 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     im2col(x, geom_, col);
     gemm.qgemm(col.data(), qweight_, pix.data(), n * oh * ow, patch, out_channels_);
   } else {
-    // Inference path: LIF spike activations are mostly zeros, so the cost
-    // scales with spike density instead of the dense FLOP count. Both eval
-    // kernels skip zero inputs and accumulate every output element in
-    // ascending (c, ky, kx) order, so they are bitwise identical to each
-    // other and independent of the batch size — batched and batch-1
-    // stepping agree bitwise even if they pick different kernels. Needs
-    // W^T materialized; cached across the steps of one sequence (set_time
+    // Float inference path: one kernel at every input density. The direct
+    // scatter skips zero inputs and accumulates every output element in
+    // ascending (c, ky, kx) order — bitwise identical to the im2col NN GEMM
+    // and independent of the batch size — without materializing the im2col
+    // matrix. Needs W^T, cached across the steps of one sequence (set_time
     // and begin_steps mark it dirty, and weights only change between them).
-    const float* wt = ensure_weight_transpose();
-    if (density < kSparseDensityThreshold) {
-      // Sparse enough that skipping the im2col materialization wins. The
-      // scatter is the NN product run here instead of dispatched, so it is
-      // recorded as one: dense-equivalent flops, x as the operand read.
-      sparse_conv_scatter(x, wt, geom_, out_channels_, pix);
-      const auto elements = static_cast<double>(x.numel());
-      gemm.record_nn(n * oh * ow, patch, out_channels_, elements,
-                     std::round(density * elements));
-    } else {
-      im2col(x, geom_, col);
-      gemm.gemm(col.data(), wt, pix.data(), n * oh * ow, patch, out_channels_);
-    }
+    // The scatter is the NN product run here instead of dispatched, so it is
+    // recorded as one: dense-equivalent flops, x as the operand read.
+    sparse_conv_scatter(x, ensure_weight_transpose(), geom_, out_channels_, pix);
+    const auto elements = static_cast<double>(x.numel());
+    gemm.record_nn(n * oh * ow, patch, out_channels_, elements,
+                   std::round(density * elements));
   }
   if (has_bias_) {
     const float* b = bias_.value.data();
@@ -314,8 +327,9 @@ Shape Conv2d::infer_shape(const Shape& sample_shape) const {
     throw std::invalid_argument("Conv2d::infer_shape: bad sample shape " +
                                 shape_to_string(sample_shape));
   }
-  const ConvGeometry g{in_channels_, sample_shape[1], sample_shape[2], kernel_, stride_,
-                       padding_};
+  const ConvGeometry g = require_valid(
+      ConvGeometry{in_channels_, sample_shape[1], sample_shape[2], kernel_, stride_, padding_},
+      "Conv2d::infer_shape");
   return {out_channels_, g.out_h(), g.out_w()};
 }
 

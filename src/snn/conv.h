@@ -1,4 +1,6 @@
-// 2-D convolution layer (im2col + GEMM), with full backward pass.
+// 2-D convolution layer with full backward pass. Float eval forwards run a
+// direct zero-skipping scatter at every input density; training and the
+// quantized tier run im2col + GEMM.
 
 #pragma once
 
@@ -47,8 +49,8 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   void clear_quantized_weights() override { qweight_ = util::QuantizedMatrix(); }
 
  private:
-  /// Materialize (or reuse) the W^T [Cin*K*K, Cout] scratch for the
-  /// A-stationary spike-sparse GEMM form.
+  /// Materialize (or reuse) the W^T [Cin*K*K, Cout] scratch for the eval
+  /// scatter and the sparse training GEMM.
   const float* ensure_weight_transpose();
 
   std::size_t in_channels_, out_channels_, kernel_, stride_, padding_;
@@ -62,8 +64,8 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   Tensor col_cache_;   // [N*OH*OW, Cin*K*K]
   bool have_cache_ = false;
 
-  // W^T [Cin*K*K, Cout] scratch for the spike-sparse A-stationary kernels
-  // (eval conv and sparse training forwards). Weights can only change
+  // W^T [Cin*K*K, Cout] scratch for the zero-skipping A-stationary forms
+  // (eval scatter and sparse training forwards). Weights can only change
   // between sequences/forward passes, both of which are preceded by set_time
   // or begin_steps, so those mark it dirty and the transpose is reused
   // across the steps of one inference sequence.

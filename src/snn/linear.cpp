@@ -76,8 +76,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
     // weights (same ascending-k accumulation from a zero start; skipped
     // zero-spike terms only ever contribute ±0, and the final add into the
     // zeroed output restores +0 in both forms), so — exactly as in
-    // Conv2d::forward — this is purely a speed decision, and it hands the
-    // sparse NN op to the backend (sparse_spike) that exploits it.
+    // Conv2d::forward's training forms — this is purely a speed decision.
     gemm.gemm(x.data(), ensure_weight_transpose(), out.data(), n, in_features_,
               out_features_);
   } else {

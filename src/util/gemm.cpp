@@ -1,7 +1,6 @@
 #include "util/gemm.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
@@ -206,44 +205,6 @@ void blocked_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
   internal::gemm_bt_scalar_tail(a, b, c, m, k, n, j0);
 }
 
-// ---- sparse_spike: CSR-style row compression of A. Each row of A is first
-// compressed (branchlessly) into (index, value) pairs, then only the
-// touched B rows are streamed. Binary spikes (value exactly 1.0f) take a
-// multiply-free accumulation — 1.0f * x == x bitwise, so the fast path does
-// not disturb the contract. Visit order stays ascending-k per output with
-// the same zero-skip rule, hence bitwise identity with scalar_ref.
-
-void sparse_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-                 std::size_t n) {
-#pragma omp parallel
-  {
-    std::vector<std::uint32_t> idx(k);
-    std::vector<float> val(k);
-#pragma omp for schedule(static) nowait
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * k;
-      std::size_t nnz = 0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        idx[nnz] = static_cast<std::uint32_t>(kk);
-        val[nnz] = arow[kk];
-        nnz += arow[kk] != 0.0f;  // branchless compress: predictable pipeline
-      }
-      float* crow = c + i * n;
-      for (std::size_t s = 0; s < nnz; ++s) {
-        const float* brow = b + static_cast<std::size_t>(idx[s]) * n;
-        const float v = val[s];
-        if (v == 1.0f) {
-#pragma omp simd
-          for (std::size_t j = 0; j < n; ++j) crow[j] += brow[j];
-        } else {
-#pragma omp simd
-          for (std::size_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-        }
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------------- backend defs
 
 class ScalarRefBackend final : public GemmBackend {
@@ -274,28 +235,6 @@ class BlockedOmpBackend final : public GemmBackend {
                std::size_t n) const override {
     blocked_gemm(a, b, c, m, k, n);
   }
-  void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n) const override {
-    blocked_gemm_at(a, b, c, m, k, n);
-  }
-  void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n) const override {
-    blocked_gemm_bt(a, b, c, m, k, n);
-  }
-};
-
-class SparseSpikeBackend final : public GemmBackend {
- public:
-  [[nodiscard]] std::string_view name() const override { return "sparse_spike"; }
-
- protected:
-  void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n) const override {
-    sparse_gemm(a, b, c, m, k, n);
-  }
-  // The A^T (dense gradients) and B^T (dense dot products) ops have no spike
-  // structure to exploit; delegate to the blocked kernels, which follow the
-  // same bitwise contract.
   void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n) const override {
     blocked_gemm_at(a, b, c, m, k, n);
@@ -370,11 +309,9 @@ std::span<const GemmBackend* const> gemm_backends() {
   static const std::vector<const GemmBackend*> backends = [] {
     static const ScalarRefBackend scalar_ref;
     static const BlockedOmpBackend blocked_omp;
-    static const SparseSpikeBackend sparse_spike;
     std::vector<const GemmBackend*> v{&scalar_ref, &blocked_omp};
     if (const GemmBackend* avx2 = avx2_backend_or_null()) v.push_back(avx2);
     if (const GemmBackend* avx512 = avx512_backend_or_null()) v.push_back(avx512);
-    v.push_back(&sparse_spike);
     // Quantized tier: listed and forceable by name, but never auto-selected
     // (resolve_gemm_backend's automatic path considers bitwise backends only,
     // since the quantized tier additionally requires calibrated weights).

@@ -1,8 +1,9 @@
 // Multi-backend single-precision GEMM dispatch layer.
 //
-// Every convolution and linear layer funnels through one of three row-major
-// GEMM ops (NN, A^T-stationary, B^T). They are served by runtime-selected
-// backends behind the GemmBackend interface:
+// Convolution and linear layers funnel their products through three
+// row-major GEMM ops (NN, A^T-stationary, B^T); the one exception is
+// Conv2d's float eval forward (see below). The ops are served by
+// runtime-selected backends behind the GemmBackend interface:
 //
 //   scalar_ref    plain triple loops; the oracle that *defines* the bitwise
 //                 accumulation contract (see below).
@@ -14,10 +15,6 @@
 //                 (no FMA contraction) — so results are bitwise identical to
 //                 scalar_ref. Compiled only when the toolchain supports
 //                 -mavx2; dispatch additionally gated by runtime CPUID.
-//   sparse_spike  CSR-style row compression of A exploiting spike sparsity
-//                 (zeros skipped, binary spikes take a multiply-free path);
-//                 generalizes the eval-time zero-skip A-stationary kernel so
-//                 training-time convolutions benefit too.
 //   avx512        like avx2 but with 16-lane AVX-512F kernels; own TU
 //                 compiled with -mavx512f -ffp-contract=off (AVX-512F
 //                 implies FMA, and contraction would break the bitwise
@@ -36,20 +33,21 @@
 //
 // The registry picks only the ISA and the precision. Whether a product runs
 // in the sparse or the dense op form is decided once, by the layers, from the
-// input spike density (snn::kSparseDensityThreshold). Conv2d's sparsest eval
-// form, the direct scatter, runs in the layer itself and is recorded as an
-// NN op (GemmContext::record_nn), so the accounting still covers it.
+// input spike density (snn::kSparseDensityThreshold). Conv2d's float eval
+// forward, the direct scatter, runs in the layer itself at every density and
+// is recorded as an NN op (GemmContext::record_nn), so the accounting still
+// covers it.
 //
 // Identity contract tiers:
 //
-//   kBitwise (scalar_ref, blocked_omp, avx2, avx512, sparse_spike): for
-//   every op, each output element accumulates its contributions in
-//   ascending-k order with exact-zero A values skipped (NN / A^T ops), and
-//   the B^T op sums each dot product sequentially into a local accumulator
-//   before a single add into C. These backends follow the contract exactly,
-//   so DT-SNN logits — and therefore early-exit decisions — are bitwise
-//   identical no matter which backend runs, and the per-backend identity
-//   suite enforces it against scalar_ref.
+//   kBitwise (scalar_ref, blocked_omp, avx2, avx512): for every op, each
+//   output element accumulates its contributions in ascending-k order with
+//   exact-zero A values skipped (NN / A^T ops), and the B^T op sums each dot
+//   product sequentially into a local accumulator before a single add into
+//   C. These backends follow the contract exactly, so DT-SNN logits — and
+//   therefore early-exit decisions — are bitwise identical no matter which
+//   backend runs, and the per-backend identity suite enforces it against
+//   scalar_ref.
 //
 //   kToleranceGated (int8_lut, int4_lut): quantized weights cannot reproduce
 //   float logits bitwise. These backends instead honor a tolerance gate
@@ -177,8 +175,8 @@ const QuantizedGemmBackend* as_quantized_backend(const GemmBackend* backend);
 
 /// All compiled-in backends in registration order: scalar_ref, blocked_omp,
 /// avx2 (when the toolchain supported -mavx2), avx512 (when the toolchain
-/// supported -mavx512f and the build did not disable it), sparse_spike,
-/// int8_lut, int4_lut.
+/// supported -mavx512f and the build did not disable it), int8_lut,
+/// int4_lut.
 std::span<const GemmBackend* const> gemm_backends();
 
 /// Lookup by name; nullptr when no such backend is compiled in.
@@ -277,8 +275,8 @@ class GemmContext {
              std::size_t k, std::size_t n, bool accumulate = false);
 
   /// Accounts an NN-form product C[m,n] = A[m,k] * B[k,n] that the caller
-  /// executed itself instead of dispatching it (Conv2d's eval-time sparse
-  /// scatter, which reads the layer input rather than its im2col matrix).
+  /// executed itself instead of dispatching it (Conv2d's float eval scatter,
+  /// which reads the layer input rather than its im2col matrix).
   /// flops are the dense equivalent 2*m*k*n, as for dispatched calls;
   /// `a_elements` / `a_nonzeros` describe the operand actually read.
   void record_nn(std::size_t m, std::size_t k, std::size_t n, double a_elements,

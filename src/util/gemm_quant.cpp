@@ -3,14 +3,14 @@
 //
 // It consumes util::QuantizedMatrix weights (k-major packed codes,
 // group-wise symmetric scales; see util/quant.h) against spike activations
-// in A. The kernel shape follows sparse_spike: each A row is branchlessly
-// compressed to (index, value) pairs, then processed group-by-group along k.
-// Inside a scale group, binary spikes (exactly 1.0f) add the selected
-// quantized weight row into an int32 accumulator — no multiplies, and the
-// bytes streamed per spike are 1/4 (INT8) or 1/8 (INT4) of the float
-// backends' traffic. Graded spikes fall back to float accumulation of
-// decoded codes. Each group is dequantized once per output column at its
-// boundary: crow[j] += (int_sum + graded_sum) * scale[g][j].
+// in A. Each A row is branchlessly compressed to (index, value) pairs, then
+// processed group-by-group along k. Inside a scale group, binary spikes
+// (exactly 1.0f) add the selected quantized weight row into an int32
+// accumulator — no multiplies, and the bytes streamed per spike are 1/4
+// (INT8) or 1/8 (INT4) of the float backends' traffic. Graded spikes fall
+// back to float accumulation of decoded codes. Each group is dequantized
+// once per output column at its boundary:
+// crow[j] += (int_sum + graded_sum) * scale[g][j].
 //
 // Accumulation order is fixed (ascending k within a group, ascending groups,
 // rows independent), so outputs are deterministic and batch-composition
@@ -50,7 +50,7 @@ void qgemm_kernel(const float* a, const QuantizedMatrix& q, float* c, std::size_
 #pragma omp for schedule(static) nowait
     for (std::size_t i = 0; i < m; ++i) {
       const float* arow = a + i * k;
-      // Branchless CSR compress of the spike row (as in sparse_spike).
+      // Branchless CSR compress of the spike row.
       std::size_t nnz = 0;
       for (std::size_t kk = 0; kk < k; ++kk) {
         idx[nnz] = static_cast<std::uint32_t>(kk);

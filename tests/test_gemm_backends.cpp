@@ -62,18 +62,15 @@ const char* fill_name(Fill fill) {
 // ----------------------------------------------------------------- registry
 
 TEST(GemmRegistry, ShipsAllBackends) {
-  // scalar_ref, blocked_omp, sparse_spike, and the quantized LUT tier are
-  // unconditional; the ISA backends (avx2, avx512) are present whenever the
-  // toolchain could target them (this repo's CI always can), and must be
-  // consistently gated by runtime CPUID. The registry lists exactly these,
-  // in this order.
+  // scalar_ref, blocked_omp, and the quantized LUT tier are unconditional;
+  // the ISA backends (avx2, avx512) are present whenever the toolchain could
+  // target them (this repo's CI always can), and must be consistently gated
+  // by runtime CPUID. The registry lists exactly these, in this order.
   std::vector<std::string> expected{"scalar_ref", "blocked_omp"};
   for (const char* isa : {"avx2", "avx512"}) {
     if (util::find_gemm_backend(isa) != nullptr) expected.emplace_back(isa);
   }
-  for (const char* name : {"sparse_spike", "int8_lut", "int4_lut"}) {
-    expected.emplace_back(name);
-  }
+  for (const char* name : {"int8_lut", "int4_lut"}) expected.emplace_back(name);
   std::vector<std::string> listed;
   for (const util::GemmBackend* backend : util::gemm_backends()) {
     listed.emplace_back(backend->name());
@@ -123,17 +120,21 @@ TEST(GemmRegistry, ResolutionRules) {
   // Explicit names resolve to themselves; unknown names throw (a typo'd
   // DTSNN_GEMM_BACKEND must fail loudly, not fall back silently), and the
   // message lists every registered backend so the failure is self-diagnosing.
+  // Retired backend names are unknown names like any other.
   EXPECT_EQ(&util::resolve_gemm_backend("scalar_ref"),
             util::find_gemm_backend("scalar_ref"));
-  try {
-    util::resolve_gemm_backend("no_such_backend");
-    FAIL() << "unknown backend name must throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("no_such_backend"), std::string::npos) << msg;
-    for (const util::GemmBackend* backend : util::gemm_backends()) {
-      EXPECT_NE(msg.find(std::string(backend->name())), std::string::npos)
-          << msg << " should list " << backend->name();
+  for (const char* unknown :
+       {"no_such_backend", "sparse_spike", "adaptive", "int8_spike", "int4_spike"}) {
+    try {
+      util::resolve_gemm_backend(unknown);
+      ADD_FAILURE() << unknown << " is not a registered backend and must throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(unknown), std::string::npos) << msg;
+      for (const util::GemmBackend* backend : util::gemm_backends()) {
+        EXPECT_NE(msg.find(std::string(backend->name())), std::string::npos)
+            << msg << " should list " << backend->name();
+      }
     }
   }
   // Known-but-impossible names throw a distinct error with the same registry
@@ -196,10 +197,10 @@ TEST(GemmContext, TracksCallsFlopsAndDensity) {
   EXPECT_EQ(ctx.stats().calls(), 0u);
 }
 
-/// Conv2d's eval-time scatter runs outside the registry but is still one NN
-/// product: the layer records it in its context with the dense-equivalent
-/// flops 2*(N*OH*OW)*patch*Cout, and x as the operand it read. The dense
-/// eval form dispatches the same product as an im2col GEMM.
+/// Conv2d's float eval scatter runs outside the registry, at every input
+/// density, but is still one NN product: the layer records it in its context
+/// with the dense-equivalent flops 2*(N*OH*OW)*patch*Cout, and x as the
+/// operand it read.
 TEST(GemmContext, ConvScatterIsRecordedAsOneNNCall) {
   util::Rng rng(9);
   snn::Conv2d conv(4, 8, 3, 2, 1, /*bias=*/false, rng);
@@ -222,12 +223,8 @@ TEST(GemmContext, ConvScatterIsRecordedAsOneNNCall) {
     EXPECT_EQ(s.calls(), 1u) << density;
     EXPECT_EQ(s.nn.calls, 1u) << density;
     EXPECT_DOUBLE_EQ(s.nn.flops, flops) << density;
-    if (x.density() < snn::kSparseDensityThreshold) {
-      EXPECT_DOUBLE_EQ(s.nn.a_elements, static_cast<double>(x.numel()));
-      EXPECT_DOUBLE_EQ(s.nn.a_nonzeros, static_cast<double>(nonzeros));
-    } else {
-      EXPECT_DOUBLE_EQ(s.nn.a_elements, static_cast<double>(rows * patch));
-    }
+    EXPECT_DOUBLE_EQ(s.nn.a_elements, static_cast<double>(x.numel())) << density;
+    EXPECT_DOUBLE_EQ(s.nn.a_nonzeros, static_cast<double>(nonzeros)) << density;
   }
 }
 
@@ -373,34 +370,40 @@ INSTANTIATE_TEST_SUITE_P(
 // -------------------------------------------- conv sparse-train equivalence
 
 /// The training forward picks the A-stationary zero-skip form for sparse
-/// inputs and the dense dot-product form otherwise; the eval forward picks
-/// scatter or im2col GEMM. All four must agree bitwise on the same input —
-/// this pins the kernel-form equivalence the sparse_spike training path
-/// relies on, on both sides of the density threshold.
+/// inputs and the dense dot-product form otherwise; the float eval forward
+/// runs the direct scatter at every density. All three must agree bitwise on
+/// the same input, on both sides of the density threshold (up to dense graded
+/// input) — and for every stride specialization of the scatter (1, 2, and the
+/// generic runtime stride), with and without padding.
 TEST(ConvSparseTraining, TrainAndEvalForwardsBitwiseEqual) {
-  util::Rng rng(5);
-  snn::Conv2d conv(4, 8, 3, 1, 1, /*bias=*/true, rng);
   // A forced quantized backend has its own eval form (qgemm on calibrated
   // weights); these float-tier forms then run on the dense float pick.
   const util::GemmBackend& forced = util::GemmContext::global().backend();
   util::GemmContext ctx(util::as_quantized_backend(&forced) != nullptr
                             ? util::preferred_dense_gemm_backend()
                             : forced);
-  conv.set_gemm_context(&ctx);
-  for (const double density : {0.05, 0.2, 0.6, 1.0}) {
-    snn::Tensor x({3, 4, 9, 9});
-    util::Rng xr(static_cast<std::uint64_t>(density * 100) + 1);
-    for (auto& v : x.span()) {
-      v = xr.bernoulli(density) ? static_cast<float>(xr.gaussian()) : 0.0f;
-    }
-    conv.set_time(1, 3);
-    const snn::Tensor train_out = conv.forward(x, /*train=*/true);
-    conv.set_time(1, 3);
-    const snn::Tensor eval_out = conv.forward(x, /*train=*/false);
-    ASSERT_EQ(train_out.shape(), eval_out.shape()) << density;
-    for (std::size_t i = 0; i < train_out.numel(); ++i) {
-      ASSERT_EQ(train_out.data()[i], eval_out.data()[i])
-          << "density " << density << " elem " << i;
+  for (const std::size_t stride : {1, 2, 3}) {
+    for (const std::size_t padding : {0, 1}) {
+      util::Rng rng(5);
+      snn::Conv2d conv(4, 8, 3, stride, padding, /*bias=*/true, rng);
+      conv.set_gemm_context(&ctx);
+      for (const double density : {0.05, 0.2, 0.6, 1.0}) {
+        snn::Tensor x({3, 4, 9, 9});
+        util::Rng xr(static_cast<std::uint64_t>(density * 100) + 1);
+        for (auto& v : x.span()) {
+          v = xr.bernoulli(density) ? static_cast<float>(xr.gaussian()) : 0.0f;
+        }
+        conv.set_time(1, 3);
+        const snn::Tensor train_out = conv.forward(x, /*train=*/true);
+        conv.set_time(1, 3);
+        const snn::Tensor eval_out = conv.forward(x, /*train=*/false);
+        ASSERT_EQ(train_out.shape(), eval_out.shape()) << density;
+        for (std::size_t i = 0; i < train_out.numel(); ++i) {
+          ASSERT_EQ(train_out.data()[i], eval_out.data()[i])
+              << "stride " << stride << " padding " << padding << " density "
+              << density << " elem " << i;
+        }
+      }
     }
   }
 }

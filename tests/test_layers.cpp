@@ -58,6 +58,22 @@ TEST(Conv2d, RejectsBadInput) {
   EXPECT_THROW(conv.infer_shape({2, 8, 8}), std::invalid_argument);
 }
 
+TEST(Conv2d, RejectsKernelLargerThanPaddedInput) {
+  // A 3x3 kernel does not fit an unpadded 2x2 input: the output extent would
+  // underflow, so every entry point must refuse it before computing it.
+  util::Rng rng(4);
+  Conv2d conv(1, 4, 3, /*stride=*/2, /*pad=*/0, false, rng);
+  EXPECT_THROW(conv.infer_shape({1, 2, 2}), std::invalid_argument);
+  for (const bool train : {false, true}) {
+    conv.set_time(1, 1);
+    EXPECT_THROW(conv.forward(Tensor({1, 1, 2, 2}), train), std::invalid_argument)
+        << "train " << train;
+  }
+  // Padding that makes the kernel fit is accepted.
+  Conv2d padded(1, 4, 3, /*stride=*/2, /*pad=*/1, false, rng);
+  EXPECT_EQ(padded.infer_shape({1, 2, 2}), (Shape{4, 1, 1}));
+}
+
 TEST(Conv2d, InputGradientMatchesNumeric) {
   util::Rng rng(5);
   Conv2d conv(2, 3, 3, 1, 1, true, rng);
