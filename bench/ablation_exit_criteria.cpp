@@ -31,21 +31,21 @@ int main(int argc, char** argv) {
 
   for (const double theta : {0.9, 0.6, 0.3, 0.1, 0.03}) {
     const core::EntropyExitPolicy policy(theta);
-    const auto r = core::evaluate_recorded(outputs, policy, *e.bundle.test);
+    const auto r = core::evaluate_recorded(outputs, policy);
     table.row({"entropy", bench::fmt("%.2f", theta), bench::fmt("%.2f", r.avg_timesteps),
                bench::fmt("%.2f%%", 100 * r.accuracy)});
     csv.row("entropy", theta, r.avg_timesteps, 100 * r.accuracy);
   }
   for (const double p : {0.5, 0.7, 0.9, 0.97, 0.995}) {
     const core::MaxProbExitPolicy policy(p);
-    const auto r = core::evaluate_recorded(outputs, policy, *e.bundle.test);
+    const auto r = core::evaluate_recorded(outputs, policy);
     table.row({"maxprob", bench::fmt("%.3f", p), bench::fmt("%.2f", r.avg_timesteps),
                bench::fmt("%.2f%%", 100 * r.accuracy)});
     csv.row("maxprob", p, r.avg_timesteps, 100 * r.accuracy);
   }
   for (const double m : {0.3, 0.5, 0.8, 0.95, 0.99}) {
     const core::MarginExitPolicy policy(m);
-    const auto r = core::evaluate_recorded(outputs, policy, *e.bundle.test);
+    const auto r = core::evaluate_recorded(outputs, policy);
     table.row({"margin", bench::fmt("%.3f", m), bench::fmt("%.2f", r.avg_timesteps),
                bench::fmt("%.2f%%", 100 * r.accuracy)});
     csv.row("margin", m, r.avg_timesteps, 100 * r.accuracy);
@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   std::printf("static T=4 reference accuracy: %.2f%%\n", 100 * full_acc);
   report.set("static_t4_accuracy", full_acc);
   {
-    const auto r =
-        core::evaluate_recorded(outputs, core::EntropyExitPolicy(0.3), *e.bundle.test);
+    const auto r = core::evaluate_recorded(outputs, core::EntropyExitPolicy(0.3));
     report.set_result(r.accuracy, r.avg_timesteps);
   }
 

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       // Three operating points spanning aggressive -> conservative exits.
       for (const double theta : {0.5, 0.2, 0.05}) {
         const core::EntropyExitPolicy policy(theta);
-        const auto r = core::evaluate_recorded(outputs, policy, *e.bundle.test);
+        const auto r = core::evaluate_recorded(outputs, policy);
         std::vector<double> exits_edp;
         const double edp =
             hw.mean_edp(r.exit_timestep) / edp1;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // Low threshold maximizes differentiation (paper: "we use a low threshold
   // to filter out the high timesteps").
   const core::EntropyExitPolicy policy(0.08);
-  const auto r = core::evaluate_recorded(outputs, policy, *e.bundle.test);
+  const auto r = core::evaluate_recorded(outputs, policy);
 
   const auto* ds = dynamic_cast<const data::ArrayDataset*>(e.bundle.test.get());
 

@@ -154,7 +154,7 @@ int cmd_eval(const CliArgs& args) {
   }
   if (args.theta >= 0.0) {
     const core::EntropyExitPolicy policy(args.theta);
-    const auto r = core::evaluate_recorded(outputs, policy, *bundle.test);
+    const auto r = core::evaluate_recorded(outputs, policy);
     std::printf("DT-SNN @ theta=%.3f: %.2f%% accuracy, %.2f avg timesteps [%s]\n",
                 args.theta, 100.0 * r.accuracy, r.avg_timesteps,
                 r.timestep_histogram.to_string().c_str());

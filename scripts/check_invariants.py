@@ -61,6 +61,15 @@ with file:line diagnostics and a nonzero exit code on any finding:
                       serving layer owns the clock and passes deadlines in
                       as a force-exit predicate.
 
+  exit-rule-sites     The exit rule (Eq. 8) is applied in exactly three
+                      places, so the stepped and recorded decisions cannot
+                      drift apart: core::LivePool (src/core/live_pool.cpp),
+                      and in src/core/engine.cpp the batch-1 SequentialEngine
+                      oracle and replay_exits, the one loop over recorded
+                      outputs. A `.should_exit(` / `->should_exit(` call
+                      anywhere else under src/ is a new decision loop;
+                      defining a should_exit (Foo::should_exit) is fine.
+
   quant-bitwise-oracle  The quantized GEMM tier (int8_lut / int4_lut) is
                       tolerance-gated, not bitwise (util/gemm.h): comparing
                       its floats bitwise against the scalar_ref oracle with
@@ -118,6 +127,9 @@ RULE_DESCRIPTIONS = {
                         "(the one TU built with -mavx512f -ffp-contract=off)",
     "decision-clock": "no steady_clock / ServeClock reads under src/core/ or "
                       "src/snn/ (decisions stay clock-free and replayable)",
+    "exit-rule-sites": "ExitPolicy::should_exit is called only from "
+                       "src/core/live_pool.cpp and src/core/engine.cpp "
+                       "(one pool loop, one oracle, one recorded replay)",
     "quant-bitwise-oracle": "quantized-tier tests must not EXPECT_EQ floats "
                             "against the scalar_ref oracle (tolerance gate "
                             "via core::compare_decisions / EXPECT_NEAR)",
@@ -210,6 +222,16 @@ DECISION_CLOCK_PATTERNS = [
 ]
 # The clock-free directories (relative to --root).
 DECISION_CLOCK_DIRS = {("src", "core"), ("src", "snn")}
+
+EXIT_RULE_SITES = Pattern(
+    r"(\.|->)\s*should_exit\s*\(",
+    "exit-policy call outside the three Eq. 8 sites (LivePool, the batch-1 "
+    "oracle, replay_exits): step through core::LivePool or replay a "
+    "recording with core::evaluate_recorded instead of adding a decision "
+    "loop")
+# Scope (relative to --root) and the files that own the exit-rule loops.
+EXIT_RULE_SITES_DIR = "src"
+EXIT_RULE_SITES_ALLOWED = {Path("src/core/live_pool.cpp"), Path("src/core/engine.cpp")}
 
 QUANT_BITWISE_ORACLE = Pattern(
     r"(EXPECT|ASSERT)_(EQ|FLOAT_EQ|DOUBLE_EQ)\s*\(.*\b(oracle|scalar_ref)",
@@ -342,6 +364,9 @@ def scan_file(path: Path, rel: Path) -> list[Finding]:
         line_rules.append(("raw-thread-mmap", RAW_THREAD_MMAP_PATTERNS))
     if tuple(rel.parts[:2]) in DECISION_CLOCK_DIRS:
         line_rules.append(("decision-clock", DECISION_CLOCK_PATTERNS))
+    if (rel.parts and rel.parts[0] == EXIT_RULE_SITES_DIR
+            and rel not in EXIT_RULE_SITES_ALLOWED):
+        line_rules.append(("exit-rule-sites", [EXIT_RULE_SITES]))
     if (rel.parts and rel.parts[0] == QUANT_TEST_DIR
             and QUANT_NAME_MARKER in rel.name.lower()):
         line_rules.append(("quant-bitwise-oracle", [QUANT_BITWISE_ORACLE]))

@@ -6,7 +6,9 @@ Runs the linter over the fixture trees in scripts/testdata/lint/ and asserts:
     anchored to the expected file:line (no duplicates, no drift);
   * the `clean/` tree — allowlisted sync.h, banned tokens inside comments
     and string literals, a waived integer simd reduction, a BenchReport'd
-    bench, steady_clock in the serving layer — produces zero diagnostics;
+    bench, steady_clock in the serving layer, exit-policy calls in the
+    allowlisted Eq. 8 sites and a should_exit definition — produces zero
+    diagnostics;
   * two runs emit byte-identical output (the linter is deterministic);
   * exit codes are 1 (findings), 0 (clean), 0 (--list-rules).
 
@@ -57,6 +59,9 @@ EXPECTED_BAD = [
     ("src/core/live_pool_clock.cpp", 7, "decision-clock"),   # steady_clock
     ("src/core/live_pool_clock.cpp", 11, "decision-clock"),  # ServeClock
     ("src/snn/layer_clock.cpp", 5, "decision-clock"),        # steady_clock
+    # Eq. 8 runs in LivePool, the batch-1 oracle and replay_exits only.
+    ("src/core/third_replay.cpp", 9, "exit-rule-sites"),     # policy.should_exit(
+    ("src/core/third_replay.cpp", 13, "exit-rule-sites"),    # policy->should_exit(
     ("bench/silent_bench.cpp", 1, "bench-report"),
     ("tests/test_quant_gate.cpp", 8, "quant-bitwise-oracle"),
 ]

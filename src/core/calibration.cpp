@@ -1,6 +1,7 @@
 #include "core/calibration.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dtsnn::core {
 
@@ -29,6 +30,7 @@ std::vector<double> default_theta_grid() {
 
 CalibrationResult calibrate_theta(const TimestepOutputs& outputs, double target_accuracy,
                                   double tolerance, const std::vector<double>& grid) {
+  if (grid.empty()) throw std::invalid_argument("calibrate_theta: empty theta grid");
   std::vector<double> sorted = grid;
   std::sort(sorted.begin(), sorted.end());
   const std::vector<double> entropies = entropy_table(outputs);

@@ -2,7 +2,8 @@
 //
 // The paper selects the entropy threshold theta so that DT-SNN matches the
 // static full-T accuracy ("under a similar accuracy level", Table II). The
-// calibrator replays recorded outputs (post-hoc engine) over a theta grid and
+// calibrator replays recorded outputs over a theta grid — against one
+// entropy table, through evaluate_dtsnn_with_table (core/engine.h) — and
 // returns the most aggressive threshold (largest theta => earliest exits)
 // whose accuracy stays within `tolerance` of the target.
 
@@ -33,7 +34,8 @@ struct CalibrationResult {
   bool met_target = false;  ///< false => returned the most conservative grid point
 };
 
-/// Largest theta whose accuracy >= target_accuracy - tolerance.
+/// Largest theta whose accuracy >= target_accuracy - tolerance. Throws
+/// std::invalid_argument for an empty grid.
 CalibrationResult calibrate_theta(const TimestepOutputs& outputs, double target_accuracy,
                                   double tolerance = 0.0,
                                   const std::vector<double>& grid = default_theta_grid());

@@ -1,6 +1,9 @@
 #include "core/engine.h"
 
+#include <atomic>
 #include <cassert>
+#include <exception>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -30,6 +33,41 @@ std::size_t evaluation_threads() {
 }
 
 namespace {
+
+/// Index of the calling thread within the enclosing OpenMP team (0 outside
+/// a parallel region and without OpenMP).
+std::size_t worker_index() {
+#ifdef _OPENMP
+  return static_cast<std::size_t>(omp_get_thread_num());
+#else
+  return 0;
+#endif
+}
+
+/// Carries an exception out of an OpenMP loop: one escaping a parallel
+/// region calls std::terminate. Keeps the exception of the lowest loop
+/// index, so the rethrown error does not depend on thread scheduling.
+class LoopError {
+ public:
+  void capture(std::size_t index) {
+#pragma omp critical(dtsnn_loop_error)
+    if (index < index_) {
+      index_ = index;
+      error_ = std::current_exception();
+      failed_.store(true, std::memory_order_relaxed);
+    }
+  }
+  /// True once any iteration has failed (remaining work may be skipped).
+  [[nodiscard]] bool failed() const { return failed_.load(std::memory_order_relaxed); }
+  void rethrow() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::size_t index_ = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error_;
+  std::atomic<bool> failed_{false};
+};
 
 /// Runs one encoded chunk through `net` and scatters cumulative-mean logits
 /// and labels into `out` at row offset `start`. Writes only rows of this
@@ -67,38 +105,17 @@ TimestepOutputs make_outputs(std::size_t timesteps, std::size_t n, std::size_t k
 
 TimestepOutputs collect_outputs(snn::SpikingNetwork& net, const data::Dataset& dataset,
                                 std::size_t timesteps, std::size_t batch_size,
-                                std::size_t limit) {
+                                std::size_t limit, const NetworkFactory& make_replica,
+                                std::size_t num_threads) {
   if (batch_size == 0) throw std::invalid_argument("collect_outputs: batch_size == 0");
   if (timesteps == 0) throw std::invalid_argument("collect_outputs: timesteps == 0");
   const std::size_t n = limit ? std::min(limit, dataset.size()) : dataset.size();
-  TimestepOutputs out = make_outputs(timesteps, n, net.num_classes());
-  // Streaming iteration: only one chunk of encoded frames is live at a time,
-  // so recording works against datasets larger than RAM.
-  data::BatchCursor cursor(dataset, n, timesteps, batch_size);
-  while (cursor.next()) record_batch(net, cursor.batch(), out, cursor.start());
-  return out;
-}
-
-TimestepOutputs collect_outputs_parallel(snn::SpikingNetwork& net,
-                                         const NetworkFactory& make_replica,
-                                         const data::Dataset& dataset,
-                                         std::size_t timesteps, std::size_t batch_size,
-                                         std::size_t limit, std::size_t num_threads) {
-  if (batch_size == 0) {
-    throw std::invalid_argument("collect_outputs_parallel: batch_size == 0");
-  }
-  if (timesteps == 0) {
-    throw std::invalid_argument("collect_outputs_parallel: timesteps == 0");
-  }
-  const std::size_t n = limit ? std::min(limit, dataset.size()) : dataset.size();
   const std::size_t num_batches = (n + batch_size - 1) / batch_size;
-  std::size_t threads = num_threads ? num_threads : evaluation_threads();
+  std::size_t threads = make_replica ? (num_threads ? num_threads : evaluation_threads()) : 1;
   threads = std::min(threads, std::max<std::size_t>(num_batches, 1));
 #ifndef _OPENMP
   threads = 1;
 #endif
-  if (threads <= 1) return collect_outputs(net, dataset, timesteps, batch_size, limit);
-
   TimestepOutputs out = make_outputs(timesteps, n, net.num_classes());
 
   // Worker replicas are stamped out serially (the factory and the source
@@ -110,22 +127,29 @@ TimestepOutputs collect_outputs_parallel(snn::SpikingNetwork& net,
     replicas.push_back(std::move(replica));
   }
 
-#ifdef _OPENMP
+  // Streaming iteration: each worker holds one encoded chunk at a time, so
+  // recording works against datasets larger than RAM.
+  LoopError error;
 #pragma omp parallel num_threads(static_cast<int>(threads))
   {
-    const std::size_t tid = static_cast<std::size_t>(omp_get_thread_num());
+    const std::size_t tid = worker_index();
     snn::SpikingNetwork& worker = tid == 0 ? net : *replicas[tid - 1];
 #pragma omp for schedule(dynamic)
     for (std::size_t batch = 0; batch < num_batches; ++batch) {
-      const std::size_t start = batch * batch_size;
-      const std::size_t b = std::min(batch_size, n - start);
-      std::vector<std::size_t> indices(b);
-      std::iota(indices.begin(), indices.end(), start);
-      record_batch(worker, data::materialize_batch(dataset, indices, timesteps), out,
-                   start);
+      if (error.failed()) continue;
+      try {
+        const std::size_t start = batch * batch_size;
+        const std::size_t b = std::min(batch_size, n - start);
+        std::vector<std::size_t> indices(b);
+        std::iota(indices.begin(), indices.end(), start);
+        record_batch(worker, data::materialize_batch(dataset, indices, timesteps), out,
+                     start);
+      } catch (...) {
+        error.capture(batch);
+      }
     }
   }
-#endif
+  error.rethrow();
   return out;
 }
 
@@ -153,9 +177,11 @@ std::vector<double> accuracy_per_timestep(const TimestepOutputs& outputs) {
 
 namespace {
 
-/// Shared tail of the post-hoc evaluators: per-sample exit decisions are
-/// made by `choose_exit(i)` (called concurrently when OpenMP is available);
-/// accuracy, histogram and averages are accumulated serially afterwards.
+/// The one Eq. 8 replay loop over recorded outputs: per-sample exit
+/// decisions are made by `choose_exit(i)` (called concurrently when OpenMP
+/// is available); accuracy, histogram and averages are accumulated serially
+/// afterwards, in sample order. An exception from `choose_exit` is rethrown
+/// after the loop (the one of the lowest sample index).
 template <typename ChooseExit>
 DtsnnResult replay_exits(const TimestepOutputs& outputs, ChooseExit&& choose_exit) {
   DtsnnResult result;
@@ -166,15 +192,19 @@ DtsnnResult replay_exits(const TimestepOutputs& outputs, ChooseExit&& choose_exi
   // Per-sample scratch: exit_timestep rows are disjoint, but vector<bool> is
   // bit-packed, so correctness flags go through a byte buffer.
   std::vector<unsigned char> ok(outputs.samples, 0);
-#ifdef _OPENMP
+  LoopError error;
 #pragma omp parallel for schedule(static)
-#endif
   for (std::size_t i = 0; i < outputs.samples; ++i) {
-    const std::size_t chosen = choose_exit(i);
-    const auto logits = outputs.at(chosen - 1, i);
-    result.exit_timestep[i] = chosen;
-    ok[i] = util::argmax(logits) == static_cast<std::size_t>(outputs.labels[i]) ? 1 : 0;
+    try {
+      const std::size_t chosen = choose_exit(i);
+      const auto logits = outputs.at(chosen - 1, i);
+      result.exit_timestep[i] = chosen;
+      ok[i] = util::argmax(logits) == static_cast<std::size_t>(outputs.labels[i]) ? 1 : 0;
+    } catch (...) {
+      error.capture(i);
+    }
   }
+  error.rethrow();
 
   std::size_t correct = 0;
   double total_t = 0.0;
@@ -195,9 +225,7 @@ DtsnnResult replay_exits(const TimestepOutputs& outputs, ChooseExit&& choose_exi
 std::vector<double> entropy_table(const TimestepOutputs& outputs) {
   const std::size_t rows = outputs.timesteps * outputs.samples;
   std::vector<double> table(rows);
-#ifdef _OPENMP
 #pragma omp parallel for schedule(static)
-#endif
   for (std::size_t r = 0; r < rows; ++r) {
     table[r] = entropy_of_logits(
         {outputs.cum_logits.data() + r * outputs.classes, outputs.classes});
@@ -218,12 +246,19 @@ DtsnnResult evaluate_dtsnn_with_table(const TimestepOutputs& outputs,
   });
 }
 
-// ------------------------------------------------------------ backend names
-
-std::string PostHocEngine::gemm_backend() const {
-  return net_ != nullptr ? std::string(net_->gemm_context().backend().name())
-                         : std::string("none (replay)");
+DtsnnResult evaluate_recorded(const TimestepOutputs& outputs, const ExitPolicy& policy) {
+  if (outputs.timesteps == 0) {
+    throw std::invalid_argument("evaluate_recorded: recording has no timesteps");
+  }
+  return replay_exits(outputs, [&](std::size_t i) {
+    for (std::size_t t = 0; t + 1 < outputs.timesteps; ++t) {
+      if (policy.should_exit(outputs.at(t, i))) return t + 1;
+    }
+    return outputs.timesteps;
+  });
 }
+
+// ------------------------------------------------------------ backend names
 
 std::string SequentialEngine::gemm_backend() const {
   return std::string(net_.gemm_context().backend().name());

@@ -1,12 +1,12 @@
-// DT-SNN inference engines.
+// DT-SNN inference: two stepping engines plus the recorded replay.
 //
-// Three execution modes with identical decisions, all behind the
-// core::InferenceEngine interface (core/inference.h):
-//
-//  * PostHocEngine: run the network once for the maximum T over a dataset,
-//    record the cumulative-mean logits f_t for every timestep, then replay
-//    the exit rule (Eq. 8) for any policy/threshold without re-running the
-//    network. This is how threshold sweeps and calibration are done cheaply.
+//  * Recorded replay: collect_outputs runs the network once for the maximum
+//    T over a dataset and records the cumulative-mean logits f_t of every
+//    timestep; evaluate_recorded (any ExitPolicy) and
+//    evaluate_dtsnn_with_table (an entropy threshold against a precomputed
+//    table) then replay the exit rule (Eq. 8) without re-running the
+//    network. Both run through one replay loop. This is how threshold
+//    sweeps and calibration are done cheaply.
 //
 //  * SequentialEngine: true early termination — the network is stepped one
 //    timestep at a time (batch 1) and computation stops at the exit decision.
@@ -46,31 +46,26 @@ struct TimestepOutputs {
   [[nodiscard]] std::span<const float> at(std::size_t t, std::size_t i) const;
 };
 
-/// Run the network in eval mode over `dataset` (optionally only the first
-/// `limit` samples), recording cumulative-mean logits; processes in batches.
-/// Throws std::invalid_argument for batch_size == 0 or timesteps == 0.
-TimestepOutputs collect_outputs(snn::SpikingNetwork& net, const data::Dataset& dataset,
-                                std::size_t timesteps, std::size_t batch_size = 256,
-                                std::size_t limit = 0);
-
 /// Factory producing architecturally identical (untrained) replicas of the
 /// network under evaluation; trained state is stamped in with
 /// snn::copy_network_state. Must be safe to call from the calling thread.
 using NetworkFactory = std::function<snn::SpikingNetwork()>;
 
-/// OpenMP-parallel collect_outputs: dataset batches are distributed over
-/// worker threads, each owning its own network replica, so recording scales
-/// with cores. Batch boundaries match the serial path, so the recorded
-/// logits are bitwise identical to collect_outputs. `num_threads` 0 means
-/// use all available cores; without OpenMP (or with 1 thread) this runs the
-/// serial path on `net` and never invokes the factory.
-TimestepOutputs collect_outputs_parallel(snn::SpikingNetwork& net,
-                                         const NetworkFactory& make_replica,
-                                         const data::Dataset& dataset,
-                                         std::size_t timesteps,
-                                         std::size_t batch_size = 256,
-                                         std::size_t limit = 0,
-                                         std::size_t num_threads = 0);
+/// Run the network in eval mode over `dataset` (optionally only the first
+/// `limit` samples), recording cumulative-mean logits. Samples are encoded
+/// and forwarded in chunks of `batch_size`, so only one chunk per worker is
+/// live at a time. With `make_replica` and OpenMP, chunks are distributed
+/// over `num_threads` workers (0 = all cores), each owning a replica of
+/// `net`; chunk boundaries do not depend on the thread count, so the
+/// recording is bitwise identical either way. Without a factory, without
+/// OpenMP, or at 1 thread, everything runs on `net` and the factory is
+/// never called. Throws std::invalid_argument for batch_size == 0 or
+/// timesteps == 0.
+TimestepOutputs collect_outputs(snn::SpikingNetwork& net, const data::Dataset& dataset,
+                                std::size_t timesteps, std::size_t batch_size = 256,
+                                std::size_t limit = 0,
+                                const NetworkFactory& make_replica = {},
+                                std::size_t num_threads = 0);
 
 /// Number of evaluation worker threads `num_threads = 0` resolves to
 /// (1 without OpenMP).
@@ -89,40 +84,18 @@ std::vector<double> accuracy_per_timestep(const TimestepOutputs& outputs);
 std::vector<double> entropy_table(const TimestepOutputs& outputs);
 
 /// Replay the Eq. 8 entropy rule at `theta` against a precomputed table
-/// (semantically identical to PostHocEngine with EntropyExitPolicy(theta)).
+/// (decision-identical to evaluate_recorded with EntropyExitPolicy(theta)).
 /// This is the fast path behind theta_sweep / calibrate_theta.
 DtsnnResult evaluate_dtsnn_with_table(const TimestepOutputs& outputs,
                                       std::span<const double> entropies, double theta);
 
-/// Post-hoc replay engine: exit decisions are replayed against recorded
-/// per-timestep outputs instead of stepping the network. Constructed either
-/// from an existing recording (replay mode — request samples index the
-/// recorded rows) or from a network + dataset recording budget (the
-/// recording happens lazily per request).
-class PostHocEngine final : public InferenceEngine {
- public:
-  /// Replay mode over an existing recording (borrowed; must outlive this).
-  PostHocEngine(const TimestepOutputs& outputs, const ExitPolicy& policy);
-
-  /// Record-on-demand mode: requested samples are forwarded through `net`
-  /// for the full budget, then replayed.
-  PostHocEngine(snn::SpikingNetwork& net, const ExitPolicy& policy,
-                std::size_t max_timesteps, std::size_t batch_size = 256);
-
-  void run_streaming(const data::Dataset& dataset, const InferenceRequest& request,
-                     const ResultSink& sink) override;
-  [[nodiscard]] std::string name() const override { return "posthoc"; }
-  [[nodiscard]] std::string gemm_backend() const override;
-  [[nodiscard]] std::size_t max_timesteps() const override { return max_timesteps_; }
-  [[nodiscard]] std::size_t sample_limit(const data::Dataset& dataset) const override;
-
- private:
-  const TimestepOutputs* outputs_ = nullptr;  ///< replay mode
-  snn::SpikingNetwork* net_ = nullptr;        ///< record-on-demand mode
-  const ExitPolicy& policy_;
-  std::size_t max_timesteps_;
-  std::size_t batch_size_ = 256;
-};
+/// Replay `policy` (Eq. 8 for any exit criterion) against a recording and
+/// score against outputs.labels: each sample exits at the first t < T whose
+/// recorded row makes the policy fire, else at T. Samples are replayed in
+/// parallel (`policy` is called concurrently); aggregation is serial in
+/// sample order. An exception thrown by the policy propagates. Throws
+/// std::invalid_argument for a recording with no timesteps.
+DtsnnResult evaluate_recorded(const TimestepOutputs& outputs, const ExitPolicy& policy);
 
 /// Batch-1 true early termination; the reference oracle the batched engine
 /// is tested against.

@@ -94,17 +94,11 @@ NetworkFactory replica_factory(const Experiment& e) {
   return [&e] { return build_net(e.spec, *e.bundle.train); };
 }
 
-DtsnnResult evaluate_recorded(const TimestepOutputs& outputs, const ExitPolicy& policy,
-                              const data::Dataset& dataset) {
-  PostHocEngine engine(outputs, policy);
-  return evaluate_engine(engine, dataset);
-}
-
 TimestepOutputs test_outputs(Experiment& e, std::size_t timesteps, std::size_t limit,
                              std::size_t num_threads) {
   const std::size_t t = timesteps ? timesteps : e.spec.timesteps;
-  return collect_outputs_parallel(e.net, replica_factory(e), *e.bundle.test, t,
-                                  /*batch_size=*/256, limit, num_threads);
+  return collect_outputs(e.net, *e.bundle.test, t, /*batch_size=*/256, limit,
+                         replica_factory(e), num_threads);
 }
 
 }  // namespace dtsnn::core

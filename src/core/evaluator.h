@@ -2,8 +2,10 @@
 //
 // Bundles the full pipeline: build dataset preset -> build model preset ->
 // train with the chosen loss -> record per-timestep outputs on the test set
-// -> static/dynamic evaluation. A checkpoint cache keyed by the experiment
-// configuration makes repeated bench invocations cheap.
+// (test_outputs) -> static/dynamic evaluation of the recording
+// (static_accuracy / evaluate_recorded, core/engine.h). A checkpoint cache
+// keyed by the experiment configuration makes repeated bench invocations
+// cheap.
 
 #pragma once
 
@@ -61,22 +63,16 @@ Experiment run_experiment(const ExperimentSpec& spec);
 /// is deterministic and fast).
 Experiment train_or_load(const ExperimentSpec& spec, const std::string& cache_dir);
 
-/// Post-hoc dynamic evaluation of recorded outputs through the unified
-/// inference API: replays `policy` with a PostHocEngine and aggregates with
-/// evaluate_engine. Replaces the removed evaluate_dtsnn free function
-/// (`dataset` supplies the labels, so it must be the dataset the outputs
-/// were recorded from).
-DtsnnResult evaluate_recorded(const TimestepOutputs& outputs, const ExitPolicy& policy,
-                              const data::Dataset& dataset);
-
-/// Convenience: record test-set outputs of an experiment's network. Dataset
-/// batches run on OpenMP worker threads (each with its own network replica)
-/// when available; `num_threads` 0 uses all cores, 1 forces the serial path.
+/// Convenience: record test-set outputs of an experiment's network with
+/// collect_outputs. Dataset batches run on OpenMP worker threads (each with
+/// its own network replica) when available; `num_threads` 0 uses all cores,
+/// 1 runs on the experiment's network alone. Replay the recording with
+/// evaluate_recorded (core/engine.h).
 TimestepOutputs test_outputs(Experiment& e, std::size_t timesteps = 0,
                              std::size_t limit = 0, std::size_t num_threads = 0);
 
 /// Factory producing untrained, architecturally identical replicas of the
-/// experiment's network (for collect_outputs_parallel worker threads). The
+/// experiment's network (for collect_outputs worker threads). The
 /// returned callable borrows `e`; it must not outlive the experiment.
 NetworkFactory replica_factory(const Experiment& e);
 

@@ -16,6 +16,8 @@ class ExitPolicy {
  public:
   virtual ~ExitPolicy() = default;
   /// True if inference may stop given the current cumulative-mean logits.
+  /// Called concurrently by the recorded replay (evaluate_recorded), so an
+  /// implementation must be safe to call from several threads at once.
   [[nodiscard]] virtual bool should_exit(std::span<const float> cum_logits) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 };

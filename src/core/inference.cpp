@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_set>
 
 #include "core/engine.h"
 #include "core/entropy.h"
 #include "core/live_pool.h"
 #include "data/prefetch.h"
-#include "snn/loss.h"
 #include "util/gemm.h"
 #include "util/math.h"
 
@@ -21,16 +19,16 @@ std::string InferenceEngine::gemm_backend() const {
 }
 
 std::size_t validate_request_samples(std::span<const std::size_t> samples,
-                                     std::size_t sample_limit, const std::string& who,
+                                     std::size_t num_samples, const std::string& who,
                                      bool allow_duplicates) {
   std::unordered_set<std::size_t> seen;
   if (!allow_duplicates) seen.reserve(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (samples[i] >= sample_limit) {
+    if (samples[i] >= num_samples) {
       throw std::out_of_range(who + ": sample index " + std::to_string(samples[i]) +
                               " at request position " + std::to_string(i) +
                               " out of range (sample limit " +
-                              std::to_string(sample_limit) + ")");
+                              std::to_string(num_samples) + ")");
     }
     if (!allow_duplicates && !seen.insert(samples[i]).second) {
       throw std::invalid_argument(who + ": duplicate sample index " +
@@ -65,7 +63,7 @@ std::vector<InferenceResult> InferenceEngine::run(const data::Dataset& dataset,
                                                   const InferenceRequest& request) {
   InferenceRequest req = request;
   if (req.samples.empty()) {
-    req.samples.resize(std::min(dataset.size(), sample_limit(dataset)));
+    req.samples.resize(dataset.size());
     std::iota(req.samples.begin(), req.samples.end(), 0);
   }
   std::vector<InferenceResult> results(req.samples.size());
@@ -106,111 +104,6 @@ DtsnnResult evaluate_engine(InferenceEngine& engine, const data::Dataset& datase
   out.accuracy = results.empty() ? 0.0 : static_cast<double>(correct) / n;
   out.avg_timesteps = results.empty() ? 0.0 : total_t / n;
   return out;
-}
-
-// ------------------------------------------------------------- PostHocEngine
-
-PostHocEngine::PostHocEngine(const TimestepOutputs& outputs, const ExitPolicy& policy)
-    : outputs_(&outputs), policy_(policy), max_timesteps_(outputs.timesteps) {
-  if (outputs.timesteps == 0) {
-    throw std::invalid_argument("PostHocEngine: recording has no timesteps");
-  }
-}
-
-PostHocEngine::PostHocEngine(snn::SpikingNetwork& net, const ExitPolicy& policy,
-                             std::size_t max_timesteps, std::size_t batch_size)
-    : net_(&net), policy_(policy), max_timesteps_(max_timesteps),
-      batch_size_(batch_size) {
-  if (max_timesteps_ == 0) {
-    throw std::invalid_argument("PostHocEngine: max_timesteps == 0");
-  }
-  if (batch_size_ == 0) throw std::invalid_argument("PostHocEngine: batch_size == 0");
-}
-
-std::size_t PostHocEngine::sample_limit(const data::Dataset& dataset) const {
-  return outputs_ ? outputs_->samples : dataset.size();
-}
-
-namespace {
-
-/// Eq. (8) over one sample's recorded rows: first t in [1, budget) whose
-/// policy fires, else the forced exit at `budget`.
-template <typename RowAt>
-InferenceResult replay_rows(const ExitPolicy& policy, std::size_t budget,
-                            std::size_t classes, bool record_logits,
-                            const RowAt& row_at) {
-  InferenceResult r;
-  r.exit_timestep = budget;
-  for (std::size_t t = 0; t + 1 < budget; ++t) {
-    if (policy.should_exit(row_at(t))) {
-      r.exit_timestep = t + 1;
-      break;
-    }
-  }
-  const std::span<const float> exit_row = row_at(r.exit_timestep - 1);
-  r.predicted_class = util::argmax(exit_row);
-  r.final_entropy = entropy_of_logits(exit_row);
-  if (record_logits) {
-    r.timestep_logits = snn::Tensor({r.exit_timestep, classes});
-    for (std::size_t t = 0; t < r.exit_timestep; ++t) {
-      const auto row = row_at(t);
-      std::copy(row.begin(), row.end(), r.timestep_logits.data() + t * classes);
-    }
-  }
-  return r;
-}
-
-}  // namespace
-
-void PostHocEngine::run_streaming(const data::Dataset& dataset,
-                                  const InferenceRequest& request,
-                                  const ResultSink& sink) {
-  const ExitPolicy& policy = request.policy ? *request.policy : policy_;
-  const std::size_t budget =
-      request.max_timesteps ? request.max_timesteps : max_timesteps_;
-  if (budget == 0) throw std::invalid_argument("PostHocEngine: zero timestep budget");
-
-  if (outputs_) {
-    // Replay mode: request samples index the recorded rows.
-    if (budget > outputs_->timesteps) {
-      throw std::invalid_argument("PostHocEngine: budget exceeds recorded timesteps");
-    }
-    const std::size_t n = validate_request_samples(request.samples, outputs_->samples,
-                                                   "PostHocEngine");
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t s = request.samples[i];
-      InferenceResult r =
-          replay_rows(policy, budget, outputs_->classes, request.record_logits,
-                      [&](std::size_t t) { return outputs_->at(t, s); });
-      r.request_index = i;
-      r.sample = s;
-      sink(r);
-    }
-    return;
-  }
-
-  // Record-on-demand mode: forward requested samples for the full budget one
-  // streamed chunk at a time, then replay the exit rule on the recorded rows
-  // — the whole-dataset encoding never exists in memory.
-  std::ignore = validate_request_samples(request.samples, dataset.size(),
-                                         "PostHocEngine");
-  const std::size_t k = net_->num_classes();
-  data::BatchCursor cursor(dataset, request.samples, budget, batch_size_);
-  while (cursor.next()) {
-    const std::size_t b = cursor.chunk_size();
-    const std::span<const std::size_t> chunk = cursor.indices();
-    snn::Tensor logits = net_->forward(cursor.batch().x, budget, /*train=*/false);
-    snn::Tensor cum = snn::cumulative_mean_logits(logits, budget);
-    for (std::size_t i = 0; i < b; ++i) {
-      InferenceResult r =
-          replay_rows(policy, budget, k, request.record_logits, [&](std::size_t t) {
-            return std::span<const float>(cum.data() + (t * b + i) * k, k);
-          });
-      r.request_index = cursor.start() + i;
-      r.sample = chunk[i];
-      sink(r);
-    }
-  }
 }
 
 // -------------------------------------------------- BatchedSequentialEngine

@@ -1,8 +1,8 @@
 // Unified inference API.
 //
-// Every way of running DT-SNN inference — post-hoc replay of recorded
-// outputs, true batch-1 early termination, and batched early termination
-// with live-batch compaction — sits behind one interface:
+// Every way of stepping DT-SNN inference — true batch-1 early termination
+// and batched early termination with live-batch compaction — sits behind
+// one interface:
 //
 //   InferenceRequest  what to run: dataset sample indices, an optional
 //                     per-request exit-policy / timestep-budget override,
@@ -15,10 +15,11 @@
 //                     different timesteps, so completion order is not
 //                     request order); run() collects and re-orders.
 //
-// The three engines (core/engine.h) are decision-identical: for the same
-// network, policy, and budget they produce the same predictions and exit
-// timesteps on every sample. evaluate_engine() aggregates any engine's
-// results into the DtsnnResult used by the benches and calibration.
+// The two engines (core/engine.h) are decision-identical, and so is the
+// recorded replay there (evaluate_recorded): for the same network, policy,
+// and budget they produce the same predictions and exit timesteps on every
+// sample. evaluate_engine() aggregates any engine's results into the
+// DtsnnResult the benches and the recorded replay report.
 
 #pragma once
 
@@ -36,9 +37,8 @@ namespace dtsnn::core {
 
 /// One batch of inference work against a dataset.
 struct InferenceRequest {
-  /// Dataset sample indices to run. Empty means "every sample the engine
-  /// can address" (the whole dataset, or every recorded row for a replay
-  /// engine) — evaluate_engine and run() expand it.
+  /// Dataset sample indices to run. Empty means "the whole dataset" —
+  /// evaluate_engine and run() expand it.
   std::vector<std::size_t> samples;
   /// Per-request exit-policy override; nullptr uses the engine's policy.
   const ExitPolicy* policy = nullptr;
@@ -52,8 +52,8 @@ struct InferenceRequest {
   static InferenceRequest first_n(std::size_t n);
 };
 
-/// Validate request sample indices against an engine's addressable sample
-/// count *before* any network work happens: an out-of-range index throws
+/// Validate request sample indices against the dataset size `num_samples`
+/// *before* any network work happens: an out-of-range index throws
 /// std::out_of_range, and — when `allow_duplicates` is false, as at serving
 /// admission where a duplicate index is almost always a client bug — a
 /// repeated index throws std::invalid_argument. Both messages name the
@@ -64,7 +64,7 @@ struct InferenceRequest {
 /// buffers, remaining-sample counters — must come from the validated count,
 /// not from a separate re-read of the request).
 [[nodiscard]] std::size_t validate_request_samples(
-    std::span<const std::size_t> samples, std::size_t sample_limit,
+    std::span<const std::size_t> samples, std::size_t num_samples,
     const std::string& who, bool allow_duplicates = true);
 
 /// One finished sample.
@@ -109,19 +109,11 @@ class InferenceEngine {
 
   /// Name of the GEMM backend this engine's network math runs through
   /// (util::GemmContext dispatch) — surfaced in bench reports so measured
-  /// throughput is attributable. Engines that replay recordings instead of
-  /// stepping a network report "none (replay)".
+  /// throughput is attributable.
   [[nodiscard]] virtual std::string gemm_backend() const;
 
   /// Default timestep budget (a request's max_timesteps of 0 resolves here).
   [[nodiscard]] virtual std::size_t max_timesteps() const = 0;
-
-  /// Largest addressable sample count; replay engines are bounded by their
-  /// recording, live engines by the dataset. Used to expand empty
-  /// InferenceRequest::samples.
-  [[nodiscard]] virtual std::size_t sample_limit(const data::Dataset& dataset) const {
-    return dataset.size();
-  }
 };
 
 struct DtsnnResult {
@@ -134,8 +126,7 @@ struct DtsnnResult {
 
 /// Run `request` through `engine` and aggregate accuracy / average exit
 /// timestep / exit histogram against the dataset labels. Per-sample vectors
-/// are ordered by request position. An empty request runs every sample the
-/// engine can address.
+/// are ordered by request position. An empty request runs every sample.
 DtsnnResult evaluate_engine(InferenceEngine& engine, const data::Dataset& dataset,
                             const InferenceRequest& request = {});
 

@@ -8,8 +8,9 @@
 // (snn::quantize_network_weights) and then streams a bounded sample of the
 // dataset through the batched engine twice — once under scalar_ref, once
 // under the quantized backend — comparing exit decisions sample by sample.
-// The measurement pass rides the engine's BatchCursor-backed batching, so
-// calibration never materializes the dataset.
+// The measurement pass streams samples through the engine's LivePool, which
+// encodes one frame per sample and timestep, so calibration never
+// materializes the dataset.
 //
 // compare_decisions() is the shared gate helper: every quantized-tier test
 // and bench goes through it (or an explicit EXPECT_NEAR bound) instead of

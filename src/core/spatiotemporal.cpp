@@ -1,6 +1,7 @@
 #include "core/spatiotemporal.h"
 
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/entropy.h"
@@ -19,6 +20,12 @@ MultiExitOutputs collect_multi_exit_outputs(snn::MultiExitNetwork& net,
                                             const data::Dataset& dataset,
                                             std::size_t timesteps,
                                             std::size_t batch_size, std::size_t limit) {
+  if (batch_size == 0) {
+    throw std::invalid_argument("collect_multi_exit_outputs: batch_size == 0");
+  }
+  if (timesteps == 0) {
+    throw std::invalid_argument("collect_multi_exit_outputs: timesteps == 0");
+  }
   const std::size_t n = limit ? std::min(limit, dataset.size()) : dataset.size();
   const std::size_t k = net.num_classes();
 
@@ -36,11 +43,11 @@ MultiExitOutputs collect_multi_exit_outputs(snn::MultiExitNetwork& net,
 
   // Stream the split chunk by chunk: one encoded batch is live at a time, so
   // multi-exit recording never materializes the whole dataset.
-  data::BatchCursor cursor(dataset, n, timesteps, batch_size);
-  while (cursor.next()) {
-    const std::size_t start = cursor.start();
-    const std::size_t b = cursor.chunk_size();
-    const snn::EncodedBatch& batch = cursor.batch();
+  for (std::size_t start = 0; start < n; start += batch_size) {
+    const std::size_t b = std::min(batch_size, n - start);
+    std::vector<std::size_t> indices(b);
+    std::iota(indices.begin(), indices.end(), start);
+    const snn::EncodedBatch batch = data::materialize_batch(dataset, indices, timesteps);
     auto logits = net.forward(batch.x, timesteps, /*train=*/false);
     for (std::size_t e = 0; e < out.exits; ++e) {
       snn::Tensor cum = snn::cumulative_mean_logits(logits[e], timesteps);

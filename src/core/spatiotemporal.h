@@ -32,7 +32,9 @@ struct MultiExitOutputs {
                                           std::size_t i) const;
 };
 
-/// Run the network over the dataset recording every head at every timestep.
+/// Run the network over the dataset recording every head at every timestep,
+/// in chunks of `batch_size` samples. Throws std::invalid_argument for
+/// batch_size == 0 or timesteps == 0.
 MultiExitOutputs collect_multi_exit_outputs(snn::MultiExitNetwork& net,
                                             const data::Dataset& dataset,
                                             std::size_t timesteps,

@@ -1,12 +1,9 @@
 #include "data/dataset.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
-
-#include "data/prefetch.h"
+#include <string>
 
 namespace dtsnn::data {
 
@@ -54,7 +51,15 @@ std::size_t ArrayDataset::add_sample(std::vector<float> frames, int label,
 
 void ArrayDataset::write_frame(std::size_t sample, std::size_t t,
                                std::span<float> dst) const {
-  assert(dst.size() == frame_numel_);
+  if (sample >= size()) {
+    throw std::out_of_range("ArrayDataset::write_frame: sample " + std::to_string(sample) +
+                            " out of range (size " + std::to_string(size()) + ")");
+  }
+  if (dst.size() != frame_numel_) {
+    throw std::invalid_argument("ArrayDataset::write_frame: destination holds " +
+                                std::to_string(dst.size()) + " floats, expected " +
+                                std::to_string(frame_numel_));
+  }
   const std::size_t frame = std::min(t, frames_per_sample_ - 1);
   const float* src = data_.data() + (sample * frames_per_sample_ + frame) * frame_numel_;
   std::memcpy(dst.data(), src, frame_numel_ * sizeof(float));
@@ -97,79 +102,6 @@ snn::EncodedBatch materialize_batch(const Dataset& dataset,
   }
   for (std::size_t i = 0; i < b; ++i) batch.labels[i] = dataset.label(indices[i]);
   return batch;
-}
-
-// -------------------------------------------------------------- BatchCursor
-
-BatchCursor::BatchCursor(const Dataset& dataset, std::span<const std::size_t> indices,
-                         std::size_t timesteps, std::size_t chunk_samples,
-                         std::optional<std::size_t> prefetch_depth)
-    : dataset_(dataset),
-      index_list_(indices),
-      use_range_(false),
-      total_(indices.size()),
-      timesteps_(timesteps),
-      chunk_samples_(chunk_samples),
-      prefetcher_(std::make_unique<ShardPrefetcher>(dataset, prefetch_depth)) {
-  if (timesteps_ == 0) throw std::invalid_argument("BatchCursor: timesteps == 0");
-  if (chunk_samples_ == 0) throw std::invalid_argument("BatchCursor: chunk_samples == 0");
-}
-
-BatchCursor::BatchCursor(const Dataset& dataset, std::size_t count,
-                         std::size_t timesteps, std::size_t chunk_samples,
-                         std::optional<std::size_t> prefetch_depth)
-    : dataset_(dataset),
-      use_range_(true),
-      total_(count),
-      timesteps_(timesteps),
-      chunk_samples_(chunk_samples),
-      prefetcher_(std::make_unique<ShardPrefetcher>(dataset, prefetch_depth)) {
-  if (timesteps_ == 0) throw std::invalid_argument("BatchCursor: timesteps == 0");
-  if (chunk_samples_ == 0) throw std::invalid_argument("BatchCursor: chunk_samples == 0");
-}
-
-BatchCursor::~BatchCursor() = default;
-
-void BatchCursor::schedule_lookahead() {
-  if (!prefetcher_->active()) return;
-  // Hint the next `depth` chunks past the one about to be encoded. The
-  // current chunk is never hinted — materialize_batch warms it synchronously
-  // anyway, and the background worker would only race that warm.
-  if (prefetch_next_ < next_start_) prefetch_next_ = next_start_;
-  const std::size_t horizon =
-      std::min(total_, next_start_ + prefetcher_->depth() * chunk_samples_);
-  while (prefetch_next_ < horizon) {
-    const std::size_t n = std::min(chunk_samples_, horizon - prefetch_next_);
-    if (use_range_) {
-      std::vector<std::size_t> hint(n);
-      std::iota(hint.begin(), hint.end(), prefetch_next_);
-      prefetcher_->enqueue(hint);
-    } else {
-      prefetcher_->enqueue(index_list_.subspan(prefetch_next_, n));
-    }
-    prefetch_next_ += n;
-  }
-}
-
-bool BatchCursor::next() {
-  if (next_start_ >= total_) return false;
-  chunk_start_ = next_start_;
-  chunk_size_ = std::min(chunk_samples_, total_ - chunk_start_);
-  next_start_ = chunk_start_ + chunk_size_;
-  if (use_range_) {
-    range_indices_.resize(chunk_size_);
-    std::iota(range_indices_.begin(), range_indices_.end(), chunk_start_);
-  }
-  // Queue lookahead before encoding, so the worker loads shards for the
-  // *next* chunks while this chunk encodes and runs inference.
-  schedule_lookahead();
-  batch_ = materialize_batch(dataset_, indices(), timesteps_);
-  return true;
-}
-
-std::span<const std::size_t> BatchCursor::indices() const {
-  if (use_range_) return range_indices_;
-  return index_list_.subspan(chunk_start_, chunk_size_);
 }
 
 // ------------------------------------------------------ ShuffledBatchSource

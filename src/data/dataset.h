@@ -7,9 +7,10 @@
 //
 // Storage is decoupled from the logical sample space: ArrayDataset holds
 // everything in one contiguous array, ShardedDataset (data/sharded_dataset.h)
-// pages frame blocks through a bounded cache. Consumers stream chunks via
-// BatchCursor / materialize_batch and never need the whole split encoded at
-// once, so datasets larger than RAM evaluate and serve out of the box.
+// pages frame blocks through a bounded cache. Consumers encode one chunk at
+// a time with materialize_batch (or one frame at a time with write_frame)
+// and never need the whole split encoded at once, so datasets larger than
+// RAM evaluate and serve out of the box.
 //
 // Every synthetic sample also carries a scalar difficulty in [0,1] used by
 // the Fig. 8 visualization and by dataset-quality tests — it is *not*
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,6 +83,8 @@ class Dataset {
 
   /// Write frame `t` of `sample` into `dst` (size = numel of frame_shape).
   /// Static datasets ignore `t`; event datasets clamp t to native_frames-1.
+  /// Throws std::out_of_range for sample >= size() and std::invalid_argument
+  /// when `dst` is not exactly one frame, on every implementation.
   /// Const access is thread-safe on every implementation (the evaluation
   /// workers and the serving worker share one dataset).
   virtual void write_frame(std::size_t sample, std::size_t t,
@@ -155,75 +157,6 @@ class ArrayDataset final : public Dataset {
 snn::EncodedBatch materialize_batch(const Dataset& dataset,
                                     std::span<const std::size_t> indices,
                                     std::size_t timesteps);
-
-class ShardPrefetcher;
-
-/// Streaming chunked iteration over dataset samples: encodes at most
-/// `chunk_samples` samples at a time, so consumers hold one chunk of encoded
-/// frames instead of the whole split (O(chunk), not O(dataset)) and
-/// storage-backed datasets page shards through their cache chunk by chunk.
-///
-///   BatchCursor cursor(dataset, n, timesteps, 256);
-///   while (cursor.next()) {
-///     use(cursor.batch());             // [T*b, C, H, W] for this chunk
-///     scatter_at(cursor.start());      // chunk offset within the sequence
-///   }
-///
-/// Iterates either samples [0, count) or an explicit index list (borrowed —
-/// it must outlive the cursor).
-///
-/// The cursor runs a background ShardPrefetcher for the cursor's lifetime:
-/// before encoding chunk k it hints chunks (k, k + depth], so a
-/// storage-backed dataset overlaps the next shard loads with this chunk's
-/// encode + inference. `prefetch_depth` = nullopt defers to the
-/// DTSNN_PREFETCH_DEPTH environment variable (0 disables; default
-/// ShardPrefetcher::kDefaultDepth); fully-resident datasets spawn no thread.
-/// Encoded chunks are bitwise identical with prefetch on or off.
-class BatchCursor {
- public:
-  BatchCursor(const Dataset& dataset, std::span<const std::size_t> indices,
-              std::size_t timesteps, std::size_t chunk_samples,
-              std::optional<std::size_t> prefetch_depth = std::nullopt);
-  /// Range form over samples [0, count).
-  BatchCursor(const Dataset& dataset, std::size_t count, std::size_t timesteps,
-              std::size_t chunk_samples,
-              std::optional<std::size_t> prefetch_depth = std::nullopt);
-  ~BatchCursor();  // out-of-line: ShardPrefetcher is incomplete here
-  BatchCursor(const BatchCursor&) = delete;
-  BatchCursor& operator=(const BatchCursor&) = delete;
-
-  /// Encode the next chunk; false once the sequence is exhausted.
-  bool next();
-
-  /// The current chunk's encoded batch (valid after next() returned true).
-  [[nodiscard]] const snn::EncodedBatch& batch() const { return batch_; }
-  /// Global dataset indices of the current chunk.
-  [[nodiscard]] std::span<const std::size_t> indices() const;
-  /// Offset of the current chunk within the iterated sequence.
-  [[nodiscard]] std::size_t start() const { return chunk_start_; }
-  [[nodiscard]] std::size_t chunk_size() const { return chunk_size_; }
-  /// Total samples the cursor will yield across all chunks.
-  [[nodiscard]] std::size_t total() const { return total_; }
-
- private:
-  /// Hint upcoming chunks (up to depth chunks past the current one) to the
-  /// background prefetcher. No-op when the prefetcher is inactive.
-  void schedule_lookahead();
-
-  const Dataset& dataset_;
-  std::span<const std::size_t> index_list_;  ///< empty in range form
-  bool use_range_;
-  std::vector<std::size_t> range_indices_;   ///< scratch for range chunks
-  std::size_t total_;
-  std::size_t timesteps_;
-  std::size_t chunk_samples_;
-  std::size_t next_start_ = 0;
-  std::size_t chunk_start_ = 0;
-  std::size_t chunk_size_ = 0;
-  std::size_t prefetch_next_ = 0;  ///< first sequence position not yet hinted
-  std::unique_ptr<ShardPrefetcher> prefetcher_;
-  snn::EncodedBatch batch_;
-};
 
 /// BatchSource over a Dataset with per-epoch reshuffling. The final batch may
 /// be ragged (smaller than batch_size): every epoch covers every sample

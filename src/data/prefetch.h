@@ -15,10 +15,9 @@
 // or failed hint only costs the overlap, and correctness always comes from
 // the consumer's own pinned read.
 //
-// Consumers: data::BatchCursor (evaluation / collect_outputs) runs one
-// cursor-lifetime prefetcher ahead of its chunks; each serve::ServingFleet
-// worker hints its admission cycle's samples; core::BatchedSequentialEngine
-// hints the waiting tail of its request pool.
+// Consumers: each serve::ServingFleet worker hints its admission cycle's
+// samples; core::BatchedSequentialEngine hints the waiting tail of its
+// request pool.
 
 #pragma once
 

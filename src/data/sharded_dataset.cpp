@@ -279,6 +279,11 @@ void ShardedDataset::write_frame(std::size_t sample, std::size_t t,
                             std::to_string(sample) + " out of range (size " +
                             std::to_string(labels_.size()) + ")");
   }
+  if (dst.size() != frame_numel_) {
+    throw std::invalid_argument("ShardedDataset::write_frame: destination holds " +
+                                std::to_string(dst.size()) + " floats, expected " +
+                                std::to_string(frame_numel_));
+  }
   const std::size_t frame = std::min(t, frames_per_sample_ - 1);
   const std::size_t shard = locate(sample);
   const std::size_t local = sample - info_[shard].first_sample;

@@ -1,7 +1,9 @@
 // Tests for the DT-SNN core: entropy (Eq. 7), exit rule semantics (Eq. 8),
-// post-hoc vs sequential engine agreement, and threshold calibration.
+// recorded replay vs sequential engine agreement, recording, and threshold
+// calibration.
 
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -130,19 +132,27 @@ TimestepOutputs fake_outputs() {
   return out;
 }
 
-/// Dataset whose labels match fake_outputs(); frames are dummies (the
-/// replay engine never reads them).
-data::ArrayDataset fake_dataset() {
-  data::ArrayDataset ds({1, 1, 1}, 1, 2);
-  for (const int label : {0, 1, 0}) ds.add_sample({0.0f}, label, 0.0);
-  return ds;
+/// The recorded replay of `policy` over fake_outputs, scored against the
+/// recording's own labels.
+DtsnnResult fake_eval(const TimestepOutputs& out, const ExitPolicy& policy) {
+  return evaluate_recorded(out, policy);
 }
 
-/// evaluate_recorded = PostHocEngine + evaluate_engine over fake_outputs.
-DtsnnResult fake_eval(const TimestepOutputs& out, const ExitPolicy& policy) {
-  const data::ArrayDataset ds = fake_dataset();
-  return evaluate_recorded(out, policy, ds);
-}
+/// Throws from should_exit on one sample's rows (identified by its first
+/// logit), to check that a policy failure inside the parallel replay
+/// surfaces as the exception instead of terminating the process.
+class ThrowingPolicy final : public ExitPolicy {
+ public:
+  explicit ThrowingPolicy(float poison) : poison_(poison) {}
+  [[nodiscard]] bool should_exit(std::span<const float> cum_logits) const override {
+    if (cum_logits[0] == poison_) throw std::runtime_error("policy failed");
+    return false;
+  }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+
+ private:
+  float poison_;
+};
 
 TEST(Engine, StaticAccuracyPerTimestep) {
   const auto out = fake_outputs();
@@ -169,6 +179,17 @@ TEST(Engine, DtsnnExitRuleEq8) {
   EXPECT_NEAR(r.accuracy, 1.0, 1e-12);  // all three correct at their exits
   EXPECT_EQ(r.timestep_histogram.count(0), 1u);
   EXPECT_EQ(r.timestep_histogram.count(2), 1u);
+}
+
+TEST(Engine, RecordedReplayPropagatesPolicyException) {
+  const auto out = fake_outputs();
+  // Rows starting with 0.1 (sample 1 at t=1, sample 2 at t=2) throw.
+  EXPECT_THROW(fake_eval(out, ThrowingPolicy(0.1f)), std::runtime_error);
+  // A policy that never throws still replays (the forced exit at T).
+  EXPECT_NEAR(fake_eval(out, ThrowingPolicy(-1.0f)).avg_timesteps, 3.0, 1e-12);
+
+  TimestepOutputs empty;
+  EXPECT_THROW(evaluate_recorded(empty, EntropyExitPolicy(0.5)), std::invalid_argument);
 }
 
 TEST(Engine, ConservativeThetaUsesFullTimesteps) {
@@ -216,6 +237,11 @@ TEST(Calibration, FallsBackWhenUnreachable) {
   EXPECT_NEAR(c.theta, 0.1, 1e-12);
 }
 
+TEST(Calibration, RejectsEmptyGrid) {
+  const auto out = fake_outputs();
+  EXPECT_THROW(calibrate_theta(out, 1.0, 0.0, {}), std::invalid_argument);
+}
+
 TEST(Calibration, SweepAligned) {
   const auto out = fake_outputs();
   const std::vector<double> grid{0.05, 0.2, 1.01};
@@ -240,20 +266,28 @@ TEST(Engine, EntropyTableReplayMatchesPolicy) {
   for (const double theta : {0.0, 0.05, 0.2, 0.5, 0.9, 1.01}) {
     const auto via_policy = fake_eval(out, EntropyExitPolicy(theta));
     const auto via_table = evaluate_dtsnn_with_table(out, table, theta);
+    // Both run the same replay loop, so the results are exactly equal.
     EXPECT_EQ(via_policy.exit_timestep, via_table.exit_timestep) << theta;
     EXPECT_EQ(via_policy.correct, via_table.correct) << theta;
-    EXPECT_NEAR(via_policy.accuracy, via_table.accuracy, 1e-12) << theta;
-    EXPECT_NEAR(via_policy.avg_timesteps, via_table.avg_timesteps, 1e-12) << theta;
+    EXPECT_EQ(via_policy.accuracy, via_table.accuracy) << theta;
+    EXPECT_EQ(via_policy.avg_timesteps, via_table.avg_timesteps) << theta;
+    ASSERT_EQ(via_policy.timestep_histogram.num_bins(),
+              via_table.timestep_histogram.num_bins());
+    for (std::size_t t = 0; t < out.timesteps; ++t) {
+      EXPECT_EQ(via_policy.timestep_histogram.count(t),
+                via_table.timestep_histogram.count(t))
+          << theta << " bin " << t;
+    }
   }
   EXPECT_THROW(evaluate_dtsnn_with_table(out, std::span<const double>(table).first(2), 0.5),
                std::invalid_argument);
 }
 
-// ---------------------------------------------- post-hoc vs sequential engine
+// ------------------------------------------- recorded replay vs sequential engine
 
 TEST(Engine, SequentialMatchesPosthoc) {
   // Train a micro model briefly, then verify the sequential engine's exit
-  // decisions and predictions equal the post-hoc replay on every sample.
+  // decisions and predictions equal the recorded replay on every sample.
   ExperimentSpec spec;
   spec.model = "vgg_micro";
   spec.dataset = "sync10";
@@ -264,7 +298,7 @@ TEST(Engine, SequentialMatchesPosthoc) {
 
   const auto outputs = test_outputs(e, 3, /*limit=*/40);
   EntropyExitPolicy policy(0.3);
-  const auto posthoc = evaluate_recorded(outputs, policy, *e.bundle.test);
+  const auto posthoc = evaluate_recorded(outputs, policy);
 
   SequentialEngine engine(e.net, policy, 3);
   const auto preds = engine.run(*e.bundle.test, InferenceRequest::first_n(outputs.samples));
@@ -276,7 +310,7 @@ TEST(Engine, SequentialMatchesPosthoc) {
   }
 }
 
-/// Regression: both engines claim to implement Eq. 8 identically. Post-hoc
+/// Regression: both paths claim to implement Eq. 8 identically. The recorded
 /// replay (evaluate_recorded) and the stepped SequentialEngine must agree
 /// on the exit timestep and the predicted class for every sample of a small
 /// synthetic dataset, across thresholds.
@@ -295,7 +329,7 @@ TEST(Engine, PosthocAndSequentialAgreeOnEverySample) {
 
   for (const double theta : {0.15, 0.5}) {
     EntropyExitPolicy policy(theta);
-    const auto posthoc = evaluate_recorded(outputs, policy, *e.bundle.test);
+    const auto posthoc = evaluate_recorded(outputs, policy);
     SequentialEngine engine(e.net, policy, spec.timesteps);
     const auto preds = engine.run(ds, InferenceRequest::first_n(ds.size()));
     for (std::size_t i = 0; i < ds.size(); ++i) {
@@ -317,32 +351,56 @@ TEST(Engine, ParallelCollectMatchesSerial) {
   spec.timesteps = 3;
   spec.data_scale = 0.06;
   Experiment e = run_experiment(spec);
+  const data::Dataset& ds = *e.bundle.test;
 
-  const auto serial =
-      collect_outputs(e.net, *e.bundle.test, spec.timesteps, /*batch_size=*/8);
-  // Small batches + forced 2 threads exercise the replica path even on one
-  // core; batch boundaries match, so the recording is bitwise identical.
-  const auto parallel =
-      collect_outputs_parallel(e.net, replica_factory(e), *e.bundle.test,
-                               spec.timesteps, /*batch_size=*/8, /*limit=*/0,
-                               /*num_threads=*/2);
-  ASSERT_EQ(parallel.samples, serial.samples);
-  ASSERT_EQ(parallel.labels, serial.labels);
-  ASSERT_EQ(parallel.cum_logits.numel(), serial.cum_logits.numel());
-  for (std::size_t j = 0; j < serial.cum_logits.numel(); ++j) {
-    ASSERT_EQ(parallel.cum_logits.data()[j], serial.cum_logits.data()[j]) << j;
+  // Small chunks with a ragged final one, and at least 3 of them, so every
+  // thread count below gets work and the tail chunk is short.
+  constexpr std::size_t kBatch = 7;
+  ASSERT_NE(ds.size() % kBatch, 0u);
+  ASSERT_GE(ds.size() / kBatch, 3u);
+  const auto serial = collect_outputs(e.net, ds, spec.timesteps, kBatch);
+
+  std::size_t factory_calls = 0;
+  const NetworkFactory base = replica_factory(e);
+  const NetworkFactory counting = [&] {
+    ++factory_calls;
+    return base();
+  };
+#ifdef _OPENMP
+  constexpr bool kOpenMp = true;
+#else
+  constexpr bool kOpenMp = false;
+#endif
+  // Forced thread counts exercise the replica path even on one core; chunk
+  // boundaries do not move, so every recording is bitwise identical. A
+  // thread count without a factory never spawns replicas.
+  struct Case {
+    bool with_factory;
+    std::size_t threads;
+  };
+  for (const Case c : {Case{true, 1}, Case{true, 2}, Case{true, 3}, Case{false, 3}}) {
+    factory_calls = 0;
+    const auto parallel =
+        collect_outputs(e.net, ds, spec.timesteps, kBatch, /*limit=*/0,
+                        c.with_factory ? counting : NetworkFactory{}, c.threads);
+    const std::size_t expected_calls = c.with_factory && kOpenMp ? c.threads - 1 : 0;
+    EXPECT_EQ(factory_calls, expected_calls) << c.threads << " threads";
+    ASSERT_EQ(parallel.samples, serial.samples);
+    ASSERT_EQ(parallel.labels, serial.labels);
+    ASSERT_EQ(parallel.cum_logits.numel(), serial.cum_logits.numel());
+    for (std::size_t j = 0; j < serial.cum_logits.numel(); ++j) {
+      ASSERT_EQ(parallel.cum_logits.data()[j], serial.cum_logits.data()[j])
+          << c.threads << " threads, value " << j;
+    }
   }
 
-  EXPECT_THROW(collect_outputs(e.net, *e.bundle.test, spec.timesteps, 0),
+  EXPECT_THROW(collect_outputs(e.net, ds, spec.timesteps, 0), std::invalid_argument);
+  EXPECT_THROW(collect_outputs(e.net, ds, spec.timesteps, 0, 0, counting, 2),
                std::invalid_argument);
-  EXPECT_THROW(collect_outputs_parallel(e.net, replica_factory(e), *e.bundle.test,
-                                        spec.timesteps, 0),
+  EXPECT_THROW(collect_outputs(e.net, ds, /*timesteps=*/0), std::invalid_argument);
+  EXPECT_THROW(collect_outputs(e.net, ds, /*timesteps=*/0, kBatch, 0, counting, 2),
                std::invalid_argument);
-  EXPECT_THROW(collect_outputs(e.net, *e.bundle.test, /*timesteps=*/0),
-               std::invalid_argument);
-  EXPECT_THROW(collect_outputs_parallel(e.net, replica_factory(e), *e.bundle.test,
-                                        /*timesteps=*/0),
-               std::invalid_argument);
+  EXPECT_EQ(factory_calls, 0u);
 }
 
 /// Satellite regression: when the timestep budget runs out without the exit
@@ -386,43 +444,6 @@ TEST(Engine, ZeroTimestepBudgetIsRejected) {
   EXPECT_THROW(SequentialEngine(e.net, policy, 0), std::invalid_argument);
   EXPECT_THROW(BatchedSequentialEngine(e.net, policy, 0), std::invalid_argument);
   EXPECT_THROW(BatchedSequentialEngine(e.net, policy, 2, 0), std::invalid_argument);
-  EXPECT_THROW(PostHocEngine(e.net, policy, 0), std::invalid_argument);
-}
-
-/// PostHocEngine in record-on-demand mode must make the same decisions as
-/// replaying a collect_outputs recording of the same samples.
-TEST(Engine, PostHocRecordOnDemandMatchesReplay) {
-  ExperimentSpec spec;
-  spec.model = "vgg_micro";
-  spec.dataset = "sync10";
-  spec.epochs = 2;
-  spec.timesteps = 3;
-  spec.data_scale = 0.06;
-  Experiment e = run_experiment(spec);
-
-  const auto outputs = test_outputs(e, spec.timesteps, /*limit=*/24);
-  const EntropyExitPolicy policy(0.3);
-  PostHocEngine replay(outputs, policy);
-  PostHocEngine on_demand(e.net, policy, spec.timesteps, /*batch_size=*/7);
-
-  InferenceRequest request = InferenceRequest::first_n(outputs.samples);
-  request.record_logits = true;
-  const auto a = replay.run(*e.bundle.test, request);
-  const auto b = on_demand.run(*e.bundle.test, request);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].predicted_class, b[i].predicted_class) << i;
-    EXPECT_EQ(a[i].exit_timestep, b[i].exit_timestep) << i;
-    EXPECT_EQ(a[i].final_entropy, b[i].final_entropy) << i;
-    ASSERT_EQ(a[i].timestep_logits.shape(), b[i].timestep_logits.shape()) << i;
-    for (std::size_t j = 0; j < a[i].timestep_logits.numel(); ++j) {
-      ASSERT_EQ(a[i].timestep_logits[j], b[i].timestep_logits[j]) << i;
-    }
-  }
-  // Replay beyond the recorded budget is an error, not an extrapolation.
-  InferenceRequest too_deep = request;
-  too_deep.max_timesteps = spec.timesteps + 1;
-  EXPECT_THROW(replay.run(*e.bundle.test, too_deep), std::invalid_argument);
 }
 
 TEST(Evaluator, BundleDispatch) {

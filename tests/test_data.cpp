@@ -1,11 +1,18 @@
-// Tests for the dataset layer: ArrayDataset semantics, batch encoding,
-// and the statistical properties the synthetic generators must guarantee
-// (determinism, class balance, difficulty structure, event sparsity).
+// Tests for the dataset layer: ArrayDataset semantics, batch encoding, frame
+// read validation on both storage backends, and the statistical properties
+// the synthetic generators must guarantee (determinism, class balance,
+// difficulty structure, event sparsity).
+
+#include <unistd.h>
+
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
 #include "data/dvs.h"
+#include "data/shard.h"
+#include "data/sharded_dataset.h"
 #include "data/synthetic.h"
 
 namespace dtsnn::data {
@@ -93,44 +100,43 @@ TEST(Materialize, RejectsDegenerateRequests) {
   EXPECT_THROW(materialize_batch(ds, none, 2), std::invalid_argument);
   EXPECT_THROW(materialize_batch(ds, one, 0), std::invalid_argument);
   EXPECT_NO_THROW(materialize_batch(ds, one, 1));
-  EXPECT_THROW(BatchCursor(ds, one, 0, 4), std::invalid_argument);
-  EXPECT_THROW(BatchCursor(ds, one, 2, 0), std::invalid_argument);
 }
 
-TEST(BatchCursor, StreamsChunksCoveringEverySampleOnce) {
-  ArrayDataset ds({1, 1, 1}, 1, 2);
-  for (int i = 0; i < 10; ++i) ds.add_sample({static_cast<float>(i)}, i % 2, 0.0);
+/// Both storage backends reject an out-of-range sample with
+/// std::out_of_range and a destination that is not exactly one frame with
+/// std::invalid_argument — directly and through materialize_batch — instead
+/// of reading or writing past a buffer.
+TEST(FrameReads, BothBackendsRejectBadSampleAndDestination) {
+  ArrayDataset array({1, 2, 2}, 1, 2);
+  array.add_sample({1, 2, 3, 4}, 0, 0.0);
+  array.add_sample({5, 6, 7, 8}, 1, 0.0);
 
-  // Range form: 10 samples in chunks of 4 -> 4 + 4 + 2.
-  BatchCursor range(ds, ds.size(), /*timesteps=*/2, /*chunk_samples=*/4);
-  std::vector<std::size_t> starts;
-  std::vector<float> seen;
-  while (range.next()) {
-    starts.push_back(range.start());
-    EXPECT_EQ(range.batch().x.dim(0), 2 * range.chunk_size());
-    // Chunk rows are time-major; row i of t=0 is sample start+i.
-    for (std::size_t i = 0; i < range.chunk_size(); ++i) {
-      seen.push_back(range.batch().x[i]);
-      EXPECT_EQ(range.indices()[i], range.start() + i);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("dtsnn_data_test_frames_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  export_shards(array, dir, /*samples_per_shard=*/1);
+  {
+    const ShardedDataset sharded(dir);
+    for (const Dataset* ds : {static_cast<const Dataset*>(&array),
+                              static_cast<const Dataset*>(&sharded)}) {
+      std::vector<float> frame(4), short_dst(3), long_dst(5);
+      EXPECT_NO_THROW(ds->write_frame(1, 0, frame));
+      EXPECT_FLOAT_EQ(frame[3], 8.0f);
+      EXPECT_THROW(ds->write_frame(2, 0, frame), std::out_of_range);
+      EXPECT_THROW(ds->write_frame(7, 0, frame), std::out_of_range);
+      EXPECT_THROW(ds->write_frame(0, 0, short_dst), std::invalid_argument);
+      EXPECT_THROW(ds->write_frame(0, 0, long_dst), std::invalid_argument);
+      EXPECT_THROW(ds->write_frame(0, 0, {}), std::invalid_argument);
+
+      const std::vector<std::size_t> past_end{0, 7};
+      EXPECT_THROW(materialize_batch(*ds, past_end, 1), std::out_of_range);
+      const std::vector<std::size_t> both{0, 1};
+      EXPECT_EQ(materialize_batch(*ds, both, 2).labels, (std::vector<int>{0, 1}));
     }
   }
-  EXPECT_EQ(starts, (std::vector<std::size_t>{0, 4, 8}));
-  ASSERT_EQ(seen.size(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_FLOAT_EQ(seen[i], static_cast<float>(i));
-
-  // Index-list form follows the list order, ragged tail included.
-  const std::vector<std::size_t> picks{9, 3, 5, 0, 7};
-  BatchCursor list(ds, picks, /*timesteps=*/1, /*chunk_samples=*/2);
-  std::vector<float> got;
-  while (list.next()) {
-    for (std::size_t i = 0; i < list.chunk_size(); ++i) got.push_back(list.batch().x[i]);
-  }
-  EXPECT_EQ(got, (std::vector<float>{9, 3, 5, 0, 7}));
-
-  // An empty sequence yields no chunks (and never touches materialize_batch).
-  const std::vector<std::size_t> none;
-  BatchCursor empty(ds, none, 1, 2);
-  EXPECT_FALSE(empty.next());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(StorageStats, FullyResidentDefaults) {

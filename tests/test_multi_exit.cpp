@@ -170,6 +170,32 @@ TEST(SpatioTemporal, JointNeverCostsMoreThanEitherAlone) {
   }
 }
 
+TEST(SpatioTemporal, CollectRejectsDegenerateChunkingAndStreamsRaggedChunks) {
+  auto net = tiny_net();
+  data::ArrayDataset ds({3, 8, 8}, 1, 4);
+  for (int i = 0; i < 5; ++i) {
+    ds.add_sample(std::vector<float>(3 * 8 * 8, 0.2f * static_cast<float>(i)), i % 4,
+                  0.0);
+  }
+  EXPECT_THROW(core::collect_multi_exit_outputs(net, ds, 2, /*batch_size=*/0),
+               std::invalid_argument);
+  EXPECT_THROW(core::collect_multi_exit_outputs(net, ds, /*timesteps=*/0),
+               std::invalid_argument);
+
+  // Chunks of 2 (2 + 2 + ragged 1) record the same rows as one chunk of 5.
+  const auto whole = core::collect_multi_exit_outputs(net, ds, 2, /*batch_size=*/5);
+  const auto chunked = core::collect_multi_exit_outputs(net, ds, 2, /*batch_size=*/2);
+  EXPECT_EQ(chunked.labels, (std::vector<int>{0, 1, 2, 3, 0}));
+  EXPECT_EQ(chunked.labels, whole.labels);
+  for (std::size_t e = 0; e < whole.exits; ++e) {
+    ASSERT_EQ(chunked.cum_logits[e].numel(), whole.cum_logits[e].numel());
+    for (std::size_t j = 0; j < whole.cum_logits[e].numel(); ++j) {
+      EXPECT_NEAR(chunked.cum_logits[e][j], whole.cum_logits[e][j], 1e-5)
+          << "exit " << e << " value " << j;
+    }
+  }
+}
+
 TEST(SpatioTemporal, EndToEndTrainsAndComposes) {
   // Train a tiny multi-exit net and verify the joint policy reaches the
   // static deep-head accuracy at lower cost (the paper's complementarity

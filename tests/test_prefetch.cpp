@@ -1,11 +1,8 @@
-// ShardPrefetcher unit tests plus the BatchCursor lookahead contract. The
-// prefetcher is strictly advisory, so the properties under test are: the
-// activation rules (depth 0 / fully-resident storage spawn no worker), hints
-// warming the shard cache asynchronously, the depth bound dropping stale
-// hints instead of blocking, clean shutdown with hints still queued, the
-// DTSNN_PREFETCH_DEPTH knob — and, for the cursor, that a ragged final chunk
-// with prefetch depth 1 yields bitwise-identical batches to a prefetch-off
-// cursor and to the in-memory source.
+// ShardPrefetcher unit tests. The prefetcher is strictly advisory, so the
+// properties under test are: the activation rules (depth 0 / fully-resident
+// storage spawn no worker), hints warming the shard cache asynchronously,
+// the depth bound dropping stale hints instead of blocking, clean shutdown
+// with hints still queued, and the DTSNN_PREFETCH_DEPTH knob.
 
 #include <unistd.h>
 
@@ -183,74 +180,6 @@ TEST(ShardPrefetcher, EnvVarControlsAutoDepth) {
   }
 }
 // NOLINTEND(concurrency-mt-unsafe)
-
-// ------------------------------------------------------ BatchCursor lookahead
-
-// Ragged final chunk + minimum lookahead: 10 samples in chunks of 4 yield
-// 4/4/2, and a depth-1 prefetcher hints exactly one chunk ahead, so the
-// final (short) chunk arrives via a short hint. Everything must be bitwise
-// identical to a prefetch-off cursor and to the in-memory source.
-TEST(BatchCursor, RaggedFinalChunkBitwiseIdenticalWithDepthOnePrefetch) {
-  TempDir dir("ragged");
-  const ArrayDataset source = make_source(10);
-  export_shards(source, dir.path(), 3);
-  ShardCacheConfig config;
-  config.cache_slots = 2;
-  const ShardedDataset sharded(dir.path(), config);
-
-  constexpr std::size_t kTimesteps = 3;
-  constexpr std::size_t kChunk = 4;
-  BatchCursor on(sharded, sharded.size(), kTimesteps, kChunk, /*prefetch_depth=*/1);
-  BatchCursor off(sharded, sharded.size(), kTimesteps, kChunk, /*prefetch_depth=*/0);
-  BatchCursor oracle(source, source.size(), kTimesteps, kChunk, /*prefetch_depth=*/0);
-
-  const std::vector<std::size_t> expected_sizes{4, 4, 2};
-  std::size_t chunk = 0;
-  while (oracle.next()) {
-    ASSERT_TRUE(on.next());
-    ASSERT_TRUE(off.next());
-    ASSERT_LT(chunk, expected_sizes.size());
-    EXPECT_EQ(oracle.chunk_size(), expected_sizes[chunk]);
-    EXPECT_EQ(on.chunk_size(), expected_sizes[chunk]);
-    EXPECT_EQ(on.start(), oracle.start());
-    ASSERT_EQ(on.batch().x.shape(), oracle.batch().x.shape());
-    for (std::size_t i = 0; i < oracle.batch().x.numel(); ++i) {
-      ASSERT_EQ(on.batch().x[i], oracle.batch().x[i]) << "chunk " << chunk;
-      ASSERT_EQ(off.batch().x[i], oracle.batch().x[i]) << "chunk " << chunk;
-    }
-    EXPECT_EQ(on.batch().labels, oracle.batch().labels);
-    ++chunk;
-  }
-  EXPECT_FALSE(on.next());
-  EXPECT_FALSE(off.next());
-  EXPECT_EQ(chunk, expected_sizes.size());
-}
-
-// The index-list form with an out-of-order selection exercises the subspan
-// hint path; identity must hold there too.
-TEST(BatchCursor, IndexListLookaheadBitwiseIdentical) {
-  TempDir dir("list");
-  const ArrayDataset source = make_source(9);
-  export_shards(source, dir.path(), 2);
-  ShardCacheConfig config;
-  config.cache_slots = 1;  // lookahead warms shards the next chunk evicts into
-  const ShardedDataset sharded(dir.path(), config);
-
-  const std::vector<std::size_t> picks{8, 0, 5, 2, 7, 1, 6};
-  constexpr std::size_t kTimesteps = 2;
-  BatchCursor on(sharded, picks, kTimesteps, /*chunk_samples=*/3, /*prefetch_depth=*/2);
-  BatchCursor oracle(source, picks, kTimesteps, /*chunk_samples=*/3,
-                     /*prefetch_depth=*/0);
-  while (oracle.next()) {
-    ASSERT_TRUE(on.next());
-    ASSERT_EQ(on.batch().x.shape(), oracle.batch().x.shape());
-    for (std::size_t i = 0; i < oracle.batch().x.numel(); ++i) {
-      ASSERT_EQ(on.batch().x[i], oracle.batch().x[i]);
-    }
-    EXPECT_EQ(on.batch().labels, oracle.batch().labels);
-  }
-  EXPECT_FALSE(on.next());
-}
 
 }  // namespace
 }  // namespace dtsnn::data

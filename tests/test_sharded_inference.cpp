@@ -1,9 +1,10 @@
-// End-to-end identity of the sharded data layer: every engine (PostHoc
-// record-on-demand, batch-1 Sequential, BatchedSequential) and the serving
-// layer must produce bitwise-identical logits, predictions, entropies, and
-// exit timesteps whether the samples come from the in-memory ArrayDataset or
-// from a ShardedDataset paging shards through a bounded cache — on all four
-// dataset presets, including a 1-slot cache under constant eviction.
+// End-to-end identity of the sharded data layer: the recorder
+// (collect_outputs, chunked reads), every engine (batch-1 Sequential,
+// BatchedSequential) and the serving layer must produce bitwise-identical
+// logits, predictions, entropies, and exit timesteps whether the samples
+// come from the in-memory ArrayDataset or from a ShardedDataset paging
+// shards through a bounded cache — on all four dataset presets, including a
+// 1-slot cache under constant eviction.
 
 #include <unistd.h>
 
@@ -81,9 +82,10 @@ void expect_identical(const std::vector<InferenceResult>& a,
   }
 }
 
-/// The acceptance property: for each preset, every engine produces bitwise
-/// identical results from ArrayDataset and from ShardedDataset — with both a
-/// comfortable cache and a 1-slot cache thrashing on every chunk.
+/// The acceptance property: for each preset, every engine and the recorder
+/// produce bitwise identical results from ArrayDataset and from
+/// ShardedDataset — with both a comfortable cache and a 1-slot cache
+/// thrashing on every chunk.
 TEST(ShardedInference, EnginesBitwiseIdenticalAcrossStorageBackends) {
   for (const std::string preset : {"sync10", "sync100", "syntin", "syndvs"}) {
     const std::size_t timesteps = preset == "syndvs" ? 5 : 3;
@@ -97,7 +99,7 @@ TEST(ShardedInference, EnginesBitwiseIdenticalAcrossStorageBackends) {
 
     for (const std::size_t cache_slots : {std::size_t{1}, std::size_t{3}}) {
       // 7 samples per shard: several shards, ragged tail, chunk boundaries
-      // that do not line up with shard boundaries.
+      // (5 samples) that do not line up with shard boundaries.
       const ShardedCopy copy(array, preset + "_c" + std::to_string(cache_slots), 7,
                              cache_slots);
       const data::ShardedDataset& sharded = copy.dataset();
@@ -112,9 +114,18 @@ TEST(ShardedInference, EnginesBitwiseIdenticalAcrossStorageBackends) {
       expect_identical(batched.run(array, request), batched.run(sharded, request),
                        context + "/batched");
 
-      PostHocEngine on_demand(e.net, policy, timesteps, /*batch_size=*/5);
-      expect_identical(on_demand.run(array, request), on_demand.run(sharded, request),
-                       context + "/posthoc");
+      // 24 samples in chunks of 5 leave a ragged 4-sample tail chunk that
+      // straddles the 7-sample shards.
+      const TimestepOutputs recorded_array =
+          collect_outputs(e.net, array, timesteps, /*batch_size=*/5, n);
+      const TimestepOutputs recorded_sharded =
+          collect_outputs(e.net, sharded, timesteps, /*batch_size=*/5, n);
+      ASSERT_EQ(recorded_array.labels, recorded_sharded.labels) << context;
+      ASSERT_EQ(recorded_array.cum_logits.numel(), recorded_sharded.cum_logits.numel());
+      for (std::size_t j = 0; j < recorded_array.cum_logits.numel(); ++j) {
+        ASSERT_EQ(recorded_array.cum_logits[j], recorded_sharded.cum_logits[j])
+            << context << "/collect value " << j;
+      }
 
       // The sharded runs actually exercised the cache.
       const data::DatasetStorageStats stats = sharded.storage_stats();
@@ -126,8 +137,8 @@ TEST(ShardedInference, EnginesBitwiseIdenticalAcrossStorageBackends) {
   }
 }
 
-/// Recorded outputs (the post-hoc evaluation path) are bitwise identical
-/// between backends: collect_outputs streams chunks either way.
+/// Recorded outputs (the recorded-replay evaluation path) are bitwise
+/// identical between backends: collect_outputs streams chunks either way.
 TEST(ShardedInference, CollectedOutputsBitwiseIdentical) {
   Experiment e = micro_experiment("sync10", 3);
   const data::ArrayDataset& array = *e.bundle.test;
