@@ -29,88 +29,6 @@ void pixels_to_nchw(const Tensor& pix, std::size_t n, std::size_t c, std::size_t
   }
 }
 
-/// Direct sparse convolution of one image into its [OHW, Cout] row-per-pixel
-/// block: iterate nonzero input pixels (c, y, x ascending) and
-/// scatter-accumulate the matching weight columns into the touched output
-/// pixels. For every output element this applies contributions in ascending
-/// (c, ky, kx) order with zero inputs skipped — exactly the order and skip
-/// rule of the A-stationary im2col GEMM — so the result is bitwise identical
-/// to util::gemm on the im2col matrix, while the im2col materialization is
-/// skipped entirely. `wt` is W^T, [Cin*K*K, Cout]. Templated on the
-/// compile-time stride (0 = generic runtime stride) so the hot loops carry no
-/// divisibility checks for stride-1 convs and strength-reduced ones for
-/// stride-2.
-///
-/// Out of line and 64-byte aligned: the speed of the short inner loops
-/// depends on where they fall relative to 64-byte boundaries, and pinning
-/// the function start keeps that placement — and the step time — from
-/// shifting with unrelated code linked ahead of it (swings of ~30% in
-/// per-step time were measured on an AVX-512 Xeon).
-template <std::size_t kStride>
-[[gnu::noinline, gnu::aligned(64)]] void scatter_image(const float* xp, const float* wt,
-                                                       const ConvGeometry& g,
-                                                       std::size_t cout, float* pp) {
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
-  const auto stride = static_cast<std::ptrdiff_t>(kStride ? kStride : g.stride);
-  const auto pad = static_cast<std::ptrdiff_t>(g.padding);
-  const auto kk = static_cast<std::ptrdiff_t>(g.kernel);
-  // The (ky, kx) loops only enumerate which outputs an input touches; the
-  // per-output accumulation order is fixed by the (c, y, x) input visit
-  // order alone, so the stride-specialized bounds below don't affect the
-  // bitwise result.
-  for (std::size_t c = 0; c < g.in_channels; ++c) {
-    const float* wc = wt + c * static_cast<std::size_t>(kk * kk) * cout;
-    for (std::size_t y = 0; y < g.in_h; ++y) {
-      const auto ypad = static_cast<std::ptrdiff_t>(y) + pad;
-      // oy = (y + pad - ky) / stride with exact division and 0 <= oy < oh.
-      const std::ptrdiff_t ky_lo =
-          std::max<std::ptrdiff_t>(0, ypad - stride * (static_cast<std::ptrdiff_t>(oh) - 1));
-      const std::ptrdiff_t ky_hi = std::min<std::ptrdiff_t>(kk - 1, ypad);
-      for (std::size_t xx = 0; xx < g.in_w; ++xx) {
-        const float v = xp[(c * g.in_h + y) * g.in_w + xx];
-        if (v == 0.0f) continue;
-        const auto xpad = static_cast<std::ptrdiff_t>(xx) + pad;
-        const std::ptrdiff_t kx_lo = std::max<std::ptrdiff_t>(
-            0, xpad - stride * (static_cast<std::ptrdiff_t>(ow) - 1));
-        const std::ptrdiff_t kx_hi = std::min<std::ptrdiff_t>(kk - 1, xpad);
-        for (std::ptrdiff_t ky = ky_lo; ky <= ky_hi; ++ky) {
-          if (kStride != 1 && (ypad - ky) % stride != 0) continue;
-          const auto oy = static_cast<std::size_t>((ypad - ky) / stride);
-          float* prow = pp + oy * ow * cout;
-          const float* wky = wc + static_cast<std::size_t>(ky * kk) * cout;
-          for (std::ptrdiff_t kx = kx_lo; kx <= kx_hi; ++kx) {
-            if (kStride != 1 && (xpad - kx) % stride != 0) continue;
-            const auto ox = static_cast<std::size_t>((xpad - kx) / stride);
-            float* dst = prow + ox * cout;
-            const float* wrow = wky + static_cast<std::size_t>(kx) * cout;
-#pragma omp simd
-            for (std::size_t j = 0; j < cout; ++j) dst[j] += v * wrow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-/// The scatter over a batch x [N, Cin, H, W] into pix [N*OHW, Cout]; images
-/// are independent, so they run in parallel.
-void sparse_conv_scatter(const Tensor& x, const float* wt, const ConvGeometry& g,
-                         std::size_t cout, Tensor& pix) {
-  const std::size_t in_size = g.in_channels * g.in_h * g.in_w;
-  const std::size_t out_size = g.out_h() * g.out_w() * cout;
-#pragma omp parallel for schedule(static)
-  for (std::size_t img = 0; img < x.dim(0); ++img) {
-    const float* xp = x.data() + img * in_size;
-    float* pp = pix.data() + img * out_size;
-    switch (g.stride) {
-      case 1: scatter_image<1>(xp, wt, g, cout, pp); break;
-      case 2: scatter_image<2>(xp, wt, g, cout, pp); break;
-      default: scatter_image<0>(xp, wt, g, cout, pp); break;
-    }
-  }
-}
-
 /// The output extent (in + 2*pad - kernel) / stride + 1 underflows when the
 /// kernel does not fit the padded input, so reject such geometries (and a zero
 /// kernel or stride) before anything computes it.
@@ -200,9 +118,6 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   Tensor pix({n * oh * ow, out_channels_});
   const std::size_t patch = geom_.patch_size();
   util::GemmContext& gemm = gemm_context();
-  // One density pass per forward: it picks the training op form below, and
-  // the eval scatter records it.
-  const double density = x.density();
   Tensor col;
   if (train) {
     // Training path: the im2col matrix is needed for backward either way.
@@ -213,7 +128,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // contributions in ascending patch order from a zero start), so this is
     // purely a speed decision.
     im2col(x, geom_, col);
-    if (density < kSparseDensityThreshold) {
+    if (x.density() < kSparseDensityThreshold) {
       gemm.gemm(col.data(), ensure_weight_transpose(), pix.data(), n * oh * ow, patch,
                 out_channels_);
     } else {
@@ -236,18 +151,16 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     im2col(x, geom_, col);
     gemm.qgemm(col.data(), qweight_, pix.data(), n * oh * ow, patch, out_channels_);
   } else {
-    // Float inference path: one kernel at every input density. The direct
-    // scatter skips zero inputs and accumulates every output element in
-    // ascending (c, ky, kx) order — bitwise identical to the im2col NN GEMM
-    // and independent of the batch size — without materializing the im2col
-    // matrix. Needs W^T, cached across the steps of one sequence (set_time
-    // and begin_steps mark it dirty, and weights only change between them).
-    // The scatter is the NN product run here instead of dispatched, so it is
-    // recorded as one: dense-equivalent flops, x as the operand read.
-    sparse_conv_scatter(x, ensure_weight_transpose(), geom_, out_channels_, pix);
-    const auto elements = static_cast<double>(x.numel());
-    gemm.record_nn(n * oh * ow, patch, out_channels_, elements,
-                   std::round(density * elements));
+    // Float inference path: one op at every input density, dispatched to
+    // the selected backend's ISA. The direct scatter skips zero inputs and
+    // accumulates every output element in ascending (c, ky, kx) order —
+    // bitwise identical to the im2col NN GEMM and independent of the batch
+    // size — without materializing the im2col matrix. Needs W^T, cached
+    // across the steps of one sequence (set_time and begin_steps mark it
+    // dirty, and weights only change between them). The context records it
+    // as that NN product, from the kernel's own nonzero count.
+    gemm.conv_scatter(x.data(), ensure_weight_transpose(), pix.data(), n, geom_,
+                      out_channels_);
   }
   if (has_bias_) {
     const float* b = bias_.value.data();

@@ -1,6 +1,7 @@
-// 2-D convolution layer with full backward pass. Float eval forwards run a
-// direct zero-skipping scatter at every input density; training and the
-// quantized tier run im2col + GEMM.
+// 2-D convolution layer with full backward pass. Float eval forwards run the
+// GEMM registry's zero-skipping spike scatter (util::GemmBackend::
+// conv_scatter) at every input density, at the selected backend's ISA;
+// training and the quantized tier run im2col + GEMM.
 
 #pragma once
 

@@ -11,26 +11,13 @@
 #include <cstddef>
 
 #include "snn/tensor.h"
+#include "util/gemm.h"
 
 namespace dtsnn::snn {
 
-struct ConvGeometry {
-  std::size_t in_channels = 0;
-  std::size_t in_h = 0;
-  std::size_t in_w = 0;
-  std::size_t kernel = 1;
-  std::size_t stride = 1;
-  std::size_t padding = 0;
-
-  [[nodiscard]] std::size_t out_h() const { return (in_h + 2 * padding - kernel) / stride + 1; }
-  [[nodiscard]] std::size_t out_w() const { return (in_w + 2 * padding - kernel) / stride + 1; }
-  [[nodiscard]] std::size_t patch_size() const { return in_channels * kernel * kernel; }
-  /// True if the geometry is self-consistent (kernel fits the padded input).
-  [[nodiscard]] bool valid() const {
-    return in_channels > 0 && kernel > 0 && stride > 0 && in_h + 2 * padding >= kernel &&
-           in_w + 2 * padding >= kernel;
-  }
-};
+/// The convolution geometry is shared with the GEMM registry's conv_scatter
+/// op, which lives below this module.
+using util::ConvGeometry;
 
 /// x: [N, C, H, W]  ->  col: [N * OH * OW, C * KH * KW]. Zero padding.
 void im2col(const Tensor& x, const ConvGeometry& g, Tensor& col);

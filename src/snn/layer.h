@@ -26,11 +26,11 @@ namespace dtsnn::snn {
 
 /// Below this input spike density the A-stationary zero-skip NN form wins
 /// over the dense dot-product (B^T) form. It keys Conv2d's training forward
-/// and Linear's eval forward; Conv2d's float eval forward runs its direct
-/// scatter at every density. This is the one sparse-vs-dense decision in the
-/// stack; the GEMM registry picks only the ISA and precision. Choices keyed
-/// on it are speed-only — both forms are bitwise identical for finite
-/// weights (see Conv2d::forward).
+/// and Linear's eval forward; Conv2d's float eval forward runs the
+/// registry's conv_scatter op at every density. This is the one
+/// sparse-vs-dense decision in the stack; the GEMM registry picks only the
+/// ISA and precision. Choices keyed on it are speed-only — both forms are
+/// bitwise identical for finite weights (see Conv2d::forward).
 inline constexpr double kSparseDensityThreshold = 0.35;
 
 /// A learnable parameter with its gradient accumulator.

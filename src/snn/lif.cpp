@@ -136,6 +136,8 @@ Tensor Lif::step(const Tensor& x) {
   const float* in = x.data();
   float* out = spikes.data();
   const std::size_t n = x.numel();
+  // Element-wise, so the threads' chunking cannot change a bit.
+#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     const float pre = tau * u[i] + in[i];
     const float s = pre > vth ? 1.0f : 0.0f;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "util/conv_scatter_kernel.h"
 #include "util/env.h"
 #include "util/gemm_internal.h"
 #include "util/logging.h"
@@ -43,6 +44,12 @@ void GemmBackend::gemm_at(const float* a, const float* b, float* c, std::size_t 
 void GemmBackend::gemm_bt(const float* a, const float* b, float* c, std::size_t m,
                           std::size_t k, std::size_t n, bool accumulate) const {
   if (prepare_output(c, m, k, n, accumulate)) do_gemm_bt(a, b, c, m, k, n);
+}
+
+std::size_t GemmBackend::conv_scatter(const float* x, const float* wt, float* pix,
+                                      std::size_t batch, const ConvGeometry& g,
+                                      std::size_t cout) const {
+  return batch == 0 ? 0 : do_conv_scatter(x, wt, pix, batch, g, cout);
 }
 
 void QuantizedGemmBackend::qgemm(const float* a, const QuantizedMatrix& q, float* c,
@@ -224,6 +231,11 @@ class ScalarRefBackend final : public GemmBackend {
                   std::size_t k, std::size_t n) const override {
     scalar_gemm_bt(a, b, c, m, k, n);
   }
+  std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
+                              std::size_t batch, const ConvGeometry& g,
+                              std::size_t cout) const override {
+    return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/false);
+  }
 };
 
 class BlockedOmpBackend final : public GemmBackend {
@@ -242,6 +254,11 @@ class BlockedOmpBackend final : public GemmBackend {
   void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n) const override {
     blocked_gemm_bt(a, b, c, m, k, n);
+  }
+  std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
+                              std::size_t batch, const ConvGeometry& g,
+                              std::size_t cout) const override {
+    return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/true);
   }
 };
 
@@ -405,11 +422,6 @@ void GemmContext::record(GemmCallStats GemmStats::* op, std::size_t m, std::size
   s.a_nonzeros += a_nonzeros;
 }
 
-void GemmContext::record_nn(std::size_t m, std::size_t k, std::size_t n,
-                            double a_elements, double a_nonzeros) {
-  record(&GemmStats::nn, m, k, n, a_elements, a_nonzeros);
-}
-
 void GemmContext::gemm(const float* a, const float* b, float* c, std::size_t m,
                        std::size_t k, std::size_t n, bool accumulate) {
   record(&GemmStats::nn, m, k, n, static_cast<double>(m * k),
@@ -445,6 +457,15 @@ void GemmContext::qgemm(const float* a, const QuantizedMatrix& q, float* c,
   record(&GemmStats::quant, m, k, n, static_cast<double>(m * k),
          static_cast<double>(count_nonzeros(a, m * k)));
   qb->qgemm(a, q, c, m, k, n, accumulate);
+}
+
+void GemmContext::conv_scatter(const float* x, const float* wt, float* pix,
+                               std::size_t batch, const ConvGeometry& g,
+                               std::size_t cout) {
+  const std::size_t nonzeros = backend_->conv_scatter(x, wt, pix, batch, g, cout);
+  record(&GemmStats::nn, batch * g.out_h() * g.out_w(), g.patch_size(), cout,
+         static_cast<double>(batch * g.in_channels * g.in_h * g.in_w),
+         static_cast<double>(nonzeros));
 }
 
 GemmStats GemmContext::stats() const {

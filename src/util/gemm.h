@@ -1,11 +1,21 @@
 // Multi-backend single-precision GEMM dispatch layer.
 //
-// Convolution and linear layers funnel their products through three
-// row-major GEMM ops (NN, A^T-stationary, B^T); the one exception is
-// Conv2d's float eval forward (see below). The ops are served by
-// runtime-selected backends behind the GemmBackend interface:
+// Convolution and linear layers funnel their products through four
+// row-major ops, served by runtime-selected backends behind the GemmBackend
+// interface:
 //
-//   scalar_ref    plain triple loops; the oracle that *defines* the bitwise
+//   gemm          C[m,n] (+)= A[m,k] * B[k,n]      (NN)
+//   gemm_at       C[m,n] (+)= A^T * B, A stored [k,m]
+//   gemm_bt       C[m,n] (+)= A * B^T, B stored [n,k]
+//   conv_scatter  the spike convolution of Conv2d's float eval forward: for
+//                 every nonzero input (c, y, x) in ascending order, add
+//                 v * W^T row into each output pixel it touches. It is the
+//                 NN product of the im2col matrix and W^T, run without
+//                 materializing im2col, and is accounted as that product.
+//
+// The backends:
+//
+//   scalar_ref    plain loops; the oracle that *defines* the bitwise
 //                 accumulation contract (see below).
 //   blocked_omp   cache-blocked, OpenMP-parallel kernels (the historical
 //                 default).
@@ -31,18 +41,21 @@
 //                 name, never by auto-selection, and usable only on networks
 //                 with calibrated scales (see snn/quantize.h).
 //
+// Every bitwise backend runs the one conv_scatter kernel
+// (util/conv_scatter_kernel.h), compiled once per backend TU at that TU's
+// ISA flags: scalar_ref serially, blocked_omp, avx2 and avx512 parallel over
+// images.
+//
 // The registry picks only the ISA and the precision. Whether a product runs
 // in the sparse or the dense op form is decided once, by the layers, from the
-// input spike density (snn::kSparseDensityThreshold). Conv2d's float eval
-// forward, the direct scatter, runs in the layer itself at every density and
-// is recorded as an NN op (GemmContext::record_nn), so the accounting still
-// covers it.
+// input spike density (snn::kSparseDensityThreshold).
 //
 // Identity contract tiers:
 //
 //   kBitwise (scalar_ref, blocked_omp, avx2, avx512): for every op, each
 //   output element accumulates its contributions in ascending-k order with
-//   exact-zero A values skipped (NN / A^T ops), and the B^T op sums each dot
+//   exact-zero A values skipped (NN / A^T / conv_scatter, whose k order is
+//   the ascending (c, ky, kx) patch order), and the B^T op sums each dot
 //   product sequentially into a local accumulator before a single add into
 //   C. These backends follow the contract exactly, so DT-SNN logits — and
 //   therefore early-exit decisions — are bitwise identical no matter which
@@ -55,8 +68,8 @@
 //   decision flip rate and accuracy delta are measured
 //   (core::calibrate_quantized / core::compare_decisions) and must stay
 //   within configured bounds. Their plain float ops (gemm / gemm_at /
-//   gemm_bt, used by training and non-weight GEMMs) delegate to the blocked
-//   kernels and so remain bitwise-tier.
+//   gemm_bt / conv_scatter, used by training and non-weight GEMMs) delegate
+//   to the blocked kernels and so remain bitwise-tier.
 //
 // Selection: the DTSNN_GEMM_BACKEND environment variable forces a backend by
 // name (unknown or unavailable names throw, listing the registry with
@@ -80,6 +93,27 @@
 namespace dtsnn::util {
 
 class QuantizedMatrix;  // util/quant.h
+
+/// Geometry of one 2-D convolution over an NCHW input (square kernel, same
+/// stride and zero padding on both axes). The layers' im2col transforms and
+/// the conv_scatter op share it.
+struct ConvGeometry {
+  std::size_t in_channels = 0;
+  std::size_t in_h = 0;
+  std::size_t in_w = 0;
+  std::size_t kernel = 1;
+  std::size_t stride = 1;
+  std::size_t padding = 0;
+
+  [[nodiscard]] std::size_t out_h() const { return (in_h + 2 * padding - kernel) / stride + 1; }
+  [[nodiscard]] std::size_t out_w() const { return (in_w + 2 * padding - kernel) / stride + 1; }
+  [[nodiscard]] std::size_t patch_size() const { return in_channels * kernel * kernel; }
+  /// True if the geometry is self-consistent (kernel fits the padded input).
+  [[nodiscard]] bool valid() const {
+    return in_channels > 0 && kernel > 0 && stride > 0 && in_h + 2 * padding >= kernel &&
+           in_w + 2 * padding >= kernel;
+  }
+};
 
 // ------------------------------------------------------------------ backend
 
@@ -121,6 +155,17 @@ class GemmBackend {
   void gemm_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n, bool accumulate = false) const;
 
+  /// pix[batch*OH*OW, cout] += conv(x, W): the spike convolution of x
+  /// [batch, Cin, H, W] with W^T `wt` [Cin*K*K, cout], written one row per
+  /// output pixel. Zero inputs are skipped, and each output element takes its
+  /// contributions in ascending (c, ky, kx) order, so pix gains exactly the
+  /// NN product of the im2col matrix and W^T. Always accumulates; `g` must
+  /// be valid(). Returns the number of nonzero elements of x. batch == 0
+  /// never enters the kernel (null pointers are fine) and returns 0.
+  std::size_t conv_scatter(const float* x, const float* wt, float* pix,
+                           std::size_t batch, const ConvGeometry& g,
+                           std::size_t cout) const;
+
  protected:
   /// Kernels always accumulate into C (the public wrappers zero C first when
   /// not accumulating) and are only entered with m, k, n all nonzero.
@@ -130,6 +175,10 @@ class GemmBackend {
                           std::size_t k, std::size_t n) const = 0;
   virtual void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
                           std::size_t k, std::size_t n) const = 0;
+  /// Entered only with batch nonzero.
+  virtual std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
+                                      std::size_t batch, const ConvGeometry& g,
+                                      std::size_t cout) const = 0;
 };
 
 // ------------------------------------------------------------ quantized tier
@@ -221,7 +270,7 @@ struct GemmCallStats {
 
 /// Per-op accounting of one GemmContext.
 struct GemmStats {
-  GemmCallStats nn;     ///< gemm, plus NN products recorded via record_nn
+  GemmCallStats nn;     ///< gemm and conv_scatter (as its im2col NN product)
   GemmCallStats at;     ///< gemm_at
   GemmCallStats bt;     ///< gemm_bt
   GemmCallStats quant;  ///< qgemm (quantized-weight op; flops = dense equivalent)
@@ -274,21 +323,21 @@ class GemmContext {
   void qgemm(const float* a, const QuantizedMatrix& q, float* c, std::size_t m,
              std::size_t k, std::size_t n, bool accumulate = false);
 
-  /// Accounts an NN-form product C[m,n] = A[m,k] * B[k,n] that the caller
-  /// executed itself instead of dispatching it (Conv2d's float eval scatter,
-  /// which reads the layer input rather than its im2col matrix).
-  /// flops are the dense equivalent 2*m*k*n, as for dispatched calls;
-  /// `a_elements` / `a_nonzeros` describe the operand actually read.
-  void record_nn(std::size_t m, std::size_t k, std::size_t n, double a_elements,
-                 double a_nonzeros) DTSNN_EXCLUDES(mutex_);
+  /// Spike convolution (GemmBackend::conv_scatter), recorded as the NN
+  /// product it equals: m = batch*OH*OW, k = Cin*K*K, n = cout, dense
+  /// equivalent flops, and x as the operand read, with the nonzero count the
+  /// kernel returns (no separate pass over x).
+  void conv_scatter(const float* x, const float* wt, float* pix, std::size_t batch,
+                    const ConvGeometry& g, std::size_t cout);
 
   [[nodiscard]] GemmStats stats() const DTSNN_EXCLUDES(mutex_);
   void reset_stats() DTSNN_EXCLUDES(mutex_);
 
  private:
-  /// The one accounting point: every dispatched op and record_nn land here.
-  /// Accounting costs one pass over A per dispatched call (the nonzero
-  /// count) plus a mutex acquisition — cheap next to the GEMM itself.
+  /// The one accounting point: every dispatched op lands here. Accounting
+  /// costs one pass over A per dispatched GEMM call (the nonzero count;
+  /// conv_scatter counts inside its kernel) plus a mutex acquisition —
+  /// cheap next to the product itself.
   void record(GemmCallStats GemmStats::* op, std::size_t m, std::size_t k, std::size_t n,
               double a_elements, double a_nonzeros) DTSNN_EXCLUDES(mutex_);
 

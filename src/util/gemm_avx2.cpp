@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/conv_scatter_kernel.h"
 #include "util/gemm.h"
 
 namespace dtsnn::util {
@@ -92,6 +93,14 @@ class Avx2Backend final : public GemmBackend {
       }
     }
     internal::gemm_bt_scalar_tail(a, b, c, m, k, n, j0);
+  }
+
+  // The shared scatter kernel, compiled here at this TU's ISA flags: its
+  // per-output-column inner loop vectorizes with no FMA contraction.
+  std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
+                              std::size_t batch, const ConvGeometry& g,
+                              std::size_t cout) const override {
+    return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/true);
   }
 };
 

@@ -197,8 +197,9 @@ class QuantLutBackend final : public QuantizedGemmBackend {
     }
   }
 
-  // Float ops (training, non-weight GEMMs) have nothing to quantize;
-  // delegate to the blocked kernels, which keep the bitwise contract.
+  // Float ops (training, non-weight GEMMs, the float scatter) have nothing
+  // to quantize; delegate to the blocked kernels, which keep the bitwise
+  // contract.
   void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) const override {
     blocked_backend().gemm(a, b, c, m, k, n, /*accumulate=*/true);
@@ -210,6 +211,11 @@ class QuantLutBackend final : public QuantizedGemmBackend {
   void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n) const override {
     blocked_backend().gemm_bt(a, b, c, m, k, n, /*accumulate=*/true);
+  }
+  std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
+                              std::size_t batch, const ConvGeometry& g,
+                              std::size_t cout) const override {
+    return blocked_backend().conv_scatter(x, wt, pix, batch, g, cout);
   }
 };
 

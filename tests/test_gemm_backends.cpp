@@ -9,6 +9,7 @@
 // end-to-end check that BatchedSequentialEngine emits identical results
 // under every backend, on every dataset preset.
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -197,34 +198,43 @@ TEST(GemmContext, TracksCallsFlopsAndDensity) {
   EXPECT_EQ(ctx.stats().calls(), 0u);
 }
 
-/// Conv2d's float eval scatter runs outside the registry, at every input
-/// density, but is still one NN product: the layer records it in its context
-/// with the dense-equivalent flops 2*(N*OH*OW)*patch*Cout, and x as the
-/// operand it read.
+/// Conv2d's float eval forward dispatches the conv_scatter op to its
+/// context's backend, at every input density. Each backend's scatter is one
+/// NN product in the accounting: dense-equivalent flops
+/// 2*(N*OH*OW)*patch*Cout, x as the operand read, and the nonzero count the
+/// kernel itself returns.
 TEST(GemmContext, ConvScatterIsRecordedAsOneNNCall) {
-  util::Rng rng(9);
-  snn::Conv2d conv(4, 8, 3, 2, 1, /*bias=*/false, rng);
-  util::GemmContext ctx(*util::find_gemm_backend("scalar_ref"));
-  conv.set_gemm_context(&ctx);
   const std::size_t n = 2, rows = n * 5 * 5, patch = 4 * 3 * 3, cout = 8;
   const double flops = 2.0 * static_cast<double>(rows * patch * cout);
-  for (const double density : {0.1, 0.9}) {
-    snn::Tensor x({n, 4, 9, 9});
-    util::Rng xr(static_cast<std::uint64_t>(density * 100));
-    std::size_t nonzeros = 0;
-    for (auto& v : x.span()) {
-      v = xr.bernoulli(density) ? 1.0f : 0.0f;
-      nonzeros += v != 0.0f;
+  for (const util::GemmBackend* backend : util::gemm_backends()) {
+    if (!backend->available() ||
+        backend->identity_tier() != util::GemmIdentityTier::kBitwise) {
+      continue;
     }
-    ctx.reset_stats();
-    conv.set_time(1, n);
-    conv.forward(x, /*train=*/false);
-    const util::GemmStats s = ctx.stats();
-    EXPECT_EQ(s.calls(), 1u) << density;
-    EXPECT_EQ(s.nn.calls, 1u) << density;
-    EXPECT_DOUBLE_EQ(s.nn.flops, flops) << density;
-    EXPECT_DOUBLE_EQ(s.nn.a_elements, static_cast<double>(x.numel())) << density;
-    EXPECT_DOUBLE_EQ(s.nn.a_nonzeros, static_cast<double>(nonzeros)) << density;
+    util::Rng rng(9);
+    snn::Conv2d conv(4, 8, 3, 2, 1, /*bias=*/false, rng);
+    util::GemmContext ctx(*backend);
+    conv.set_gemm_context(&ctx);
+    for (const double density : {0.0, 0.1, 0.9}) {
+      snn::Tensor x({n, 4, 9, 9});
+      util::Rng xr(static_cast<std::uint64_t>(density * 100));
+      std::size_t nonzeros = 0;
+      for (auto& v : x.span()) {
+        v = xr.bernoulli(density) ? 1.0f : 0.0f;
+        nonzeros += v != 0.0f;
+      }
+      ctx.reset_stats();
+      conv.set_time(1, n);
+      conv.forward(x, /*train=*/false);
+      const util::GemmStats s = ctx.stats();
+      const std::string where = std::string(backend->name()) + " density " +
+                                std::to_string(density);
+      EXPECT_EQ(s.calls(), 1u) << where;
+      EXPECT_EQ(s.nn.calls, 1u) << where;
+      EXPECT_DOUBLE_EQ(s.nn.flops, flops) << where;
+      EXPECT_DOUBLE_EQ(s.nn.a_elements, static_cast<double>(x.numel())) << where;
+      EXPECT_DOUBLE_EQ(s.nn.a_nonzeros, static_cast<double>(nonzeros)) << where;
+    }
   }
 }
 
@@ -264,6 +274,24 @@ TEST_P(GemmBackendEach, DegenerateShapesAreDeterministic) {
   for (const float v : c3) EXPECT_EQ(v, 0.0f);
   ctx.gemm_bt(a, b, c3.data(), 2, 0, 3, /*accumulate=*/true);
   for (const float v : c3) EXPECT_EQ(v, 0.0f);
+
+  // conv_scatter with batch == 0 never enters the kernel: null pointers are
+  // fine, nothing is nonzero, and the context still records one (empty) op.
+  const util::ConvGeometry g{2, 3, 3, 3, 1, 1};
+  EXPECT_EQ(backend.conv_scatter(nullptr, nullptr, nullptr, 0, g, 4), 0u);
+  ctx.reset_stats();
+  ctx.conv_scatter(nullptr, nullptr, nullptr, 0, g, 4);
+  EXPECT_EQ(ctx.stats().nn.calls, 1u);
+  EXPECT_EQ(ctx.stats().nn.a_elements, 0.0);
+  EXPECT_EQ(ctx.stats().flops(), 0.0);
+
+  // An all-zero input touches nothing: pix keeps its (accumulate) contents
+  // and the returned nonzero count is 0.
+  const std::vector<float> x(2 * g.in_channels * g.in_h * g.in_w, 0.0f);
+  const std::vector<float> wt(g.patch_size() * 4, 1.0f);
+  std::vector<float> pix(2 * g.out_h() * g.out_w() * 4, 7.0f);
+  EXPECT_EQ(backend.conv_scatter(x.data(), wt.data(), pix.data(), 2, g, 4), 0u);
+  for (const float v : pix) EXPECT_EQ(v, 7.0f);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, GemmBackendEach,
@@ -367,14 +395,110 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.k) + "x" + std::to_string(c.n) + "_" + fill_name(c.fill);
     });
 
+// ------------------------------------------- conv scatter identity suite
+
+struct ScatterCase {
+  std::size_t stride, padding, kernel, cout, batch;
+};
+
+enum class ScatterFill { kZero, kBinary05, kBinary30, kGraded60, kDenseGraded };
+
+/// Spike-like input [batch, Cin, H, W] at the fill's density: binary {0, 1}
+/// spikes, or graded gaussian values (1.0 = every element nonzero).
+std::vector<float> scatter_input(std::size_t numel, ScatterFill fill, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> x(numel, 0.0f);
+  for (auto& v : x) {
+    switch (fill) {
+      case ScatterFill::kZero: break;
+      case ScatterFill::kBinary05: v = rng.bernoulli(0.05) ? 1.0f : 0.0f; break;
+      case ScatterFill::kBinary30: v = rng.bernoulli(0.3) ? 1.0f : 0.0f; break;
+      case ScatterFill::kGraded60:
+        v = rng.bernoulli(0.6) ? static_cast<float>(rng.gaussian()) : 0.0f;
+        break;
+      case ScatterFill::kDenseGraded: v = static_cast<float>(rng.gaussian()); break;
+    }
+  }
+  return x;
+}
+
+class ConvScatterIdentity
+    : public testing::TestWithParam<std::tuple<const util::GemmBackend*, ScatterCase>> {};
+
+/// Every backend's conv_scatter must equal scalar_ref's bit for bit
+/// (ASSERT_EQ on floats) and return the same nonzero count, over strides
+/// {1, 2, 3} (both compile-time specializations and the generic stride),
+/// padding {0, 1}, kernels {1, 3}, densities from all-zero to dense graded,
+/// and Cout values that cross the 8- and 16-lane vector tails. pix starts
+/// from dense values, so the accumulate semantics are checked too.
+TEST_P(ConvScatterIdentity, BitwiseEqualToScalarRef) {
+  const auto& [backend, c] = GetParam();
+  if (!backend->available()) GTEST_SKIP() << backend->name() << " unavailable here";
+  const util::GemmBackend& ref = *util::find_gemm_backend("scalar_ref");
+  const util::ConvGeometry g{5, 9, 8, c.kernel, c.stride, c.padding};
+  ASSERT_TRUE(g.valid());
+  const auto wt = make_matrix(g.patch_size(), c.cout, Fill::kDense, 21);
+  for (const ScatterFill fill :
+       {ScatterFill::kZero, ScatterFill::kBinary05, ScatterFill::kBinary30,
+        ScatterFill::kGraded60, ScatterFill::kDenseGraded}) {
+    const auto x = scatter_input(c.batch * g.in_channels * g.in_h * g.in_w, fill,
+                                 22 + static_cast<std::uint64_t>(fill));
+    const std::size_t nonzeros = static_cast<std::size_t>(
+        std::count_if(x.begin(), x.end(), [](float v) { return v != 0.0f; }));
+    auto out = make_matrix(c.batch * g.out_h() * g.out_w(), c.cout, Fill::kDense, 23);
+    auto expected = out;
+    const std::size_t got_nz =
+        backend->conv_scatter(x.data(), wt.data(), out.data(), c.batch, g, c.cout);
+    const std::size_t ref_nz =
+        ref.conv_scatter(x.data(), wt.data(), expected.data(), c.batch, g, c.cout);
+    ASSERT_EQ(got_nz, nonzeros) << backend->name();
+    ASSERT_EQ(ref_nz, nonzeros);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], expected[i])
+          << backend->name() << " fill " << static_cast<int>(fill) << " elem " << i;
+    }
+  }
+}
+
+std::vector<ScatterCase> scatter_cases() {
+  std::vector<ScatterCase> cases;
+  for (const std::size_t stride : {1, 2, 3}) {
+    for (const std::size_t padding : {0, 1}) {
+      for (const std::size_t kernel : {1, 3}) {
+        for (const std::size_t cout : {1, 8, 17, 33, 72}) {
+          for (const std::size_t batch : {1, 3}) {
+            cases.push_back({stride, padding, kernel, cout, batch});
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Contract, ConvScatterIdentity,
+    testing::Combine(testing::ValuesIn(util::gemm_backends().begin(),
+                                       util::gemm_backends().end()),
+                     testing::ValuesIn(scatter_cases())),
+    [](const auto& param_info) {
+      const util::GemmBackend* backend = std::get<0>(param_info.param);
+      const ScatterCase& c = std::get<1>(param_info.param);
+      return std::string(backend->name()) + "_s" + std::to_string(c.stride) + "p" +
+             std::to_string(c.padding) + "k" + std::to_string(c.kernel) + "_cout" +
+             std::to_string(c.cout) + "_n" + std::to_string(c.batch);
+    });
+
 // -------------------------------------------- conv sparse-train equivalence
 
 /// The training forward picks the A-stationary zero-skip form for sparse
 /// inputs and the dense dot-product form otherwise; the float eval forward
-/// runs the direct scatter at every density. All three must agree bitwise on
-/// the same input, on both sides of the density threshold (up to dense graded
-/// input) — and for every stride specialization of the scatter (1, 2, and the
-/// generic runtime stride), with and without padding.
+/// dispatches the conv_scatter op to the context's backend at every density
+/// (ConvScatterIdentity pins each backend's scatter to scalar_ref's). All
+/// three must agree bitwise on the same input, on both sides of the density
+/// threshold (up to dense graded input) — and for every stride specialization
+/// of the scatter (1, 2, and the generic runtime stride), with and without
+/// padding.
 TEST(ConvSparseTraining, TrainAndEvalForwardsBitwiseEqual) {
   // A forced quantized backend has its own eval form (qgemm on calibrated
   // weights); these float-tier forms then run on the dense float pick.

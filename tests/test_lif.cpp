@@ -5,6 +5,7 @@
 
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -96,22 +97,37 @@ TEST(Lif, RejectsIndivisibleLeadingDim) {
 // --------------------------------------------------- multistep vs stepping
 
 TEST(Lif, StepMatchesMultistep) {
-  util::Rng rng(32);
-  const std::size_t timesteps = 5;
-  Tensor x = Tensor::randn({timesteps * 2, 3}, rng, 0.4f, 0.8f);
+  // A 6-element step, and a [2, 8, 17, 17] one large enough that several
+  // OpenMP threads each own a chunk of the element-wise update; under hard
+  // and soft reset alike the stepped spikes must equal the multistep ones.
+  const std::vector<Shape> step_shapes{{2, 3}, {2, 8, 17, 17}};
+  for (const Shape& step_shape : step_shapes) {
+    for (const bool hard_reset : {true, false}) {
+      util::Rng rng(32);
+      const std::size_t timesteps = 5;
+      const std::size_t batch = step_shape[0];
+      Shape multi_shape = step_shape;
+      multi_shape[0] = timesteps * batch;
+      Tensor x = Tensor::randn(multi_shape, rng, 0.4f, 0.8f);
+      const std::size_t slab = x.numel() / timesteps;
 
-  Lif multi{LifConfig{}};
-  multi.set_time(timesteps, 2);
-  Tensor s_multi = multi.forward(x, false);
+      const LifConfig config{.hard_reset = hard_reset};
+      Lif multi{config};
+      multi.set_time(timesteps, batch);
+      Tensor s_multi = multi.forward(x, false);
 
-  Lif stepper{LifConfig{}};
-  stepper.begin_steps(2);
-  for (std::size_t t = 0; t < timesteps; ++t) {
-    Tensor xt({2, 3});
-    std::copy(x.data() + t * 6, x.data() + (t + 1) * 6, xt.data());
-    Tensor st = stepper.step(xt);
-    for (std::size_t i = 0; i < 6; ++i) {
-      EXPECT_EQ(st[i], s_multi[t * 6 + i]) << "t=" << t << " i=" << i;
+      Lif stepper{config};
+      stepper.begin_steps(batch);
+      for (std::size_t t = 0; t < timesteps; ++t) {
+        Tensor xt(step_shape);
+        std::copy(x.data() + t * slab, x.data() + (t + 1) * slab, xt.data());
+        Tensor st = stepper.step(xt);
+        for (std::size_t i = 0; i < slab; ++i) {
+          ASSERT_EQ(st[i], s_multi[t * slab + i])
+              << "numel " << slab << " hard_reset " << hard_reset << " t=" << t
+              << " i=" << i;
+        }
+      }
     }
   }
 }
