@@ -70,18 +70,20 @@ with file:line diagnostics and a nonzero exit code on any finding:
                       anywhere else under src/ is a new decision loop;
                       defining a should_exit (Foo::should_exit) is fine.
 
-  scatter-kernel-isolation  The conv_scatter kernel header
-                      (src/util/conv_scatter_kernel.h) is compiled once per
-                      bitwise GEMM backend TU at that TU's ISA flags, so it
-                      may be included only by src/util/gemm.cpp,
-                      gemm_avx2.cpp and gemm_avx512.cpp. Its code must sit in
-                      an anonymous namespace: a plain inline or template
-                      kernel is one ODR entity across TUs, and the linker may
-                      keep the -mavx512f copy for every backend, crashing
-                      hosts without AVX-512 (or the scalar copy, silently
-                      losing the ISA). Includes are matched on code lines,
-                      and the header is checked for any namespace-scope code
-                      outside `namespace {`.
+  scatter-kernel-isolation  The dispatched kernel headers
+                      (src/util/conv_scatter_kernel.h for the conv_scatter
+                      op, src/util/spike_epilogue_kernel.h for the
+                      spike_epilogue op) are compiled once per bitwise GEMM
+                      backend TU at that TU's ISA flags, so each may be
+                      included only by src/util/gemm.cpp, gemm_avx2.cpp and
+                      gemm_avx512.cpp. Their code must sit in an anonymous
+                      namespace: a plain inline or template kernel is one ODR
+                      entity across TUs, and the linker may keep the
+                      -mavx512f copy for every backend, crashing hosts
+                      without AVX-512 (or the scalar copy, silently losing
+                      the ISA). Includes are matched on code lines, and each
+                      header is checked for any namespace-scope code outside
+                      `namespace {`.
 
   quant-bitwise-oracle  The quantized GEMM tier (int8_lut / int4_lut) is
                       tolerance-gated, not bitwise (util/gemm.h): comparing
@@ -143,9 +145,11 @@ RULE_DESCRIPTIONS = {
     "exit-rule-sites": "ExitPolicy::should_exit is called only from "
                        "src/core/live_pool.cpp and src/core/engine.cpp "
                        "(one pool loop, one oracle, one recorded replay)",
-    "scatter-kernel-isolation": "util/conv_scatter_kernel.h is included only "
-                                "by the bitwise GEMM backend TUs, and its code "
-                                "sits in an anonymous namespace",
+    "scatter-kernel-isolation": "the dispatched kernel headers "
+                                "(util/conv_scatter_kernel.h, "
+                                "util/spike_epilogue_kernel.h) are included "
+                                "only by the bitwise GEMM backend TUs, and "
+                                "their code sits in an anonymous namespace",
     "quant-bitwise-oracle": "quantized-tier tests must not EXPECT_EQ floats "
                             "against the scalar_ref oracle (tolerance gate "
                             "via core::compare_decisions / EXPECT_NEAR)",
@@ -249,19 +253,24 @@ EXIT_RULE_SITES = Pattern(
 EXIT_RULE_SITES_DIR = "src"
 EXIT_RULE_SITES_ALLOWED = {Path("src/core/live_pool.cpp"), Path("src/core/engine.cpp")}
 
-SCATTER_KERNEL_HEADER = Path("src/util/conv_scatter_kernel.h")
-SCATTER_KERNEL_INCLUDERS = {Path("src/util/gemm.cpp"), Path("src/util/gemm_avx2.cpp"),
-                            Path("src/util/gemm_avx512.cpp")}
+# Each dispatched kernel header and the GemmContext op that reaches it.
+KERNEL_HEADERS = {
+    Path("src/util/conv_scatter_kernel.h"): "conv_scatter",
+    Path("src/util/spike_epilogue_kernel.h"): "spike_epilogue",
+}
+KERNEL_INCLUDERS = {Path("src/util/gemm.cpp"), Path("src/util/gemm_avx2.cpp"),
+                    Path("src/util/gemm_avx512.cpp")}
 # Matched against the raw line; the scrubbed line must also be an #include,
 # so a commented-out include stays silent.
-SCATTER_KERNEL_INCLUDE_RE = re.compile(r'#\s*include\s*"util/conv_scatter_kernel\.h"')
+KERNEL_INCLUDE_RE = re.compile(
+    r'#\s*include\s*"util/(conv_scatter_kernel|spike_epilogue_kernel)\.h"')
 SCRUBBED_INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
-SCATTER_KERNEL_INCLUDE_MESSAGE = (
-    "conv_scatter kernel header included outside the bitwise GEMM backend TUs "
+KERNEL_INCLUDE_MESSAGE = (
+    "{op} kernel header included outside the bitwise GEMM backend TUs "
     "(gemm.cpp, gemm_avx2.cpp, gemm_avx512.cpp): dispatch through "
-    "GemmContext::conv_scatter so the scatter runs at the selected backend's ISA")
-SCATTER_KERNEL_SCOPE_MESSAGE = (
-    "code outside an anonymous namespace in the conv_scatter kernel header: "
+    "GemmContext::{op} so the kernel runs at the selected backend's ISA")
+KERNEL_SCOPE_MESSAGE = (
+    "code outside an anonymous namespace in the {op} kernel header: "
     "each backend TU must keep its own copy, compiled at its own -m flags; an "
     "externally linked kernel is merged across TUs by the linker")
 NAMESPACE_OPEN_RE = re.compile(r"^namespace(\s+[\w:]+)?\s*\{")
@@ -375,8 +384,8 @@ def waived(rule: str, raw_lines: list[str], index: int) -> bool:
     return False
 
 
-def scatter_kernel_scope(rel: Path, scrubbed: list[str]) -> list[Finding]:
-    """The first namespace-scope code line of the kernel header that sits
+def kernel_header_scope(rel: Path, scrubbed: list[str]) -> list[Finding]:
+    """The first namespace-scope code line of a kernel header that sits
     outside every anonymous namespace, if any (one finding per file)."""
     stack: list[str] = []  # "anon" | "named" | "other" per open brace
     for idx, code in enumerate(scrubbed):
@@ -391,7 +400,7 @@ def scatter_kernel_scope(rel: Path, scrubbed: list[str]) -> list[Finding]:
         elif ("anon" not in stack and "other" not in stack
               and not stripped.startswith("}")):
             return [Finding(rel, idx + 1, "scatter-kernel-isolation",
-                            SCATTER_KERNEL_SCOPE_MESSAGE)]
+                            KERNEL_SCOPE_MESSAGE.format(op=KERNEL_HEADERS[rel]))]
         for ch in rest:
             if ch == "{":
                 stack.append("other")
@@ -435,15 +444,17 @@ def scan_file(path: Path, rel: Path) -> list[Finding]:
                 if pattern.regex.search(code) and not waived(rule, raw_lines, idx):
                     findings.append(Finding(rel, idx + 1, rule, pattern.message))
 
-    if rel not in SCATTER_KERNEL_INCLUDERS:
+    if rel not in KERNEL_INCLUDERS:
         for idx, code in enumerate(scrubbed):
-            if (SCRUBBED_INCLUDE_RE.match(code)
-                    and SCATTER_KERNEL_INCLUDE_RE.search(raw_lines[idx])
+            included = KERNEL_INCLUDE_RE.search(raw_lines[idx])
+            if (SCRUBBED_INCLUDE_RE.match(code) and included
                     and not waived("scatter-kernel-isolation", raw_lines, idx)):
-                findings.append(Finding(rel, idx + 1, "scatter-kernel-isolation",
-                                        SCATTER_KERNEL_INCLUDE_MESSAGE))
-    if rel == SCATTER_KERNEL_HEADER:
-        findings.extend(scatter_kernel_scope(rel, scrubbed))
+                header = Path("src/util") / f"{included.group(1)}.h"
+                findings.append(Finding(
+                    rel, idx + 1, "scatter-kernel-isolation",
+                    KERNEL_INCLUDE_MESSAGE.format(op=KERNEL_HEADERS[header])))
+    if rel in KERNEL_HEADERS:
+        findings.extend(kernel_header_scope(rel, scrubbed))
 
     # bench-report is a whole-file property, so its waiver may sit anywhere
     # in the file (conventionally next to the includes). bench_common.cpp

@@ -7,9 +7,9 @@ Runs the linter over the fixture trees in scripts/testdata/lint/ and asserts:
   * the `clean/` tree — allowlisted sync.h, banned tokens inside comments
     and string literals, a waived integer simd reduction, a BenchReport'd
     bench, steady_clock in the serving layer, exit-policy calls in the
-    allowlisted Eq. 8 sites, a should_exit definition, the scatter kernel
-    header in an anonymous namespace included by a backend TU, and prose
-    naming that header — produces zero diagnostics;
+    allowlisted Eq. 8 sites, a should_exit definition, the scatter and
+    epilogue kernel headers in anonymous namespaces included by a backend TU,
+    and prose naming those headers — produces zero diagnostics;
   * two runs emit byte-identical output (the linter is deterministic);
   * exit codes are 1 (findings), 0 (clean), 0 (--list-rules).
 
@@ -63,9 +63,11 @@ EXPECTED_BAD = [
     # Eq. 8 runs in LivePool, the batch-1 oracle and replay_exits only.
     ("src/core/third_replay.cpp", 9, "exit-rule-sites"),     # policy.should_exit(
     ("src/core/third_replay.cpp", 13, "exit-rule-sites"),    # policy->should_exit(
-    # The conv_scatter kernel header: backend TUs only, anonymous namespace.
+    # The dispatched kernel headers: backend TUs only, anonymous namespace.
     ("src/snn/scatter_leak.cpp", 5, "scatter-kernel-isolation"),        # #include
     ("src/util/conv_scatter_kernel.h", 6, "scatter-kernel-isolation"),  # inline kernel
+    ("src/snn/epilogue_leak.cpp", 5, "scatter-kernel-isolation"),       # #include
+    ("src/util/spike_epilogue_kernel.h", 9, "scatter-kernel-isolation"),  # template
     ("bench/silent_bench.cpp", 1, "bench-report"),
     ("tests/test_quant_gate.cpp", 8, "quant-bitwise-oracle"),
 ]

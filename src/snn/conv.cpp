@@ -104,39 +104,19 @@ const float* Conv2d::ensure_weight_transpose() {
   return wt_scratch_.data();
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
+void Conv2d::set_geometry(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_channels_) {
     throw std::invalid_argument("Conv2d: bad input shape " + shape_to_string(x.shape()));
   }
   geom_ = require_valid(
       ConvGeometry{in_channels_, x.dim(2), x.dim(3), kernel_, stride_, padding_}, "Conv2d");
-  const std::size_t n = x.dim(0);
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
+}
 
-  // pix[N*OHW, Cout] = col[N*OHW, CKK] * W^T[CKK, Cout]
-  Tensor pix({n * oh * ow, out_channels_});
-  const std::size_t patch = geom_.patch_size();
+void Conv2d::eval_pixels(const Tensor& x, float* pix) {
+  const std::size_t n = x.dim(0);
+  const std::size_t rows = n * geom_.out_h() * geom_.out_w();
   util::GemmContext& gemm = gemm_context();
-  Tensor col;
-  if (train) {
-    // Training path: the im2col matrix is needed for backward either way.
-    // Hidden-layer inputs are LIF spikes, so for sparse inputs the product
-    // runs in the A-stationary form (zero-skip NN GEMM against W^T) instead
-    // of the dense dot-product form — for the same accumulation order and
-    // finite weights the two are bitwise identical (both sum each output's
-    // contributions in ascending patch order from a zero start), so this is
-    // purely a speed decision.
-    im2col(x, geom_, col);
-    if (x.density() < kSparseDensityThreshold) {
-      gemm.gemm(col.data(), ensure_weight_transpose(), pix.data(), n * oh * ow, patch,
-                out_channels_);
-    } else {
-      gemm.gemm_bt(col.data(), weight_.value.data(), pix.data(), n * oh * ow, patch,
-                   out_channels_);
-    }
-  } else if (const util::QuantizedGemmBackend* qb =
-                 util::as_quantized_backend(&gemm.backend())) {
+  if (const util::QuantizedGemmBackend* qb = util::as_quantized_backend(&gemm.backend())) {
     // Quantized inference tier: im2col + qgemm. The quantized kernel already
     // streams only the spike-selected quantized weight rows, so the direct
     // scatter path is not used; results are deterministic and
@@ -148,8 +128,9 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // once per quantized weight matrix (derived data, same single-threaded
     // dispatch discipline as the cached W^T below).
     qweight_.ensure_lut();
+    Tensor col;
     im2col(x, geom_, col);
-    gemm.qgemm(col.data(), qweight_, pix.data(), n * oh * ow, patch, out_channels_);
+    gemm.qgemm(col.data(), qweight_, pix, rows, geom_.patch_size(), out_channels_);
   } else {
     // Float inference path: one op at every input density, dispatched to
     // the selected backend's ISA. The direct scatter skips zero inputs and
@@ -159,16 +140,61 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // across the steps of one sequence (set_time and begin_steps mark it
     // dirty, and weights only change between them). The context records it
     // as that NN product, from the kernel's own nonzero count.
-    gemm.conv_scatter(x.data(), ensure_weight_transpose(), pix.data(), n, geom_,
-                      out_channels_);
+    gemm.conv_scatter(x.data(), ensure_weight_transpose(), pix, n, geom_, out_channels_);
   }
-  if (has_bias_) {
-    const float* b = bias_.value.data();
+  add_bias(pix, rows);
+}
+
+void Conv2d::add_bias(float* pix, std::size_t rows) const {
+  if (!has_bias_) return;
+  const float* b = bias_.value.data();
 #pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < n * oh * ow; ++r) {
-      float* row = pix.data() + r * out_channels_;
-      for (std::size_t c = 0; c < out_channels_; ++c) row[c] += b[c];
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = pix + r * out_channels_;
+    for (std::size_t c = 0; c < out_channels_; ++c) row[c] += b[c];
+  }
+}
+
+float* Conv2d::step_pixels(const Tensor& x) {
+  set_geometry(x);
+  const std::size_t numel = x.dim(0) * geom_.out_h() * geom_.out_w() * out_channels_;
+  // Grows with zeros and never shrinks: a smaller batch uses a prefix, and
+  // every element the epilogue read is zero again.
+  if (step_pix_.size() < numel) step_pix_.resize(numel, 0.0f);
+  eval_pixels(x, step_pix_.data());
+  return step_pix_.data();
+}
+
+Tensor Conv2d::forward(const Tensor& x, bool train) {
+  set_geometry(x);
+  const std::size_t n = x.dim(0);
+  const std::size_t oh = geom_.out_h();
+  const std::size_t ow = geom_.out_w();
+
+  // pix[N*OHW, Cout] = col[N*OHW, CKK] * W^T[CKK, Cout]
+  Tensor pix({n * oh * ow, out_channels_});
+  Tensor col;
+  if (train) {
+    // Training path: the im2col matrix is needed for backward either way.
+    // Hidden-layer inputs are LIF spikes, so for sparse inputs the product
+    // runs in the A-stationary form (zero-skip NN GEMM against W^T) instead
+    // of the dense dot-product form — for the same accumulation order and
+    // finite weights the two are bitwise identical (both sum each output's
+    // contributions in ascending patch order from a zero start), so this is
+    // purely a speed decision.
+    const std::size_t patch = geom_.patch_size();
+    util::GemmContext& gemm = gemm_context();
+    im2col(x, geom_, col);
+    if (x.density() < kSparseDensityThreshold) {
+      gemm.gemm(col.data(), ensure_weight_transpose(), pix.data(), n * oh * ow, patch,
+                out_channels_);
+    } else {
+      gemm.gemm_bt(col.data(), weight_.value.data(), pix.data(), n * oh * ow, patch,
+                   out_channels_);
     }
+    add_bias(pix.data(), n * oh * ow);
+  } else {
+    eval_pixels(x, pix.data());
   }
 
   Tensor out;

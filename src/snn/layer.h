@@ -10,7 +10,9 @@
 // Each layer also supports a *stateful single-step* path (`begin_steps` /
 // `step`) used by the sequential DT-SNN engine for true early termination:
 // `step` processes a batch of one timestep, with temporal layers keeping
-// their membrane state across calls.
+// their membrane state across calls. Sequential::step runs each Conv2d ->
+// BatchNorm2d -> Lif run fused (snn/network.h), bitwise equal to calling
+// the three leaves' step() in turn.
 
 #pragma once
 

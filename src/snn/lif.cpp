@@ -1,5 +1,6 @@
 #include "snn/lif.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -106,33 +107,48 @@ void Lif::compact_state(std::span<const std::size_t> keep) {
   if (stepping_ && !membrane_.empty()) {
     const std::size_t rows = membrane_.dim(0);
     const std::size_t row_numel = membrane_.row_size();
-    Shape shape = membrane_.shape();
-    shape[0] = keep.size();
-    Tensor next(shape);  // zero-initialized: kFreshRow rows stay fresh
-    for (std::size_t j = 0; j < keep.size(); ++j) {
-      if (keep[j] == kFreshRow) continue;
-      if (keep[j] >= rows) {
+    for (const std::size_t k : keep) {
+      if (k != kFreshRow && k >= rows) {
         throw std::out_of_range("Lif::compact_state: keep index out of range");
       }
-      std::copy(membrane_.data() + keep[j] * row_numel,
-                membrane_.data() + (keep[j] + 1) * row_numel,
-                next.data() + j * row_numel);
     }
-    membrane_ = std::move(next);
+    // Gather into the spare membrane and swap it in, so a pool that keeps
+    // its batch size reuses both buffers instead of allocating one per
+    // compaction. Only kFreshRow rows need zeroing; every other row is
+    // overwritten.
+    Shape shape = membrane_.shape();
+    shape[0] = keep.size();
+    if (spare_.shape() != shape) spare_ = Tensor(shape);
+    const float* src = membrane_.data();
+    float* dst = spare_.data();
+#pragma omp parallel for schedule(static)
+    for (std::size_t j = 0; j < keep.size(); ++j) {
+      float* out = dst + j * row_numel;
+      if (keep[j] == kFreshRow) {
+        std::fill(out, out + row_numel, 0.0f);
+      } else {
+        std::copy(src + keep[j] * row_numel, src + (keep[j] + 1) * row_numel, out);
+      }
+    }
+    std::swap(membrane_, spare_);
   }
   Layer::compact_state(keep);
 }
 
-Tensor Lif::step(const Tensor& x) {
-  if (!stepping_) begin_steps(x.dim(0));
-  if (membrane_.empty()) membrane_ = Tensor(x.shape());
-  if (membrane_.shape() != x.shape()) {
+float* Lif::step_membrane(const Shape& shape) {
+  if (!stepping_) begin_steps(shape.at(0));
+  if (membrane_.empty()) membrane_ = Tensor(shape);
+  if (membrane_.shape() != shape) {
     throw std::invalid_argument("Lif::step: input shape changed mid-sequence");
   }
+  return membrane_.data();
+}
+
+Tensor Lif::step(const Tensor& x) {
+  float* u = step_membrane(x.shape());
   Tensor spikes(x.shape());
   const float vth = config_.vth;
   const float tau = config_.tau;
-  float* u = membrane_.data();
   const float* in = x.data();
   float* out = spikes.data();
   const std::size_t n = x.numel();

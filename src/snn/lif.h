@@ -45,6 +45,17 @@ class Lif final : public Layer {
   }
 
   [[nodiscard]] const LifConfig& config() const { return config_; }
+
+  /// The single-step membrane for a step input of `shape`: zero at the
+  /// first step after begin_steps (which it calls if no sequence is open),
+  /// then the post-reset membrane of the previous step. Throws
+  /// std::invalid_argument if the shape changed mid-sequence. step() and the
+  /// fused spiking epilogue (snn/network.h), which updates it in place, both
+  /// take it from here.
+  float* step_membrane(const Shape& shape);
+  /// The single-step membrane [B, ...] after the latest step or compaction
+  /// (empty before the first step of a sequence).
+  [[nodiscard]] const Tensor& membrane() const { return membrane_; }
   /// Mean firing rate of the most recent multi-step forward (spikes per
   /// neuron per timestep); feeds the IMC activity model.
   [[nodiscard]] double last_spike_rate() const { return last_spike_rate_; }
@@ -59,6 +70,7 @@ class Lif final : public Layer {
 
   // Single-step persistent state.
   Tensor membrane_;  // [B, ...] post-reset membrane
+  Tensor spare_;     // compact_state's gather target, swapped with membrane_
   bool stepping_ = false;
 
   double last_spike_rate_ = 0.0;

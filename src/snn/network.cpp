@@ -2,7 +2,50 @@
 
 #include <stdexcept>
 
+#include "snn/conv.h"
+#include "snn/norm.h"
+
 namespace dtsnn::snn {
+
+namespace {
+
+/// One eval step of a Conv2d -> BatchNorm2d -> Lif run: the conv's pixels
+/// part into its step scratch, then the GEMM registry's spike_epilogue, one
+/// pass that applies the BN affine and the LIF update and writes NCHW
+/// spikes. Bitwise equal to stepping the three leaves one at a time.
+/// Everything that can throw is checked before the conv writes its scratch,
+/// which only the epilogue drains back to zero.
+Tensor fused_spiking_step(Conv2d& conv, BatchNorm2d& bn, Lif& lif, const Tensor& x) {
+  if (x.rank() != 4) {
+    throw std::invalid_argument("Conv2d: bad input shape " + shape_to_string(x.shape()));
+  }
+  Shape shape = conv.infer_shape({x.dim(1), x.dim(2), x.dim(3)});
+  shape.insert(shape.begin(), x.dim(0));
+  if (bn.channels() != shape[1]) {
+    throw std::invalid_argument("BatchNorm2d: bad input shape " + shape_to_string(shape));
+  }
+  float* membrane = lif.step_membrane(shape);
+  float* pix = conv.step_pixels(x);
+  Tensor spikes(shape);
+  const LifConfig& lc = lif.config();
+  conv.gemm_context().spike_epilogue(pix, membrane, spikes.data(), shape[0],
+                                     shape[2] * shape[3], shape[1],
+                                     {bn.eval_constants(), lc.tau, lc.vth, lc.hard_reset});
+  return spikes;
+}
+
+/// m += s for a residual sum, rejecting mismatched branch shapes (Tensor::add_
+/// only asserts, so a Release build would read out of bounds).
+void add_residual(Tensor& m, const Tensor& s) {
+  if (m.shape() != s.shape()) {
+    throw std::invalid_argument("ResidualBlock: main/shortcut shape mismatch " +
+                                shape_to_string(m.shape()) + " vs " +
+                                shape_to_string(s.shape()));
+  }
+  m.add_(s);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- Sequential
 
@@ -29,8 +72,23 @@ void Sequential::begin_steps(std::size_t batch) {
 }
 
 Tensor Sequential::step(const Tensor& x) {
-  Tensor a = x;
-  for (auto& l : layers_) a = l->step(a);
+  if (layers_.empty()) return x;
+  Tensor a;
+  const Tensor* in = &x;
+  for (std::size_t i = 0; i < layers_.size(); in = &a) {
+    if (i + 2 < layers_.size()) {
+      auto* conv = dynamic_cast<Conv2d*>(layers_[i].get());
+      auto* bn = dynamic_cast<BatchNorm2d*>(layers_[i + 1].get());
+      auto* lif = dynamic_cast<Lif*>(layers_[i + 2].get());
+      if (conv != nullptr && bn != nullptr && lif != nullptr) {
+        a = fused_spiking_step(*conv, *bn, *lif, *in);
+        i += 3;
+        continue;
+      }
+    }
+    a = layers_[i]->step(*in);
+    ++i;
+  }
   return a;
 }
 
@@ -79,13 +137,11 @@ void ResidualBlock::set_time(std::size_t timesteps, std::size_t batch) {
 
 Tensor ResidualBlock::forward(const Tensor& x, bool train) {
   Tensor m = main_.forward(x, train);
-  Tensor s = has_projection() ? shortcut_.forward(x, train) : x;
-  if (m.shape() != s.shape()) {
-    throw std::invalid_argument("ResidualBlock: main/shortcut shape mismatch " +
-                                shape_to_string(m.shape()) + " vs " +
-                                shape_to_string(s.shape()));
+  if (has_projection()) {
+    add_residual(m, shortcut_.forward(x, train));
+  } else {
+    add_residual(m, x);
   }
-  m.add_(s);
   return out_lif_.forward(m, train);
 }
 
@@ -110,8 +166,11 @@ void ResidualBlock::begin_steps(std::size_t batch) {
 
 Tensor ResidualBlock::step(const Tensor& x) {
   Tensor m = main_.step(x);
-  Tensor s = has_projection() ? shortcut_.step(x) : x;
-  m.add_(s);
+  if (has_projection()) {
+    add_residual(m, shortcut_.step(x));
+  } else {
+    add_residual(m, x);
+  }
   return out_lif_.step(m);
 }
 

@@ -17,6 +17,15 @@
 namespace dtsnn::snn {
 
 /// Ordered composition of layers; also usable as a sub-module.
+///
+/// step() is the one place eval stepping composes leaves (ResidualBlock main
+/// paths and shortcuts step through it too). It runs each Conv2d ->
+/// BatchNorm2d -> Lif run as one fused step: the conv's pixels part
+/// (Conv2d::step_pixels) and then the GEMM registry's spike_epilogue op,
+/// which applies the BN affine and the LIF update in one pass and writes
+/// NCHW spikes. The float ops are the unfused layers' own, in their order,
+/// so logits are bitwise those of stepping each leaf alone, and the GEMM
+/// accounting is the same (the epilogue records nothing).
 class Sequential : public Layer {
  public:
   Sequential() = default;

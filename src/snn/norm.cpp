@@ -6,6 +6,14 @@
 
 namespace dtsnn::snn {
 
+namespace {
+
+/// The one 1 / sqrt(var + eps): of the batch statistics in a training
+/// forward, of the running statistics in eval_constants.
+float inverse_std(float var, float eps) { return 1.0f / std::sqrt(var + eps); }
+
+}  // namespace
+
 BatchNorm2d::BatchNorm2d(std::size_t channels, float vth_scale, float momentum, float eps)
     : channels_(channels),
       momentum_(momentum),
@@ -17,6 +25,15 @@ BatchNorm2d::BatchNorm2d(std::size_t channels, float vth_scale, float momentum, 
   beta_.no_decay = true;
 }
 
+util::BatchNormEval BatchNorm2d::eval_constants() {
+  eval_inv_std_.resize(channels_);
+  for (std::size_t ch = 0; ch < channels_; ++ch) {
+    eval_inv_std_[ch] = inverse_std(running_var_[ch], eps_);
+  }
+  return {running_mean_.data(), eval_inv_std_.data(), gamma_.value.data(),
+          beta_.value.data()};
+}
+
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   if (x.rank() != 4 || x.dim(1) != channels_) {
     throw std::invalid_argument("BatchNorm2d: bad input shape " + shape_to_string(x.shape()));
@@ -25,8 +42,11 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const double count = static_cast<double>(n * hw);
   Tensor out(x.shape());
 
-  std::vector<float> mean(c, 0.0f), var(c, 0.0f);
+  util::BatchNormEval k;
+  std::vector<float> mean, inv_std;  // training: this batch's statistics
   if (train) {
+    mean.assign(c, 0.0f);
+    std::vector<float> var(c, 0.0f);
 #pragma omp parallel for schedule(static)
     for (std::size_t ch = 0; ch < c; ++ch) {
       double sum = 0.0, sq = 0.0;
@@ -41,20 +61,15 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       mean[ch] = static_cast<float>(m);
       var[ch] = static_cast<float>(std::max(0.0, sq / count - m * m));
     }
+    inv_std.resize(c);
     for (std::size_t ch = 0; ch < c; ++ch) {
       running_mean_[ch] = (1.0f - momentum_) * running_mean_[ch] + momentum_ * mean[ch];
       running_var_[ch] = (1.0f - momentum_) * running_var_[ch] + momentum_ * var[ch];
+      inv_std[ch] = inverse_std(var[ch], eps_);
     }
+    k = {mean.data(), inv_std.data(), gamma_.value.data(), beta_.value.data()};
   } else {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      mean[ch] = running_mean_[ch];
-      var[ch] = running_var_[ch];
-    }
-  }
-
-  std::vector<float> inv_std(c);
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps_);
+    k = eval_constants();
   }
 
   Tensor xhat;
@@ -65,8 +80,8 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
       const float* src = x.data() + (img * c + ch) * hw;
       float* dst = out.data() + (img * c + ch) * hw;
       float* xh = train ? xhat.data() + (img * c + ch) * hw : nullptr;
-      const float m = mean[ch], is = inv_std[ch];
-      const float g = gamma_.value[ch], b = beta_.value[ch];
+      const float m = k.mean[ch], is = k.inv_std[ch];
+      const float g = k.gamma[ch], b = k.beta[ch];
       for (std::size_t p = 0; p < hw; ++p) {
         const float h = (src[p] - m) * is;
         if (xh) xh[p] = h;

@@ -33,6 +33,15 @@ class BatchNorm2d final : public Layer {
   Tensor& running_mean() { return running_mean_; }
   Tensor& running_var() { return running_var_; }
 
+  /// The per-channel constants of the eval forward: the running mean,
+  /// 1 / sqrt(running_var + eps), gamma and beta. The eval forward and the
+  /// fused spiking epilogue (snn/network.h) both read them here, so the
+  /// eval affine is computed in one place. The statistics and parameters
+  /// are mutable through the accessors above, so inv_std is recomputed on
+  /// every call, into a buffer the layer keeps; the pointers stay valid
+  /// until the next call or a change of those tensors.
+  util::BatchNormEval eval_constants();
+
  private:
   std::size_t channels_;
   float momentum_;
@@ -46,6 +55,8 @@ class BatchNorm2d final : public Layer {
   Tensor xhat_cache_;        // normalized input
   std::vector<float> inv_std_cache_;
   bool have_cache_ = false;
+
+  std::vector<float> eval_inv_std_;  // eval_constants() inv_std, [channels]
 };
 
 }  // namespace dtsnn::snn

@@ -12,6 +12,7 @@
 #include "util/gemm_internal.h"
 #include "util/logging.h"
 #include "util/quant.h"
+#include "util/spike_epilogue_kernel.h"
 
 namespace dtsnn::util {
 
@@ -50,6 +51,12 @@ std::size_t GemmBackend::conv_scatter(const float* x, const float* wt, float* pi
                                       std::size_t batch, const ConvGeometry& g,
                                       std::size_t cout) const {
   return batch == 0 ? 0 : do_conv_scatter(x, wt, pix, batch, g, cout);
+}
+
+void GemmBackend::spike_epilogue(float* pix, float* membrane, float* spikes,
+                                 std::size_t batch, std::size_t pixels, std::size_t cout,
+                                 const SpikeEpilogue& e) const {
+  if (batch != 0) do_spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e);
 }
 
 void QuantizedGemmBackend::qgemm(const float* a, const QuantizedMatrix& q, float* c,
@@ -236,6 +243,11 @@ class ScalarRefBackend final : public GemmBackend {
                               std::size_t cout) const override {
     return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/false);
   }
+  void do_spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
+                         std::size_t pixels, std::size_t cout,
+                         const SpikeEpilogue& e) const override {
+    spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, /*parallel=*/false);
+  }
 };
 
 class BlockedOmpBackend final : public GemmBackend {
@@ -259,6 +271,11 @@ class BlockedOmpBackend final : public GemmBackend {
                               std::size_t batch, const ConvGeometry& g,
                               std::size_t cout) const override {
     return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/true);
+  }
+  void do_spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
+                         std::size_t pixels, std::size_t cout,
+                         const SpikeEpilogue& e) const override {
+    spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, /*parallel=*/true);
   }
 };
 

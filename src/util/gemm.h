@@ -13,6 +13,16 @@
 //                 NN product of the im2col matrix and W^T, run without
 //                 materializing im2col, and is accounted as that product.
 //
+// plus one element-wise op that is not a product:
+//
+//   spike_epilogue  the eval BatchNorm2d affine and LIF update of a
+//                 Conv2d -> BatchNorm2d -> Lif run, applied in one pass over
+//                 the conv's pixel-major output: it writes NCHW spikes,
+//                 updates the NCHW membrane in place, and leaves the pixels
+//                 zeroed for the next scatter. It does no multiply-
+//                 accumulates of the network's weights, so GemmContext
+//                 records nothing for it: GemmStats counts products only.
+//
 // The backends:
 //
 //   scalar_ref    plain loops; the oracle that *defines* the bitwise
@@ -42,9 +52,10 @@
 //                 with calibrated scales (see snn/quantize.h).
 //
 // Every bitwise backend runs the one conv_scatter kernel
-// (util/conv_scatter_kernel.h), compiled once per backend TU at that TU's
-// ISA flags: scalar_ref serially, blocked_omp, avx2 and avx512 parallel over
-// images.
+// (util/conv_scatter_kernel.h) and the one spike_epilogue kernel
+// (util/spike_epilogue_kernel.h), each compiled once per backend TU at that
+// TU's ISA flags: scalar_ref serially, blocked_omp, avx2 and avx512 parallel
+// over images. The quantized backends delegate both to blocked_omp.
 //
 // The registry picks only the ISA and the precision. Whether a product runs
 // in the sparse or the dense op form is decided once, by the layers, from the
@@ -57,10 +68,11 @@
 //   exact-zero A values skipped (NN / A^T / conv_scatter, whose k order is
 //   the ascending (c, ky, kx) patch order), and the B^T op sums each dot
 //   product sequentially into a local accumulator before a single add into
-//   C. These backends follow the contract exactly, so DT-SNN logits — and
-//   therefore early-exit decisions — are bitwise identical no matter which
-//   backend runs, and the per-backend identity suite enforces it against
-//   scalar_ref.
+//   C. spike_epilogue applies, per element, the float operations of the
+//   unfused BatchNorm2d and Lif eval steps in their order. These backends
+//   follow the contract exactly, so DT-SNN logits — and therefore early-exit
+//   decisions — are bitwise identical no matter which backend runs, and the
+//   per-backend identity suite enforces it against scalar_ref.
 //
 //   kToleranceGated (int8_lut, int4_lut): quantized weights cannot reproduce
 //   float logits bitwise. These backends instead honor a tolerance gate
@@ -68,8 +80,9 @@
 //   decision flip rate and accuracy delta are measured
 //   (core::calibrate_quantized / core::compare_decisions) and must stay
 //   within configured bounds. Their plain float ops (gemm / gemm_at /
-//   gemm_bt / conv_scatter, used by training and non-weight GEMMs) delegate
-//   to the blocked kernels and so remain bitwise-tier.
+//   gemm_bt / conv_scatter / spike_epilogue, used by training, non-weight
+//   GEMMs and the eval epilogue) delegate to the blocked kernels and so
+//   remain bitwise-tier.
 //
 // Selection: the DTSNN_GEMM_BACKEND environment variable forces a backend by
 // name (unknown or unavailable names throw, listing the registry with
@@ -113,6 +126,25 @@ struct ConvGeometry {
     return in_channels > 0 && kernel > 0 && stride > 0 && in_h + 2 * padding >= kernel &&
            in_w + 2 * padding >= kernel;
   }
+};
+
+/// Per-channel constants of a BatchNorm2d eval forward,
+/// y = gamma * ((x - mean) * inv_std) + beta; each points at [channels]
+/// floats (snn::BatchNorm2d::eval_constants).
+struct BatchNormEval {
+  const float* mean = nullptr;
+  const float* inv_std = nullptr;
+  const float* gamma = nullptr;
+  const float* beta = nullptr;
+};
+
+/// The scalar operands of the spike_epilogue op: the BatchNorm2d eval
+/// constants and the LIF neuron parameters (snn::LifConfig).
+struct SpikeEpilogue {
+  BatchNormEval bn;
+  float tau = 0.5f;
+  float vth = 1.0f;
+  bool hard_reset = true;
 };
 
 // ------------------------------------------------------------------ backend
@@ -166,6 +198,17 @@ class GemmBackend {
                            std::size_t batch, const ConvGeometry& g,
                            std::size_t cout) const;
 
+  /// The fused eval spiking epilogue over pix [batch*pixels, cout] (one row
+  /// per output pixel, as conv_scatter writes it). For every element, with
+  /// c its channel and (c, p) its NCHW position in image `img`:
+  ///   h = (v - mean[c]) * inv_std[c];  y = gamma[c] * h + beta[c];
+  ///   pre = tau * u + y;  s = pre > vth;  u = hard ? pre * (1 - s) : pre - vth * s
+  /// where u is membrane[img, c, p] (updated in place) and s is written to
+  /// spikes[img, c, p] as 0 or 1. Each pix element is set to 0 after it is
+  /// read, so pix leaves all zero. batch == 0 never enters the kernel.
+  void spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
+                      std::size_t pixels, std::size_t cout, const SpikeEpilogue& e) const;
+
  protected:
   /// Kernels always accumulate into C (the public wrappers zero C first when
   /// not accumulating) and are only entered with m, k, n all nonzero.
@@ -179,6 +222,10 @@ class GemmBackend {
   virtual std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
                                       std::size_t batch, const ConvGeometry& g,
                                       std::size_t cout) const = 0;
+  /// Entered only with batch nonzero.
+  virtual void do_spike_epilogue(float* pix, float* membrane, float* spikes,
+                                 std::size_t batch, std::size_t pixels, std::size_t cout,
+                                 const SpikeEpilogue& e) const = 0;
 };
 
 // ------------------------------------------------------------ quantized tier
@@ -329,6 +376,13 @@ class GemmContext {
   /// kernel returns (no separate pass over x).
   void conv_scatter(const float* x, const float* wt, float* pix, std::size_t batch,
                     const ConvGeometry& g, std::size_t cout);
+
+  /// The fused eval spiking epilogue (GemmBackend::spike_epilogue) at the
+  /// selected backend's ISA. Not a product, so it records nothing.
+  void spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
+                      std::size_t pixels, std::size_t cout, const SpikeEpilogue& e) const {
+    backend_->spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e);
+  }
 
   [[nodiscard]] GemmStats stats() const DTSNN_EXCLUDES(mutex_);
   void reset_stats() DTSNN_EXCLUDES(mutex_);

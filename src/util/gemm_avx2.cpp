@@ -19,6 +19,7 @@
 
 #include "util/conv_scatter_kernel.h"
 #include "util/gemm.h"
+#include "util/spike_epilogue_kernel.h"
 
 namespace dtsnn::util {
 namespace {
@@ -101,6 +102,13 @@ class Avx2Backend final : public GemmBackend {
                               std::size_t batch, const ConvGeometry& g,
                               std::size_t cout) const override {
     return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/true);
+  }
+
+  // The shared epilogue kernel, likewise compiled at this TU's ISA flags.
+  void do_spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
+                         std::size_t pixels, std::size_t cout,
+                         const SpikeEpilogue& e) const override {
+    spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, /*parallel=*/true);
   }
 };
 

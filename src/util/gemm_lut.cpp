@@ -197,9 +197,9 @@ class QuantLutBackend final : public QuantizedGemmBackend {
     }
   }
 
-  // Float ops (training, non-weight GEMMs, the float scatter) have nothing
-  // to quantize; delegate to the blocked kernels, which keep the bitwise
-  // contract.
+  // Float ops (training, non-weight GEMMs, the float scatter, the spike
+  // epilogue) have nothing to quantize; delegate to the blocked kernels,
+  // which keep the bitwise contract.
   void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n) const override {
     blocked_backend().gemm(a, b, c, m, k, n, /*accumulate=*/true);
@@ -216,6 +216,11 @@ class QuantLutBackend final : public QuantizedGemmBackend {
                               std::size_t batch, const ConvGeometry& g,
                               std::size_t cout) const override {
     return blocked_backend().conv_scatter(x, wt, pix, batch, g, cout);
+  }
+  void do_spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
+                         std::size_t pixels, std::size_t cout,
+                         const SpikeEpilogue& e) const override {
+    blocked_backend().spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e);
   }
 };
 

@@ -489,6 +489,130 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.cout) + "_n" + std::to_string(c.batch);
     });
 
+// ------------------------------------------ spike epilogue identity suite
+
+struct EpilogueCase {
+  std::size_t cout, pixels, batch;
+};
+
+class SpikeEpilogueIdentity
+    : public testing::TestWithParam<std::tuple<const util::GemmBackend*, EpilogueCase>> {};
+
+/// Every backend's spike_epilogue must equal scalar_ref's bit for bit
+/// (ASSERT_EQ on spikes and membranes) and leave pix all zero, over Cout
+/// values that cross the 8- and 16-lane tails, pixel counts from 1 up, empty
+/// batches, and both reset rules. scalar_ref itself must compute the
+/// unfused layers' float ops: BatchNorm2d's eval affine, then Lif's step.
+/// Channel 0 carries an identity affine, and every third of its pixels
+/// starts from a zero membrane with v == vth, so pre == vth exactly there,
+/// which must not fire.
+TEST_P(SpikeEpilogueIdentity, BitwiseEqualToScalarRef) {
+  const auto& [backend, c] = GetParam();
+  if (!backend->available()) GTEST_SKIP() << backend->name() << " unavailable here";
+  const util::GemmBackend& ref = *util::find_gemm_backend("scalar_ref");
+  const std::size_t numel = c.batch * c.pixels * c.cout;
+  auto mean = make_matrix(1, c.cout, Fill::kDense, 31);
+  auto inv_std = make_matrix(1, c.cout, Fill::kDense, 32);
+  auto gamma = make_matrix(1, c.cout, Fill::kDense, 33);
+  auto beta = make_matrix(1, c.cout, Fill::kDense, 34);
+  mean[0] = 0.0f;
+  inv_std[0] = 1.0f;
+  gamma[0] = 1.0f;
+  beta[0] = 0.0f;
+  const util::BatchNormEval bn{mean.data(), inv_std.data(), gamma.data(), beta.data()};
+
+  for (const bool hard_reset : {true, false}) {
+    const util::SpikeEpilogue e{bn, 0.75f, 0.5f, hard_reset};
+    auto pix = make_matrix(c.batch * c.pixels, c.cout, Fill::kDense, 35);
+    auto membrane = make_matrix(1, numel, Fill::kDense, 36);
+    std::size_t ties = 0;
+    for (std::size_t img = 0; img < c.batch; ++img) {
+      for (std::size_t p = 0; p < c.pixels; p += 3) {
+        pix[(img * c.pixels + p) * c.cout] = e.vth;  // channel 0, pixel p
+        membrane[img * c.cout * c.pixels + p] = 0.0f;
+        ++ties;
+      }
+    }
+
+    // The unfused layers' ops, element by element.
+    std::vector<float> want_spikes(numel), want_membrane = membrane;
+    for (std::size_t img = 0; img < c.batch; ++img) {
+      for (std::size_t ch = 0; ch < c.cout; ++ch) {
+        for (std::size_t p = 0; p < c.pixels; ++p) {
+          const float v = pix[(img * c.pixels + p) * c.cout + ch];
+          const float h = (v - mean[ch]) * inv_std[ch];
+          const float y = gamma[ch] * h + beta[ch];
+          const std::size_t i = (img * c.cout + ch) * c.pixels + p;
+          const float pre = e.tau * want_membrane[i] + y;
+          const float s = pre > e.vth ? 1.0f : 0.0f;
+          want_spikes[i] = s;
+          want_membrane[i] = hard_reset ? pre * (1.0f - s) : pre - e.vth * s;
+        }
+      }
+    }
+
+    auto ref_pix = pix;
+    auto ref_membrane = membrane;
+    std::vector<float> ref_spikes(numel, -1.0f), spikes(numel, -1.0f);
+    ref.spike_epilogue(ref_pix.data(), ref_membrane.data(), ref_spikes.data(), c.batch,
+                       c.pixels, c.cout, e);
+    backend->spike_epilogue(pix.data(), membrane.data(), spikes.data(), c.batch, c.pixels,
+                            c.cout, e);
+    const std::string where =
+        std::string(backend->name()) + (hard_reset ? " hard" : " soft") + " elem ";
+    for (std::size_t i = 0; i < numel; ++i) {
+      ASSERT_EQ(ref_spikes[i], want_spikes[i]) << "scalar_ref" << where << i;
+      ASSERT_EQ(ref_membrane[i], want_membrane[i]) << "scalar_ref" << where << i;
+      ASSERT_EQ(spikes[i], ref_spikes[i]) << where << i;
+      ASSERT_EQ(membrane[i], ref_membrane[i]) << where << i;
+    }
+    for (std::size_t i = 0; i < pix.size(); ++i) ASSERT_EQ(pix[i], 0.0f) << where << i;
+    for (std::size_t img = 0; img < c.batch; ++img) {
+      for (std::size_t p = 0; p < c.pixels; p += 3) {
+        ASSERT_EQ(spikes[img * c.cout * c.pixels + p], 0.0f) << "pre == vth fired";
+      }
+    }
+    EXPECT_EQ(ties, c.batch * ((c.pixels + 2) / 3));
+  }
+}
+
+std::vector<EpilogueCase> epilogue_cases() {
+  std::vector<EpilogueCase> cases;
+  for (const std::size_t cout : {1, 8, 17, 33, 72}) {
+    for (const std::size_t pixels : {1, 15, 256}) {
+      for (const std::size_t batch : {0, 1, 3}) cases.push_back({cout, pixels, batch});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Contract, SpikeEpilogueIdentity,
+    testing::Combine(testing::ValuesIn(util::gemm_backends().begin(),
+                                       util::gemm_backends().end()),
+                     testing::ValuesIn(epilogue_cases())),
+    [](const auto& param_info) {
+      const util::GemmBackend* backend = std::get<0>(param_info.param);
+      const EpilogueCase& c = std::get<1>(param_info.param);
+      return std::string(backend->name()) + "_cout" + std::to_string(c.cout) + "_ohw" +
+             std::to_string(c.pixels) + "_n" + std::to_string(c.batch);
+    });
+
+/// The epilogue is not a product: the context dispatches it to its backend
+/// and records nothing.
+TEST(GemmContext, SpikeEpilogueRecordsNothing) {
+  const float one = 1.0f, zero = 0.0f;
+  const util::SpikeEpilogue e{{&zero, &one, &one, &zero}, 0.5f, 1.0f, true};
+  float pix = 2.0f, membrane = 0.0f, spike = -1.0f;
+  util::GemmContext ctx(*util::find_gemm_backend("scalar_ref"));
+  ctx.spike_epilogue(&pix, &membrane, &spike, 1, 1, 1, e);
+  EXPECT_EQ(spike, 1.0f);
+  EXPECT_EQ(membrane, 0.0f);
+  EXPECT_EQ(pix, 0.0f);
+  EXPECT_EQ(ctx.stats().calls(), 0u);
+  EXPECT_EQ(ctx.stats().flops(), 0.0);
+}
+
 // -------------------------------------------- conv sparse-train equivalence
 
 /// The training forward picks the A-stationary zero-skip form for sparse

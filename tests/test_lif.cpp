@@ -367,12 +367,41 @@ TEST(Lif, CompactStateFreshRowEqualsFreshStart) {
   for (std::size_t i = 0; i < 4; ++i) ASSERT_EQ(a.at(1, i), b[i]) << i;
 }
 
+/// compact_state gathers into a spare membrane it keeps and swaps in, so a
+/// second compaction at the same batch size writes into the buffer that
+/// still holds an older membrane: kFreshRow rows must come out zero there
+/// too, and kept rows exact.
+TEST(Lif, CompactStateReusesSpareAndZeroesFreshRows) {
+  util::Rng rng(99);
+  const LifConfig cfg{.vth = 10.0f, .tau = 0.9f};  // never fires: rows stay nonzero
+  Lif lif(cfg);
+  lif.begin_steps(3);
+  lif.step(Tensor::randn({3, 5}, rng, 1.0f, 0.5f));
+  const std::vector<std::size_t> rotate{2, 0, 1};
+  lif.compact_state(rotate);
+  const Tensor before = lif.membrane();
+  const std::vector<std::size_t> admit{Layer::kFreshRow, 1, Layer::kFreshRow};
+  lif.compact_state(admit);
+  const Tensor& after = lif.membrane();
+  ASSERT_EQ(after.shape(), (Shape{3, 5}));
+  for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_EQ(after.at(0, i), 0.0f) << i;
+    ASSERT_EQ(after.at(1, i), before.at(1, i)) << i;
+    ASSERT_EQ(after.at(2, i), 0.0f) << i;
+  }
+  EXPECT_NE(before.at(1, 0), 0.0f);
+}
+
+/// An out-of-range index throws before any row moves.
 TEST(Lif, CompactStateValidatesIndices) {
   Lif lif{LifConfig{}};
   lif.begin_steps(3);
-  lif.step(Tensor::ones({3, 2}));
+  lif.step(Tensor::full({3, 2}, 0.5f));
+  const Tensor before = lif.membrane();
   const std::vector<std::size_t> bad{0, 3};
   EXPECT_THROW(lif.compact_state(bad), std::out_of_range);
+  ASSERT_EQ(lif.membrane().shape(), before.shape());
+  for (std::size_t i = 0; i < before.numel(); ++i) EXPECT_EQ(lif.membrane()[i], before[i]);
 }
 
 TEST(Lif, CompactStateBeforeFirstStepIsHarmless) {

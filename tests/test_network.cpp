@@ -1,11 +1,13 @@
-// Tests for network containers, the model zoo, checkpointing, and the
-// end-to-end equivalence of multi-step and sequential (stepped) inference.
+// Tests for network containers, the model zoo, checkpointing, the
+// end-to-end equivalence of multi-step and sequential (stepped) inference,
+// and of the fused eval spiking block and leaf-by-leaf stepping.
 
 #include <filesystem>
 #include <span>
 
 #include <gtest/gtest.h>
 
+#include "fused_step_support.h"
 #include "snn/conv.h"
 #include "snn/linear.h"
 #include "snn/models.h"
@@ -101,6 +103,22 @@ TEST(ResidualBlock, ProjectionWhenShapeChanges) {
     }
   });
   EXPECT_EQ(projections, 1);  // only the 8->16 stride-2 stage needs one
+}
+
+/// A hand-built block whose main path changes the channel count but has no
+/// projection shortcut: the residual sum must be rejected, stepped or not,
+/// before Tensor::add_ (which only asserts) reads out of bounds.
+TEST(ResidualBlock, MismatchedBranchShapesThrow) {
+  util::Rng rng(60);
+  Sequential main_path;
+  main_path.append(std::make_unique<Conv2d>(3, 8, 3, 1, 1, false, rng));
+  main_path.append(std::make_unique<BatchNorm2d>(8));
+  ResidualBlock block(std::move(main_path), Sequential(), LifConfig{});
+  const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
+  block.set_time(1, 2);
+  EXPECT_THROW(block.forward(x, false), std::invalid_argument);
+  block.begin_steps(2);
+  EXPECT_THROW(block.step(x), std::invalid_argument);
 }
 
 TEST(SpikingNetwork, SpikeRatesReported) {
@@ -211,6 +229,40 @@ TEST(SpikingNetwork, CompactedStateEqualsRerunningKeptSamples) {
         ASSERT_EQ(a[i], b[i]) << preset << " t=" << t << " i=" << i;
       }
     }
+  }
+}
+
+/// Sequential::step runs each Conv2d -> BatchNorm2d -> Lif run as one fused
+/// step (conv pixels + the registry's spike epilogue). Over every preset and
+/// a hand-built biased block, under hard and soft reset, with random BN
+/// statistics and compactions admitting fresh rows mid-sequence, its logits
+/// and membranes must equal stepping each leaf alone bit for bit, with the
+/// same GEMM accounting.
+TEST(FusedStep, BitwiseEqualToLeafByLeaf) {
+  for (const bool hard_reset : {true, false}) {
+    ModelConfig mc = tiny_config();
+    mc.lif.hard_reset = hard_reset;
+    for (const std::string preset : {"vgg_micro", "vgg_mini", "resnet_micro", "resnet_mini"}) {
+      SCOPED_TRACE(preset + (hard_reset ? " hard" : " soft"));
+      SpikingNetwork net = make_model(preset, mc);
+      util::GemmContext context;
+      fused_test::expect_fused_equals_leaf_by_leaf(net, context, 61);
+    }
+
+    SCOPED_TRACE(std::string("hand-built biased block") + (hard_reset ? " hard" : " soft"));
+    util::Rng rng(62);
+    Sequential body;
+    body.append(std::make_unique<Conv2d>(3, 6, 3, 1, 1, /*bias=*/true, rng));
+    body.append(std::make_unique<BatchNorm2d>(6));
+    body.append(std::make_unique<Lif>(mc.lif));
+    body.append(std::make_unique<Conv2d>(6, 5, 3, 2, 1, /*bias=*/true, rng));
+    body.append(std::make_unique<BatchNorm2d>(5));
+    body.append(std::make_unique<Lif>(mc.lif));
+    // A conv with no BN/LIF after it steps unfused and keeps real outputs.
+    body.append(std::make_unique<Conv2d>(5, 4, 3, 1, 1, /*bias=*/true, rng));
+    SpikingNetwork net(std::move(body), 4, {3, 8, 8});
+    util::GemmContext context;
+    fused_test::expect_fused_equals_leaf_by_leaf(net, context, 63);
   }
 }
 

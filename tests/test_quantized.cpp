@@ -22,6 +22,7 @@
 #include "core/exit_policy.h"
 #include "core/inference.h"
 #include "core/quantize.h"
+#include "fused_step_support.h"
 #include "serve/fleet.h"
 #include "snn/models.h"
 #include "snn/network.h"
@@ -586,6 +587,26 @@ TEST(QuantNetwork, LutRunCachesEveryLayerTable) {
   });
   EXPECT_GT(holders, 0u);
   EXPECT_GT(lut_ctx.stats().quant.calls, 0u);
+}
+
+/// The fused eval spiking block runs under the quantized tier too: the conv
+/// pixels come from qgemm and the epilogue from the blocked kernel the LUT
+/// backends delegate to. Fused and leaf-by-leaf steps of one calibrated
+/// network under int8_lut run the same quantized products, so they must
+/// agree bit for bit, with the same accounting.
+TEST(QuantNetwork, FusedStepEqualsLeafByLeafUnderInt8Lut) {
+  snn::ModelConfig mc;
+  mc.num_classes = 4;
+  mc.input_shape = {3, 8, 8};
+  mc.seed = 5;
+  for (const std::string preset : {"vgg_micro", "resnet_micro"}) {
+    SCOPED_TRACE(preset);
+    snn::SpikingNetwork net = snn::make_model(preset, mc);
+    ASSERT_GT(snn::quantize_network_weights(net, {.bits = 8}), 0u);
+    util::GemmContext ctx(quant_backend("int8_lut"));
+    snn::fused_test::expect_fused_equals_leaf_by_leaf(net, ctx, 64);
+    EXPECT_GT(ctx.stats().quant.calls, 0u);
+  }
 }
 
 // ------------------------------------------------------------ tolerance gate
