@@ -2,42 +2,30 @@
 // GEMM shapes the models actually run (im2col convolution products and the
 // classifier matmul of vgg_mini/resnet_mini at batch 32 on 16x16 frames),
 // with dense activations and with binary spike activations at 70% / 90%
-// sparsity — the operating regime of the hidden LIF layers.
+// sparsity — the operating regime of the hidden LIF layers. Every backend
+// is checked bitwise against scalar_ref; any mismatch fails the run.
 //
-// Two tiers, two contracts (util/gemm.h):
-//   * float backends are checked bitwise against scalar_ref; any mismatch
-//     fails the run;
-//   * the quantized backends (int8_lut / int4_lut) and the spike kernel
-//     they fall back to (util::internal::qgemm_spike_kernel) run their
-//     weights through util::QuantizedMatrix and are checked against the
-//     scalar float product of the DEQUANTIZED weights within a relative
-//     bound (the kernels are exact integer accumulation + one flush per
-//     scale group, so only float summation order separates the two), plus
-//     the end-to-end decision gate below.
+// Quantized weights are a storage format (util/quant.h): a quantized layer
+// runs its dequantized weights through these same backends. This bench
+// reports their storage size next to the float weights, and — at full scale
+// — the per-preset decision-flip-rate of quantized networks versus the
+// float network on trained models (core::calibrate_quantized).
 //
 // Emits BENCH_gemm.json via bench::BenchReport: per-(shape, density,
 // backend) GFLOP/s, the per-shape observed A-operand density histogram,
-// per-density backend totals, weight-footprint bytes per backend (the LUT
-// tier additionally reports its derived table bytes) with the headline
-// footprint_ratio, the headline quantized-tier vs blocked_omp speedups, the
-// LUT-vs-spike-kernel speedups, and — at full scale — the per-preset
-// decision-flip-rate of the quantized tier versus the scalar_ref oracle on
-// trained models (core::calibrate_quantized).
+// weight storage bytes (float, INT8 and INT4
+// codes and scales) with the headline footprint_ratio, and the decision
+// gate's flip rates and accuracy deltas.
 //
 // In-bench acceptance gates (nonzero exit on failure):
-//   * every float backend bitwise-identical to scalar_ref — including
-//     avx512 when this machine has it (a loud skip plus a report field
-//     otherwise, so CI's fallback leg is visibly not silently green);
-//   * quantized kernels within tolerance of their dequantized product, and
-//     the LUT backends bitwise-identical to the spike kernel;
-//   * int8_lut >= 1.5x blocked_omp wall-clock at >= 70% spike sparsity;
-//   * int4_lut >= 1.3x the INT4 spike kernel wall-clock at >= 70% spike
-//     sparsity;
-//   * weight-footprint reduction >= 4x (INT8) and >= 8x (INT4);
+//   * every backend bitwise-identical to scalar_ref — including avx512 when
+//     this machine has it (a loud skip plus a report field otherwise, so
+//     CI's fallback leg is visibly not silently green);
+//   * weight storage reduction >= 4x (INT8) and >= 8x (INT4);
 //   * at full scale: INT8 prediction-flip-rate <= 1% and |accuracy delta|
-//     <= 2pp versus scalar_ref on every dataset preset (INT4 is reported
-//     and held to a documented looser 5% — a 16-level weight grid on
-//     sub-percent decision margins is the paper's accuracy/footprint
+//     <= 2pp versus the float network on every dataset preset (INT4 is
+//     reported and held to a documented looser 8% — a 16-level weight grid
+//     on sub-percent decision margins is the paper's accuracy/footprint
 //     trade-off, not a kernel defect).
 
 #include <algorithm>
@@ -53,7 +41,6 @@
 #include "core/exit_policy.h"
 #include "core/quantize.h"
 #include "util/gemm.h"
-#include "util/gemm_internal.h"
 #include "util/quant.h"
 #include "util/rng.h"
 
@@ -83,14 +70,11 @@ constexpr GemmShape kShapes[] = {
 constexpr double kDensities[] = {1.0, 0.30, 0.10};  // dense, 70%, 90% sparse
 
 // Gate thresholds (see file comment).
-constexpr double kInt8SpeedupGate = 1.5;
-constexpr double kInt4LutSpeedupGate = 1.3;
 constexpr double kInt8FootprintGate = 4.0;
 constexpr double kInt4FootprintGate = 8.0;
 constexpr double kInt8FlipGate = 0.01;
 constexpr double kInt4FlipGate = 0.08;
 constexpr double kAccuracyDeltaGate = 0.02;
-constexpr double kQuantRelTolerance = 1e-3;
 
 std::string density_tag(double density) {
   return "d" + std::to_string(static_cast<int>(std::lround(density * 100)));
@@ -128,7 +112,7 @@ double measure_secs(Fn&& fn, double target_secs) {
 int main(int argc, char** argv) {
   const bench::BenchOptions options = bench::parse_options(argc, argv);
   bench::banner("GEMM backends: GFLOP/s on the model's conv/linear shapes, "
-                "dense vs spike-sparse, float and quantized tiers");
+                "dense vs spike-sparse; quantized weight storage and decisions");
   bench::BenchReport report("gemm", options);
   report.set("default_backend",
              std::string(util::default_gemm_backend().name()));
@@ -148,13 +132,8 @@ int main(int argc, char** argv) {
   // ~50ms per measurement, scaled down for smoke runs.
   const double target_secs = 0.05 * std::min(1.0, options.scale);
 
-  bool all_identical = true;        // float tier, bitwise
-  bool quant_within_tolerance = true;  // quantized tier, relative bound
-  bool lut_bitwise_matches_spike = true;  // LUT tier vs the spike kernel
-  // wall-clock totals per (density, backend) across all shapes
-  std::map<std::string, double> total_secs;
-  // resident weight bytes per backend across all shapes (what each tier
-  // keeps in memory for the same model weights)
+  bool all_identical = true;
+  // stored weight bytes per format across all shapes
   std::map<std::string, double> weight_bytes;
 
   bench::TablePrinter table({"Shape", "m*k*n", "Density", "Backend", "GFLOP/s", "vs blocked"},
@@ -165,9 +144,6 @@ int main(int argc, char** argv) {
   for (const GemmShape& s : kShapes) {
     const double flops = 2.0 * static_cast<double>(s.m) * static_cast<double>(s.k) *
                          static_cast<double>(s.n);
-    // Quantized copies of this shape's weights, built once per shape from
-    // the dense density pass (weights do not depend on activation density).
-    util::QuantizedMatrix q8, q4;
     // Observed A-operand density histogram for this shape (10 bins of 0.1
     // width) across all measured passes — what density regime this shape's
     // activations actually put the backends in.
@@ -196,9 +172,6 @@ int main(int argc, char** argv) {
       double blocked_gflops = 0.0;
       for (const util::GemmBackend* backend : util::gemm_backends()) {
         if (!backend->available()) continue;
-        // Quantized backends run their own section below: timing their
-        // float ops here would measure the blocked delegation, not them.
-        if (util::as_quantized_backend(backend) != nullptr) continue;
         // Identity gate: the measured kernel must match scalar_ref bitwise.
         backend->gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n);
         if (c != expected) {
@@ -216,7 +189,6 @@ int main(int argc, char** argv) {
         const std::string key = std::string(s.tag) + "_" + density_tag(density) + "_" +
                                 std::string(backend->name());
         report.set(key + "_gflops", gflops);
-        total_secs[density_tag(density) + "_" + std::string(backend->name())] += secs;
         csv.row(s.tag, static_cast<double>(s.m), static_cast<double>(s.k),
                 static_cast<double>(s.n), density, std::string(backend->name()), gflops,
                 secs);
@@ -226,89 +198,6 @@ int main(int argc, char** argv) {
                    bench::fmt("%.2f", gflops),
                    blocked_gflops > 0.0 ? bench::fmt("%.2fx", gflops / blocked_gflops)
                                         : std::string("-")});
-      }
-
-      // ---- quantized tier: same activations, packed integer weights.
-      // The op is C = A * Q^T with Q[n, k], so quantize the transpose of
-      // this shape's B[k, n].
-      if (q8.empty()) {
-        std::vector<float> w_nk(s.n * s.k);
-        for (std::size_t kk = 0; kk < s.k; ++kk) {
-          for (std::size_t j = 0; j < s.n; ++j) w_nk[j * s.k + kk] = b[kk * s.n + j];
-        }
-        q8 = util::QuantizedMatrix::quantize(w_nk.data(), s.n, s.k, {.bits = 8});
-        q4 = util::QuantizedMatrix::quantize(w_nk.data(), s.n, s.k, {.bits = 4});
-        // LUT tables are derived weight data, built once per matrix outside
-        // every timed region — exactly how the layers use them.
-        q8.ensure_lut();
-        q4.ensure_lut();
-      }
-      for (util::QuantizedMatrix* q : {&q8, &q4}) {
-        // Tolerance gate: the scalar float product of the dequantized
-        // weights is what the integer kernels compute up to summation order.
-        std::vector<float> deq_b(s.k * s.n);
-        for (std::size_t kk = 0; kk < s.k; ++kk) {
-          for (std::size_t j = 0; j < s.n; ++j) {
-            deq_b[kk * s.n + j] = q->dequantized(j, kk);
-          }
-        }
-        std::vector<float> deq_expected(s.m * s.n);
-        scalar_ref.gemm(a.data(), deq_b.data(), deq_expected.data(), s.m, s.k, s.n);
-        // The spike kernel's output doubles as the bitwise reference for
-        // the LUT backend: same integer group sums, same float ordering. It
-        // always accumulates, so each timed call zeroes C first, as the
-        // backends' own overwrite path does.
-        const std::string bits = std::to_string(q->bits());
-        const util::QuantizedGemmBackend* lut_backend = util::as_quantized_backend(
-            util::find_gemm_backend("int" + bits + "_lut"));
-        const auto run_spike_kernel = [&] {
-          std::fill(c.begin(), c.end(), 0.0f);
-          util::internal::qgemm_spike_kernel(q->bits(), a.data(), *q, c.data(), s.m, s.k,
-                                             s.n);
-        };
-        const auto run_lut = [&] {
-          lut_backend->qgemm(a.data(), *q, c.data(), s.m, s.k, s.n);
-        };
-        std::vector<float> spike_c;
-        for (const std::string& qname :
-             {"spike_kernel_int" + bits, "int" + bits + "_lut"}) {
-          const bool is_spike = qname.starts_with("spike");
-          is_spike ? run_spike_kernel() : run_lut();
-          for (std::size_t i = 0; i < c.size(); ++i) {
-            const double bound = kQuantRelTolerance *
-                                 (1.0 + std::abs(static_cast<double>(deq_expected[i])));
-            if (std::abs(static_cast<double>(c[i]) -
-                         static_cast<double>(deq_expected[i])) > bound) {
-              quant_within_tolerance = false;
-              std::printf("QUANT TOLERANCE MISS: %s on %s %s elem %zu (%g vs %g)\n",
-                          qname.c_str(), s.tag, density_tag(density).c_str(), i,
-                          static_cast<double>(c[i]),
-                          static_cast<double>(deq_expected[i]));
-              break;
-            }
-          }
-          if (is_spike) {
-            spike_c = c;
-          } else if (c != spike_c) {
-            lut_bitwise_matches_spike = false;
-            std::printf("LUT/SPIKE-KERNEL MISMATCH: %s on %s %s\n", qname.c_str(),
-                        s.tag, density_tag(density).c_str());
-          }
-
-          const double secs = is_spike ? measure_secs(run_spike_kernel, target_secs)
-                                       : measure_secs(run_lut, target_secs);
-          const double gflops = flops / secs / 1e9;  // dense-equivalent FLOPs
-          const std::string key =
-              std::string(s.tag) + "_" + density_tag(density) + "_" + qname;
-          report.set(key + "_gflops", gflops);
-          total_secs[density_tag(density) + "_" + qname] += secs;
-          csv.row(s.tag, static_cast<double>(s.m), static_cast<double>(s.k),
-                  static_cast<double>(s.n), density, qname, gflops, secs);
-          table.row({s.tag, bench::fmt("%zux%zux%zu", s.m, s.k, s.n),
-                     bench::fmt("%.2f", density), qname, bench::fmt("%.2f", gflops),
-                     blocked_gflops > 0.0 ? bench::fmt("%.2fx", gflops / blocked_gflops)
-                                          : std::string("-")});
-        }
       }
     }
     {
@@ -321,75 +210,35 @@ int main(int argc, char** argv) {
       report.set(std::string(s.tag) + "_a_density_hist", hist);
     }
 
-    // Weight footprint of this shape's weights per tier. Float backends all
-    // hold the same float matrix; the quantized tiers hold packed codes
-    // (the bytes streamed per spike) plus group scales (touched once per
-    // group per output row, reported separately).
-    const double float_bytes = static_cast<double>(s.k * s.n * sizeof(float));
-    for (const util::GemmBackend* backend : util::gemm_backends()) {
-      if (util::as_quantized_backend(backend) != nullptr) continue;
-      weight_bytes[std::string(backend->name())] += float_bytes;
-    }
-    // The LUT tier also holds its derived per-chunk mask tables (the
-    // speed-for-memory trade, reported so the footprint headline stays
-    // honest).
-    weight_bytes["int8_lut"] += static_cast<double>(q8.packed_bytes());
-    weight_bytes["int4_lut"] += static_cast<double>(q4.packed_bytes());
-    weight_bytes["int8_lut_scales"] += static_cast<double>(q8.scale_bytes());
-    weight_bytes["int4_lut_scales"] += static_cast<double>(q4.scale_bytes());
-    weight_bytes["int8_lut_tables"] += static_cast<double>(q8.lut().bytes());
-    weight_bytes["int4_lut_tables"] += static_cast<double>(q4.lut().bytes());
+    // Stored size of this shape's weights, float and quantized. The op is
+    // C = A * W^T with W[n, k], so quantize the transpose of B[k, n]; the
+    // values do not matter for the sizes.
+    const std::vector<float> w_nk(s.n * s.k, 1.0f);
+    const util::QuantizedMatrix q8 =
+        util::QuantizedMatrix::quantize(w_nk.data(), s.n, s.k, {.bits = 8});
+    const util::QuantizedMatrix q4 =
+        util::QuantizedMatrix::quantize(w_nk.data(), s.n, s.k, {.bits = 4});
+    weight_bytes["float"] += static_cast<double>(q8.float_bytes());
+    weight_bytes["int8"] += static_cast<double>(q8.packed_bytes());
+    weight_bytes["int4"] += static_cast<double>(q4.packed_bytes());
+    weight_bytes["int8_scales"] += static_cast<double>(q8.scale_bytes());
+    weight_bytes["int4_scales"] += static_cast<double>(q4.scale_bytes());
   }
 
-  // Per-backend weight-footprint bytes across all model shapes, and the
-  // headline reduction ratios for the quantized tiers.
-  for (const auto& [backend, bytes] : weight_bytes) {
-    report.set("weight_bytes_" + backend, bytes);
+  // Weight storage bytes across all model shapes, and the headline
+  // reduction ratios of the quantized formats.
+  for (const auto& [format, bytes] : weight_bytes) {
+    report.set("weight_bytes_" + format, bytes);
   }
-  const double float_weight_bytes = weight_bytes["blocked_omp"];
-  const double footprint_ratio_int8 = float_weight_bytes / weight_bytes["int8_lut"];
-  const double footprint_ratio_int4 = float_weight_bytes / weight_bytes["int4_lut"];
-  report.set("footprint_ratio", footprint_ratio_int8);  // headline (INT8 tier)
+  const double footprint_ratio_int8 = weight_bytes["float"] / weight_bytes["int8"];
+  const double footprint_ratio_int4 = weight_bytes["float"] / weight_bytes["int4"];
+  report.set("footprint_ratio", footprint_ratio_int8);  // headline (INT8)
   report.set("int4_footprint_ratio", footprint_ratio_int4);
-
-  // Headlines: wall-clock over all model shapes vs blocked_omp, per
-  // sparsity level (the acceptance gate is the >=70%-sparse regime).
-  const auto ratio = [&](const std::string& d, const std::string& name) {
-    const auto blocked = total_secs.find(d + "_blocked_omp");
-    const auto fast = total_secs.find(d + "_" + name);
-    return blocked != total_secs.end() && fast != total_secs.end() && fast->second > 0.0
-               ? blocked->second / fast->second
-               : 0.0;
-  };
-  const double int8_70 = ratio("d30", "int8_lut");
-  const double int8_90 = ratio("d10", "int8_lut");
-  report.set("int8_lut_vs_blocked_omp_speedup_70pct_sparse", int8_70);
-  report.set("int8_lut_vs_blocked_omp_speedup_90pct_sparse", int8_90);
-  report.set("int4_lut_vs_blocked_omp_speedup_70pct_sparse", ratio("d30", "int4_lut"));
-  // LUT tier vs the spike kernel it falls back to: wall-clock across all
-  // model shapes. The acceptance gate is INT4 (2 codes/byte makes per-spike
-  // unpacking dearest, so the table gather buys the most) in the >= 70%-sparse
-  // regime.
-  const auto lut_ratio = [&](const std::string& d, const std::string& bits) {
-    const auto spike = total_secs.find(d + "_spike_kernel_int" + bits);
-    const auto lut = total_secs.find(d + "_int" + bits + "_lut");
-    return spike != total_secs.end() && lut != total_secs.end() && lut->second > 0.0
-               ? spike->second / lut->second
-               : 0.0;
-  };
-  const double lut8_70 = lut_ratio("d30", "8");
-  const double lut4_70 = lut_ratio("d30", "4");
-  const double lut4_90 = lut_ratio("d10", "4");
-  report.set("int8_lut_vs_spike_kernel_speedup_70pct_sparse", lut8_70);
-  report.set("int4_lut_vs_spike_kernel_speedup_70pct_sparse", lut4_70);
-  report.set("int4_lut_vs_spike_kernel_speedup_90pct_sparse", lut4_90);
   report.set("bitwise_identical_to_scalar_ref", all_identical ? "yes" : "NO");
-  report.set("quant_within_tolerance", quant_within_tolerance ? "yes" : "NO");
-  report.set("lut_bitwise_matches_spike", lut_bitwise_matches_spike ? "yes" : "NO");
 
-  // ---- end-to-end decision gate: quantized tier vs the scalar_ref oracle
-  // on trained models, per dataset preset (the tolerance-gated identity
-  // contract measured where it matters — exit decisions). Models are
+  // ---- end-to-end decision gate: quantized networks vs the float network
+  // on trained models, per dataset preset (the tolerance-gated contract
+  // measured where it matters — exit decisions). Models are
   // trained at the bench's data scale; the flip gate is enforced only at
   // full scale, where margins are real (a smoke-scale model is near chance
   // and its flips measure training, not quantization).
@@ -424,7 +273,7 @@ int main(int argc, char** argv) {
     core::Experiment e = bench::run(spec, options);
     const core::EntropyExitPolicy policy(stage.theta);
 
-    std::printf("\n%s: quantized-tier decision gate (%zu-timestep budget, "
+    std::printf("\n%s: quantized decision gate (%zu-timestep budget, "
                 "theta=%.2f)\n",
                 preset.c_str(), spec.timesteps, stage.theta);
     for (const int bits : {8, 4}) {
@@ -454,33 +303,17 @@ int main(int argc, char** argv) {
   report.set("quant_flips_within_gate", flips_within_gate ? "yes" : "NO");
 
   // ---- acceptance gates -------------------------------------------------
-  const bool speed_ok = int8_70 >= kInt8SpeedupGate;
-  const bool lut_speed_ok = lut4_70 >= kInt4LutSpeedupGate;
   const bool footprint_ok = footprint_ratio_int8 >= kInt8FootprintGate &&
                             footprint_ratio_int4 >= kInt4FootprintGate;
   std::printf(
-      "\nFloat backends bitwise identical to scalar_ref on every measured shape: %s "
+      "\nBackends bitwise identical to scalar_ref on every measured shape: %s "
       "(avx512: %s)\n"
-      "Quantized kernels within %.0e of their dequantized product: %s\n"
-      "LUT backends bitwise identical to the spike kernel: %s\n"
-      "int8_lut     vs blocked_omp wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%% "
-      "[gate >= %.1fx: %s]\n"
-      "int4_lut     vs spike kernel wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%% "
-      "[gate >= %.1fx: %s]  (int8_lut: %.2fx at 70%%)\n"
-      "weight footprint: %.2fx (INT8) / %.2fx (INT4) smaller than float "
+      "weight storage: %.2fx (INT8) / %.2fx (INT4) smaller than float "
       "[gates >= %.0fx / >= %.0fx: %s]\n"
       "quantized decision gate: %s\n",
       all_identical ? "yes" : "NO",
       avx512_measured ? "measured" : "SKIPPED, unavailable here",
-      kQuantRelTolerance, quant_within_tolerance ? "yes" : "NO",
-      lut_bitwise_matches_spike ? "yes" : "NO", int8_70, int8_90,
-      kInt8SpeedupGate, speed_ok ? "ok" : "FAIL", lut4_70, lut4_90,
-      kInt4LutSpeedupGate, lut_speed_ok ? "ok" : "FAIL", lut8_70,
-      footprint_ratio_int8, footprint_ratio_int4,
-      kInt8FootprintGate, kInt4FootprintGate, footprint_ok ? "ok" : "FAIL",
-      flips_within_gate ? "ok" : "FAIL");
-  return all_identical && quant_within_tolerance && lut_bitwise_matches_spike &&
-                 speed_ok && lut_speed_ok && footprint_ok && flips_within_gate
-             ? 0
-             : 1;
+      footprint_ratio_int8, footprint_ratio_int4, kInt8FootprintGate, kInt4FootprintGate,
+      footprint_ok ? "ok" : "FAIL", flips_within_gate ? "ok" : "FAIL");
+  return all_identical && footprint_ok && flips_within_gate ? 0 : 1;
 }

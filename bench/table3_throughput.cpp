@@ -236,10 +236,11 @@ int main(int argc, char** argv) {
       report.set(model + bench::fmt("_theta%.2f_avg_timesteps", theta), r1.avg_timesteps);
     }
 
-    // Quantized GEMM tier (util/gemm.h, tolerance-gated identity): calibrate
-    // INT8/INT4 weights against the float oracle on the measured samples,
-    // then rerun the batched DT-SNN operating point theta=0.30 under the
-    // quantized backend. Reported, not gated — the hard per-preset flip gate
+    // Quantized weights (snn/quantize.h, tolerance-gated versus the float
+    // network): calibrate INT8/INT4 weights against the float network on the
+    // measured samples, then rerun the batched DT-SNN operating point
+    // theta=0.30 on the calibrated network, on the same default context as
+    // the float rows. Reported, not gated — the hard per-preset flip gate
     // lives in bench/gemm_microbench.
     for (const int bits : {8, 4}) {
       core::QuantCalibrationConfig config;
@@ -248,15 +249,11 @@ int main(int argc, char** argv) {
       const core::EntropyExitPolicy policy030(0.3);
       const core::QuantCalibrationReport qr = core::calibrate_quantized(
           e.net, *e.bundle.test, policy030, 4, config);
-      const char* backend_name = bits == 8 ? "int8_lut" : "int4_lut";
-      util::GemmContext quant_ctx(
-          *util::as_quantized_backend(util::find_gemm_backend(backend_name)));
-      e.net.set_gemm_context(&quant_ctx);
       core::BatchedSequentialEngine batched(e.net, policy030, 4, kBatch);
       const auto rq = measure(batched, *e.bundle.test, samples);
-      e.net.set_gemm_context(nullptr);
 
-      const std::string prefix = model + "_" + backend_name;
+      const char* tier = bits == 8 ? "int8" : "int4";
+      const std::string prefix = model + "_" + tier;
       report.set(prefix + "_theta0.30_batch32_images_per_sec", rq.images_per_sec);
       report.set(prefix + "_theta0.30_batch32_vs_float_speedup",
                  float_b32_theta030 > 0.0 ? rq.images_per_sec / float_b32_theta030
@@ -267,8 +264,8 @@ int main(int argc, char** argv) {
       report.set(prefix + "_weight_footprint_ratio", qr.footprint_ratio);
       std::printf(
           "  %s @ theta=0.30 batch32: %.1f img/s (%.2fx of float), flips %.2f%%, "
-          "accuracy %+.2fpp, weights %.1fx smaller\n",
-          backend_name, rq.images_per_sec,
+          "accuracy %+.2fpp, weights stored %.1fx smaller\n",
+          tier, rq.images_per_sec,
           float_b32_theta030 > 0.0 ? rq.images_per_sec / float_b32_theta030 : 0.0,
           100 * qr.diff.prediction_flip_rate, 100 * qr.accuracy_delta,
           qr.footprint_ratio);

@@ -49,8 +49,9 @@ struct CliArgs {
         "           [--scale F] [--seed S] --out FILE\n"
         "  %s eval  --model M --dataset D [--timesteps T] --ckpt FILE\n"
         "           [--theta TH] [--noise] [--scale F]\n"
+        "           (runs the checkpoint's quantized weights when it has a\n"
+        "            quantized section, else its float weights)\n"
         "common: --gemm-backend scalar_ref|blocked_omp|avx2|avx512\n"
-        "                       |int8_lut|int4_lut (need calibrated scales)\n"
         "        (default: DTSNN_GEMM_BACKEND env, else avx512 > avx2 >\n"
         "         blocked_omp, whichever this machine supports)\n"
         "models: vgg_mini vgg_micro resnet_mini resnet_micro\n"

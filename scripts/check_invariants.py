@@ -85,15 +85,21 @@ with file:line diagnostics and a nonzero exit code on any finding:
                       header is checked for any namespace-scope code outside
                       `namespace {`.
 
-  quant-bitwise-oracle  The quantized GEMM tier (int8_lut / int4_lut) is
-                      tolerance-gated, not bitwise (util/gemm.h): comparing
-                      its floats bitwise against the scalar_ref oracle with
-                      EXPECT_EQ / EXPECT_FLOAT_EQ encodes an identity the
-                      contract deliberately does not promise, and such a
-                      test rots into flakiness with any legal kernel change.
+  quant-bitwise-oracle  A quantized network runs its dequantized weights
+                      through the float path (snn/quantize.h), so it is
+                      bitwise identical to its dequantized-float twin — a
+                      float network carrying those weights — and tests
+                      compare the two exactly. Versus the float oracle it
+                      was quantized from it is tolerance-gated: comparing
+                      its floats bitwise against that oracle with EXPECT_EQ
+                      / EXPECT_FLOAT_EQ encodes an identity the contract
+                      deliberately does not promise, and such a test rots
+                      into flakiness with any legal quantizer change.
                       Quantized-tier tests (tests/*quant*) route decision
-                      comparisons through core::compare_decisions or use an
-                      explicit EXPECT_NEAR bound.
+                      comparisons with the oracle (any identifier containing
+                      `oracle`, or `scalar_ref`) through
+                      core::compare_decisions or an explicit EXPECT_NEAR
+                      bound.
 
 Comment and string-literal text is scrubbed before matching, so prose about
 a banned construct never trips a rule. A genuine exception is waived inline
@@ -150,9 +156,10 @@ RULE_DESCRIPTIONS = {
                                 "util/spike_epilogue_kernel.h) are included "
                                 "only by the bitwise GEMM backend TUs, and "
                                 "their code sits in an anonymous namespace",
-    "quant-bitwise-oracle": "quantized-tier tests must not EXPECT_EQ floats "
-                            "against the scalar_ref oracle (tolerance gate "
-                            "via core::compare_decisions / EXPECT_NEAR)",
+    "quant-bitwise-oracle": "quantized-tier tests compare bitwise only with "
+                            "the dequantized-float twin, never with the "
+                            "float oracle (tolerance gate via "
+                            "core::compare_decisions / EXPECT_NEAR)",
 }
 
 WALL_CLOCK_PATTERNS = [
@@ -276,9 +283,10 @@ KERNEL_SCOPE_MESSAGE = (
 NAMESPACE_OPEN_RE = re.compile(r"^namespace(\s+[\w:]+)?\s*\{")
 
 QUANT_BITWISE_ORACLE = Pattern(
-    r"(EXPECT|ASSERT)_(EQ|FLOAT_EQ|DOUBLE_EQ)\s*\(.*\b(oracle|scalar_ref)",
+    r"(EXPECT|ASSERT)_(EQ|FLOAT_EQ|DOUBLE_EQ)\s*\(.*\b\w*(oracle|scalar_ref)",
     "bitwise comparison against the float oracle in a quantized-tier test: "
-    "the quantized backends are tolerance-gated, not bitwise (util/gemm.h). "
+    "a quantized network is bitwise identical only to its dequantized-float "
+    "twin, and tolerance-gated versus the float oracle (core/quantize.h). "
     "Gate decisions through core::compare_decisions or bound values with "
     "EXPECT_NEAR.")
 # Applies to test files whose name marks them as quantized-tier coverage.

@@ -69,7 +69,8 @@ EXPECTED_BAD = [
     ("src/snn/epilogue_leak.cpp", 5, "scatter-kernel-isolation"),       # #include
     ("src/util/spike_epilogue_kernel.h", 9, "scatter-kernel-isolation"),  # template
     ("bench/silent_bench.cpp", 1, "bench-report"),
-    ("tests/test_quant_gate.cpp", 8, "quant-bitwise-oracle"),
+    ("tests/test_quant_gate.cpp", 10, "quant-bitwise-oracle"),  # oracle_logits
+    ("tests/test_quant_gate.cpp", 11, "quant-bitwise-oracle"),  # float_oracle_logits
 ]
 
 DIAG_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): error: \[(?P<rule>[a-z0-9-]+)\] ")

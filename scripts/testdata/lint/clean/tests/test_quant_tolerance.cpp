@@ -7,6 +7,10 @@
 void test_quant_tolerance() {
   float oracle_logits[4] = {0, 0, 0, 0};
   float quant_logits[4] = {0, 0, 0, 0};
+  float twin_logits[4] = {0, 0, 0, 0};
+  // The sanctioned bitwise comparison: a quantized network against its
+  // dequantized-float twin.
+  ASSERT_EQ(quant_logits[0], twin_logits[0]);
   // The sanctioned comparisons: an explicit bound, or the shared gate helper.
   EXPECT_NEAR(oracle_logits[1], quant_logits[1], 1e-4f);
   compare_decisions(oracle_logits, quant_logits);

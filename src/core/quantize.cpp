@@ -7,26 +7,11 @@
 
 #include "core/engine.h"
 #include "snn/quantize.h"
-#include "util/gemm.h"
 #include "util/logging.h"
 
 namespace dtsnn::core {
 
 namespace {
-
-/// Restores the network's GEMM context even when a measurement pass throws.
-class GemmContextScope {
- public:
-  GemmContextScope(snn::SpikingNetwork& net, util::GemmContext& context) : net_(net) {
-    net_.set_gemm_context(&context);
-  }
-  ~GemmContextScope() { net_.set_gemm_context(nullptr); }
-  GemmContextScope(const GemmContextScope&) = delete;
-  GemmContextScope& operator=(const GemmContextScope&) = delete;
-
- private:
-  snn::SpikingNetwork& net_;
-};
 
 double accuracy_of(std::span<const InferenceResult> results,
                    const data::Dataset& dataset) {
@@ -74,16 +59,31 @@ QuantCalibrationReport calibrate_quantized(snn::SpikingNetwork& net,
                                            std::size_t max_timesteps,
                                            const QuantCalibrationConfig& config) {
   config.spec.validate();
-
-  QuantCalibrationReport report;
-  report.bits = config.spec.bits;
-  report.group_size = config.spec.resolved_group_size();
-  report.layers_quantized = snn::quantize_network_weights(net, config.spec);
-  if (report.layers_quantized == 0) {
+  if (snn::network_quant_footprint(net).layers == 0) {
     throw util::QuantizationError(
         util::QuantizationError::Kind::kBadSpec,
         "calibrate_quantized: network has no quantizable (weight-bearing) layers");
   }
+
+  QuantCalibrationReport report;
+  report.bits = config.spec.bits;
+  report.group_size = config.spec.resolved_group_size();
+  const std::size_t limit = config.max_samples == 0
+                                ? dataset.size()
+                                : std::min(config.max_samples, dataset.size());
+  report.samples = limit;
+  const InferenceRequest request = InferenceRequest::first_n(limit);
+  const auto run = [&] {
+    BatchedSequentialEngine engine(net, policy, max_timesteps, config.batch_size);
+    return engine.run(dataset, request);
+  };
+
+  // The oracle is the float network: drop any earlier calibration first, or
+  // a re-calibration would compare the quantized network with itself.
+  snn::clear_network_quantized_weights(net);
+  const std::vector<InferenceResult> oracle = run();
+  report.layers_quantized = snn::quantize_network_weights(net, config.spec);
+  const std::vector<InferenceResult> quant = run();
 
   const snn::QuantFootprint footprint = snn::network_quant_footprint(net);
   report.float_weight_bytes = footprint.float_bytes;
@@ -94,31 +94,6 @@ QuantCalibrationReport calibrate_quantized(snn::SpikingNetwork& net,
           ? static_cast<double>(footprint.float_bytes) /
                 static_cast<double>(footprint.packed_bytes)
           : 0.0;
-
-  const std::size_t limit = config.max_samples == 0
-                                ? dataset.size()
-                                : std::min(config.max_samples, dataset.size());
-  report.samples = limit;
-  const InferenceRequest request = InferenceRequest::first_n(limit);
-
-  const util::GemmBackend* oracle_backend = util::find_gemm_backend("scalar_ref");
-  const util::GemmBackend* quant_backend = util::find_gemm_backend(
-      config.spec.bits == 4 ? "int4_lut" : "int8_lut");
-
-  std::vector<InferenceResult> oracle;
-  {
-    util::GemmContext context(*oracle_backend);
-    GemmContextScope scope(net, context);
-    BatchedSequentialEngine engine(net, policy, max_timesteps, config.batch_size);
-    oracle = engine.run(dataset, request);
-  }
-  std::vector<InferenceResult> quant;
-  {
-    util::GemmContext context(*quant_backend);
-    GemmContextScope scope(net, context);
-    BatchedSequentialEngine engine(net, policy, max_timesteps, config.batch_size);
-    quant = engine.run(dataset, request);
-  }
 
   report.diff = compare_decisions(oracle, quant);
   report.accuracy_float = accuracy_of(oracle, dataset);

@@ -1,20 +1,21 @@
 // Post-training quantization calibration and the shared tolerance gate.
 //
-// The quantized GEMM tier (util/gemm.h, int8_lut / int4_lut) trades the
-// bitwise identity contract for a measured one: decisions may flip versus
-// the float oracle, but the flip rate and accuracy delta must stay inside
+// A quantized network runs its dequantized weights through the float path
+// (snn/quantize.h), so it is bitwise identical to a float network carrying
+// those dequantized weights, but not to the float network it was quantized
+// from. Versus that float oracle the contract is a measured one: decisions
+// may flip, but the flip rate and accuracy delta must stay inside
 // configured bounds per dataset preset. calibrate_quantized() is the
-// one-stop entry: it quantizes the network's weights
-// (snn::quantize_network_weights) and then streams a bounded sample of the
-// dataset through the batched engine twice — once under scalar_ref, once
-// under the quantized backend — comparing exit decisions sample by sample.
-// The measurement pass streams samples through the engine's LivePool, which
-// encodes one frame per sample and timestep, so calibration never
-// materializes the dataset.
+// one-stop entry: it streams a bounded sample of the dataset through the
+// batched engine twice — once on the float network, once after quantizing
+// its weights (snn::quantize_network_weights) — comparing exit decisions
+// sample by sample. The measurement passes stream samples through the
+// engine's LivePool, which encodes one frame per sample and timestep, so
+// calibration never materializes the dataset.
 //
 // compare_decisions() is the shared gate helper: every quantized-tier test
 // and bench goes through it (or an explicit EXPECT_NEAR bound) instead of
-// comparing floats bitwise against the oracle — enforced by the
+// comparing floats bitwise against the float oracle — enforced by the
 // quant-bitwise-oracle rule in scripts/check_invariants.py.
 
 #pragma once
@@ -69,18 +70,21 @@ struct QuantCalibrationReport {
   std::size_t float_weight_bytes = 0;
   std::size_t quant_weight_bytes = 0;  ///< packed integer codes
   std::size_t scale_bytes = 0;
-  /// float_weight_bytes / quant_weight_bytes: the per-spike weight-traffic
-  /// reduction (scales are touched once per group per output and reported
-  /// separately).
+  /// float_weight_bytes / quant_weight_bytes: how much smaller the stored
+  /// weight codes are than the float weights (the checkpoint section; scales
+  /// are reported separately). Inference runs the dequantized floats, so
+  /// this is not a per-spike weight-traffic reduction.
   double footprint_ratio = 0.0;
   bool within_tolerance = false;
 };
 
 /// Quantize `net`'s weights under config.spec and measure the tolerance gate
-/// versus the scalar_ref oracle. On return the network carries calibrated
-/// quantized weights (they checkpoint via snn::serialize) and its GEMM
-/// context is left untouched. Throws QuantizationError(kBadSpec) when the
-/// network has no quantizable layers.
+/// versus the float network. Quantized weights already installed are cleared
+/// first, so the oracle pass always runs the float weights. Both passes run
+/// on the network's own GEMM context (every backend is bitwise identical).
+/// On return the network carries calibrated quantized weights (they
+/// checkpoint via snn::serialize). Throws QuantizationError(kBadSpec) when
+/// the network has no quantizable layers.
 QuantCalibrationReport calibrate_quantized(snn::SpikingNetwork& net,
                                            const data::Dataset& dataset,
                                            const ExitPolicy& policy,

@@ -5,9 +5,7 @@
 #include <stdexcept>
 
 #include "core/live_pool.h"
-#include "snn/quantize.h"
 #include "snn/serialize.h"
-#include "util/quant.h"
 
 namespace dtsnn::serve {
 
@@ -80,32 +78,17 @@ ServingFleet::ServingFleet(std::vector<FleetModel> models, FleetConfig config)
     Model m;
     m.spec = std::move(spec);
     if (!m.spec.gemm_backend.empty()) {
-      // Per-model tier selection, resolved loudly at construction: unknown /
-      // unavailable backends throw here, and a quantized backend demands
-      // weights calibrated at its bit-width — a misconfigured model must
-      // never fail on a worker thread mid-request.
+      // Per-model backend selection, resolved loudly at construction:
+      // unknown / unavailable backends throw here, so a misconfigured model
+      // never fails on a worker thread mid-request.
       const util::GemmBackend& backend =
           util::resolve_gemm_backend(m.spec.gemm_backend.c_str());
-      if (const util::QuantizedGemmBackend* qb = util::as_quantized_backend(&backend)) {
-        const int bits = snn::network_quantized_bits(*m.spec.network);
-        if (bits != qb->weight_bits()) {
-          throw util::QuantizationError(
-              util::QuantizationError::Kind::kUncalibrated,
-              "ServingFleet: model '" + m.spec.name + "' gemm_backend '" +
-                  m.spec.gemm_backend + "' needs weights calibrated at " +
-                  std::to_string(qb->weight_bits()) + " bits, but the network " +
-                  (bits == 0   ? std::string("has no calibrated quantized weights")
-                   : bits == -1 ? std::string("is in a partial/mixed quantized state")
-                                : "is calibrated at " + std::to_string(bits) + " bits") +
-                  "; run core::calibrate_quantized first");
-        }
-      }
       m.gemm_context = std::make_unique<util::GemmContext>(backend);
       m.spec.network->set_gemm_context(m.gemm_context.get());
     }
-    // Extra workers run on replicas with the trained (and, for quantized
-    // tiers, calibrated) state stamped in; all of a model's networks share
-    // its context (GemmContext is thread-safe for concurrent GEMM calls).
+    // Extra workers run on replicas with the trained (and any quantized)
+    // weights stamped in; all of a model's networks share its context
+    // (GemmContext is thread-safe for concurrent GEMM calls).
     for (std::size_t w = 1; w < m.spec.workers; ++w) {
       auto replica = std::make_unique<snn::SpikingNetwork>(m.spec.make_replica());
       snn::copy_network_state(*m.spec.network, *replica);

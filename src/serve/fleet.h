@@ -89,11 +89,10 @@ struct FleetModel {
   /// Live-pool capacity per worker.
   std::size_t max_pool = 8;
   /// GEMM backend for this model's networks, by registry name ("" = leave
-  /// them on their current context). Per-model: one model can serve the
-  /// quantized tier while another stays full-precision. Unknown names throw
-  /// std::invalid_argument, unavailable ones std::runtime_error, and a
-  /// quantized backend without matching calibrated weights
-  /// util::QuantizationError — all at construction.
+  /// them on their current context). Unknown names throw
+  /// std::invalid_argument and unavailable ones std::runtime_error, both at
+  /// construction. A model serves quantized when its network carries
+  /// quantized weights (snn/quantize.h), under any backend.
   std::string gemm_backend;
 };
 

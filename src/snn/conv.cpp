@@ -12,7 +12,7 @@ namespace {
 
 // The training forward's sparse/dense op form below keys on
 // snn::kSparseDensityThreshold (snn/layer.h), shared with Linear: the layers
-// pick the op form, the GEMM registry only the ISA and precision.
+// pick the op form, the GEMM registry only the ISA.
 
 /// [N*OHW, Cout] row-per-pixel layout -> NCHW [N, Cout, OH, OW].
 void pixels_to_nchw(const Tensor& pix, std::size_t n, std::size_t c, std::size_t oh,
@@ -79,29 +79,12 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t ke
 
 void Conv2d::set_time(std::size_t timesteps, std::size_t batch) {
   Layer::set_time(timesteps, batch);
-  wt_dirty_ = true;
+  wt_.invalidate();
 }
 
 void Conv2d::begin_steps(std::size_t batch) {
   Layer::begin_steps(batch);
-  wt_dirty_ = true;
-}
-
-const float* Conv2d::ensure_weight_transpose() {
-  const std::size_t patch = in_channels_ * kernel_ * kernel_;
-  if (wt_dirty_ || wt_scratch_.numel() != patch * out_channels_) {
-    if (wt_scratch_.numel() != patch * out_channels_) {
-      wt_scratch_ = Tensor({patch, out_channels_});
-    }
-    for (std::size_t c = 0; c < out_channels_; ++c) {
-      const float* src = weight_.value.data() + c * patch;
-      for (std::size_t p = 0; p < patch; ++p) {
-        wt_scratch_[p * out_channels_ + c] = src[p];
-      }
-    }
-    wt_dirty_ = false;
-  }
-  return wt_scratch_.data();
+  wt_.invalidate();
 }
 
 void Conv2d::set_geometry(const Tensor& x) {
@@ -115,33 +98,15 @@ void Conv2d::set_geometry(const Tensor& x) {
 void Conv2d::eval_pixels(const Tensor& x, float* pix) {
   const std::size_t n = x.dim(0);
   const std::size_t rows = n * geom_.out_h() * geom_.out_w();
-  util::GemmContext& gemm = gemm_context();
-  if (const util::QuantizedGemmBackend* qb = util::as_quantized_backend(&gemm.backend())) {
-    // Quantized inference tier: im2col + qgemm. The quantized kernel already
-    // streams only the spike-selected quantized weight rows, so the direct
-    // scatter path is not used; results are deterministic and
-    // batch-composition invariant, but tolerance-gated (not bitwise) versus
-    // the float tier. Requires calibrated weights at this backend's
-    // bit-width — fails loudly otherwise.
-    require_quantized_weights(*qb, qweight_, "Conv2d");
-    // The LUT backends run fastest off a cached spike-mask table; build it
-    // once per quantized weight matrix (derived data, same single-threaded
-    // dispatch discipline as the cached W^T below).
-    qweight_.ensure_lut();
-    Tensor col;
-    im2col(x, geom_, col);
-    gemm.qgemm(col.data(), qweight_, pix, rows, geom_.patch_size(), out_channels_);
-  } else {
-    // Float inference path: one op at every input density, dispatched to
-    // the selected backend's ISA. The direct scatter skips zero inputs and
-    // accumulates every output element in ascending (c, ky, kx) order —
-    // bitwise identical to the im2col NN GEMM and independent of the batch
-    // size — without materializing the im2col matrix. Needs W^T, cached
-    // across the steps of one sequence (set_time and begin_steps mark it
-    // dirty, and weights only change between them). The context records it
-    // as that NN product, from the kernel's own nonzero count.
-    gemm.conv_scatter(x.data(), ensure_weight_transpose(), pix, n, geom_, out_channels_);
-  }
+  // One op at every input density, dispatched to the selected backend's
+  // ISA. The direct scatter skips zero inputs and accumulates every output
+  // element in ascending (c, ky, kx) order — bitwise identical to the im2col
+  // NN GEMM and independent of the batch size — without materializing the
+  // im2col matrix. Its W^T is of the eval weights, cached across the steps
+  // of one sequence. The context records it as that NN product, from the
+  // kernel's own nonzero count.
+  gemm_context().conv_scatter(x.data(), wt_.get(eval_weight()), pix, n, geom_,
+                              out_channels_);
   add_bias(pix, rows);
 }
 
@@ -186,7 +151,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     util::GemmContext& gemm = gemm_context();
     im2col(x, geom_, col);
     if (x.density() < kSparseDensityThreshold) {
-      gemm.gemm(col.data(), ensure_weight_transpose(), pix.data(), n * oh * ow, patch,
+      gemm.gemm(col.data(), wt_.get(weight_.value), pix.data(), n * oh * ow, patch,
                 out_channels_);
     } else {
       gemm.gemm_bt(col.data(), weight_.value.data(), pix.data(), n * oh * ow, patch,
@@ -241,18 +206,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   Tensor dx;
   col2im(dcol, geom_, dx);
   return dx;
-}
-
-void Conv2d::set_quantized_weights(util::QuantizedMatrix q) {
-  const std::size_t patch = in_channels_ * kernel_ * kernel_;
-  if (q.out() != out_channels_ || q.in() != patch) {
-    throw util::QuantizationError(
-        util::QuantizationError::Kind::kShapeMismatch,
-        util::format("Conv2d: quantized weights [%zu x %zu] do not match float "
-                     "weights [%zu x %zu]",
-                     q.out(), q.in(), out_channels_, patch));
-  }
-  qweight_ = std::move(q);
 }
 
 std::vector<Param*> Conv2d::params() {

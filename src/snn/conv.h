@@ -1,15 +1,16 @@
-// 2-D convolution layer with full backward pass. Float eval forwards run the
-// GEMM registry's zero-skipping spike scatter (util::GemmBackend::
-// conv_scatter) at every input density, at the selected backend's ISA;
-// training and the quantized tier run im2col + GEMM.
+// 2-D convolution layer with full backward pass. Eval forwards run the GEMM
+// registry's zero-skipping spike scatter (util::GemmBackend::conv_scatter) at
+// every input density, at the selected backend's ISA, on the eval weights
+// (the dequantized copy when quantized weights are installed, see
+// snn/quantize.h); training runs im2col + GEMM on the float weights.
 //
-// An eval forward is two parts: the "pixels" part (the scatter, or qgemm
-// under a quantized backend, plus bias) writes the pixel-major output
-// [N*OH*OW, Cout], and a transpose turns it into NCHW. Sequential::step
-// (snn/network.h) runs a Conv2d -> BatchNorm2d -> Lif run as the pixels part
-// into the layer's retained step scratch (step_pixels) followed by the GEMM
-// registry's spike_epilogue op, which replaces the transpose, BN and LIF
-// passes with one and leaves the scratch zeroed for the next step.
+// An eval forward is two parts: the "pixels" part (the scatter plus bias)
+// writes the pixel-major output [N*OH*OW, Cout], and a transpose turns it
+// into NCHW. Sequential::step (snn/network.h) runs a Conv2d -> BatchNorm2d ->
+// Lif run as the pixels part into the layer's retained step scratch
+// (step_pixels) followed by the GEMM registry's spike_epilogue op, which
+// replaces the transpose, BN and LIF passes with one and leaves the scratch
+// zeroed for the next step.
 
 #pragma once
 
@@ -35,8 +36,7 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   /// one row per output pixel, written into a scratch the layer keeps
   /// across steps and returns. The scratch must be all zero on entry: the
   /// caller, the fused spiking epilogue, zeroes every element it reads.
-  /// Throws before writing anything on a bad input shape or missing
-  /// quantized weights.
+  /// Throws before writing anything on a bad input shape.
   float* step_pixels(const Tensor& x);
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
@@ -54,21 +54,14 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
 
-  // QuantizedWeightHolder: optional post-training quantized weight copy,
-  // consumed by eval forwards when a quantized backend is selected.
+  // QuantizedWeightHolder: optional post-training quantized weights, run
+  // dequantized by eval forwards.
   [[nodiscard]] const Tensor& quantizable_weight() const override {
     return weight_.value;
   }
-  [[nodiscard]] const util::QuantizedMatrix& quantized_weights() const override {
-    return qweight_;
-  }
-  void set_quantized_weights(util::QuantizedMatrix q) override;
-  void clear_quantized_weights() override { qweight_ = util::QuantizedMatrix(); }
 
  private:
-  /// Materialize (or reuse) the W^T [Cin*K*K, Cout] scratch for the eval
-  /// scatter and the sparse training GEMM.
-  const float* ensure_weight_transpose();
+  void eval_weight_changed() override { wt_.invalidate(); }
   /// Validate an NCHW input and record its geometry in geom_.
   void set_geometry(const Tensor& x);
   /// The eval pixels part into pix [N*OH*OW, Cout], zero on entry, for the
@@ -81,20 +74,15 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   bool has_bias_;
   Param weight_;
   Param bias_;
-  util::QuantizedMatrix qweight_;
 
   // Training-time caches.
   ConvGeometry geom_;
   Tensor col_cache_;   // [N*OH*OW, Cin*K*K]
   bool have_cache_ = false;
 
-  // W^T [Cin*K*K, Cout] scratch for the zero-skipping A-stationary forms
-  // (eval scatter and sparse training forwards). Weights can only change
-  // between sequences/forward passes, both of which are preceded by set_time
-  // or begin_steps, so those mark it dirty and the transpose is reused
-  // across the steps of one inference sequence.
-  Tensor wt_scratch_;
-  bool wt_dirty_ = true;
+  // W^T [Cin*K*K, Cout] for the eval scatter (of the eval weights) and the
+  // sparse training forward (of the float weights).
+  WeightTranspose wt_;
 
   // step_pixels' output, sized for the largest step batch seen and all zero
   // between steps. The multi-step forward keeps its own local buffer, so

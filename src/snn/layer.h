@@ -31,7 +31,7 @@ namespace dtsnn::snn {
 /// and Linear's eval forward; Conv2d's float eval forward runs the
 /// registry's conv_scatter op at every density. This is the one
 /// sparse-vs-dense decision in the stack; the GEMM registry picks only the
-/// ISA and precision. Choices keyed on it are speed-only — both forms are
+/// ISA. Choices keyed on it are speed-only — both forms are
 /// bitwise identical for finite weights (see Conv2d::forward).
 inline constexpr double kSparseDensityThreshold = 0.35;
 

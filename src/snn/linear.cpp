@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "util/gemm.h"
-#include "util/logging.h"
-#include "util/quant.h"
 
 namespace dtsnn::snn {
 
@@ -26,28 +24,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, bool bias, uti
 
 void Linear::set_time(std::size_t timesteps, std::size_t batch) {
   Layer::set_time(timesteps, batch);
-  wt_dirty_ = true;
+  wt_.invalidate();
 }
 
 void Linear::begin_steps(std::size_t batch) {
   Layer::begin_steps(batch);
-  wt_dirty_ = true;
-}
-
-const float* Linear::ensure_weight_transpose() {
-  if (wt_dirty_ || wt_scratch_.numel() != in_features_ * out_features_) {
-    if (wt_scratch_.numel() != in_features_ * out_features_) {
-      wt_scratch_ = Tensor({in_features_, out_features_});
-    }
-    for (std::size_t c = 0; c < out_features_; ++c) {
-      const float* src = weight_.value.data() + c * in_features_;
-      for (std::size_t p = 0; p < in_features_; ++p) {
-        wt_scratch_[p * out_features_ + c] = src[p];
-      }
-    }
-    wt_dirty_ = false;
-  }
-  return wt_scratch_.data();
+  wt_.invalidate();
 }
 
 Tensor Linear::forward(const Tensor& x, bool train) {
@@ -57,32 +39,19 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   const std::size_t n = x.dim(0);
   Tensor out({n, out_features_});
   util::GemmContext& gemm = gemm_context();
-  const util::QuantizedGemmBackend* qb =
-      train ? nullptr : util::as_quantized_backend(&gemm.backend());
-  if (qb != nullptr) {
-    // Quantized inference tier: spikes select quantized weight rows
-    // (multiply-free integer accumulate, dequantized per scale group).
-    // Requires calibrated weights at this backend's bit-width — fails loudly
-    // otherwise. Training forwards never take this path.
-    require_quantized_weights(*qb, qweight_, "Linear");
-    // The LUT backends run fastest off a cached spike-mask table; build it
-    // once per quantized weight matrix (derived data, single-threaded
-    // dispatch).
-    qweight_.ensure_lut();
-    gemm.qgemm(x.data(), qweight_, out.data(), n, in_features_, out_features_);
-  } else if (!train && x.density() < kSparseDensityThreshold) {
+  // Training reads the float weights, eval the eval weights.
+  const Tensor& w = train ? weight_.value : eval_weight();
+  if (!train && x.density() < kSparseDensityThreshold) {
     // out = x * W^T in the A-stationary zero-skip NN form against the cached
     // W^T: bitwise identical to the dense dot-product form below for finite
     // weights (same ascending-k accumulation from a zero start; skipped
     // zero-spike terms only ever contribute ±0, and the final add into the
     // zeroed output restores +0 in both forms), so — exactly as in
     // Conv2d::forward's training forms — this is purely a speed decision.
-    gemm.gemm(x.data(), ensure_weight_transpose(), out.data(), n, in_features_,
-              out_features_);
+    gemm.gemm(x.data(), wt_.get(w), out.data(), n, in_features_, out_features_);
   } else {
     // out = x * W^T
-    gemm.gemm_bt(x.data(), weight_.value.data(), out.data(), n, in_features_,
-                 out_features_);
+    gemm.gemm_bt(x.data(), w.data(), out.data(), n, in_features_, out_features_);
   }
   if (has_bias_) {
     const float* b = bias_.value.data();
@@ -122,17 +91,6 @@ Tensor Linear::backward(const Tensor& grad_out) {
   gemm_context().gemm(grad_out.data(), weight_.value.data(), dx.data(), n, out_features_,
                       in_features_);
   return dx;
-}
-
-void Linear::set_quantized_weights(util::QuantizedMatrix q) {
-  if (q.out() != out_features_ || q.in() != in_features_) {
-    throw util::QuantizationError(
-        util::QuantizationError::Kind::kShapeMismatch,
-        util::format("Linear: quantized weights [%zu x %zu] do not match float "
-                     "weights [%zu x %zu]",
-                     q.out(), q.in(), out_features_, in_features_));
-  }
-  qweight_ = std::move(q);
 }
 
 std::vector<Param*> Linear::params() {

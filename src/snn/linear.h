@@ -1,4 +1,7 @@
-// Fully connected layer and the Flatten adapter that precedes it.
+// Fully connected layer and the Flatten adapter that precedes it. Eval
+// forwards run the eval weights (the dequantized copy when quantized weights
+// are installed, see snn/quantize.h) in one of two bitwise-equal product
+// forms picked by input density; training runs the float weights.
 
 #pragma once
 
@@ -27,32 +30,23 @@ class Linear final : public Layer, public QuantizedWeightHolder {
   Param& bias() { return bias_; }
   [[nodiscard]] bool has_bias() const { return has_bias_; }
 
-  // QuantizedWeightHolder: optional post-training quantized weight copy,
-  // consumed by eval forwards when a quantized backend is selected.
+  // QuantizedWeightHolder: optional post-training quantized weights, run
+  // dequantized by eval forwards.
   [[nodiscard]] const Tensor& quantizable_weight() const override {
     return weight_.value;
   }
-  [[nodiscard]] const util::QuantizedMatrix& quantized_weights() const override {
-    return qweight_;
-  }
-  void set_quantized_weights(util::QuantizedMatrix q) override;
-  void clear_quantized_weights() override { qweight_ = util::QuantizedMatrix(); }
 
  private:
-  /// W^T [in, out], materialized lazily for the sparse eval form and cached
-  /// across the steps of one sequence (set_time / begin_steps mark it dirty;
-  /// weights only change between sequences). Mirrors Conv2d.
-  const float* ensure_weight_transpose();
+  void eval_weight_changed() override { wt_.invalidate(); }
 
   std::size_t in_features_, out_features_;
   bool has_bias_;
   Param weight_;
   Param bias_;
-  util::QuantizedMatrix qweight_;
   Tensor input_cache_;
   bool have_cache_ = false;
-  Tensor wt_scratch_;
-  bool wt_dirty_ = true;
+  // W^T [in, out] of the eval weights, for the sparse eval form.
+  WeightTranspose wt_;
 };
 
 /// Collapses [N, C, H, W] to [N, C*H*W]; identity on already-flat input.

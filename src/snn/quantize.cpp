@@ -1,5 +1,7 @@
 #include "snn/quantize.h"
 
+#include <utility>
+
 #include "snn/network.h"
 #include "util/logging.h"
 
@@ -15,6 +17,41 @@ void visit_holders(SpikingNetwork& net, Fn&& fn) {
 }
 
 }  // namespace
+
+void QuantizedWeightHolder::set_quantized_weights(util::QuantizedMatrix q) {
+  const Tensor& w = quantizable_weight();
+  if (q.out() != w.dim(0) || q.in() != w.dim(1)) {
+    throw util::QuantizationError(
+        util::QuantizationError::Kind::kShapeMismatch,
+        util::format("quantized weights [%zu x %zu] do not match the layer's float "
+                     "weights [%zu x %zu]",
+                     q.out(), q.in(), w.dim(0), w.dim(1)));
+  }
+  if (dequantized_.shape() != w.shape()) dequantized_ = Tensor(w.shape());
+  q.dequantize(dequantized_.data());
+  qweight_ = std::move(q);
+  eval_weight_changed();
+}
+
+void QuantizedWeightHolder::clear_quantized_weights() {
+  qweight_ = util::QuantizedMatrix();
+  dequantized_ = Tensor();
+  eval_weight_changed();
+}
+
+const float* WeightTranspose::get(const Tensor& w) {
+  const std::size_t rows = w.dim(0), cols = w.dim(1);
+  if (dirty_ || source_ != &w || wt_.numel() != rows * cols) {
+    if (wt_.numel() != rows * cols) wt_ = Tensor({cols, rows});
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* src = w.data() + r * cols;
+      for (std::size_t c = 0; c < cols; ++c) wt_[c * rows + r] = src[c];
+    }
+    source_ = &w;
+    dirty_ = false;
+  }
+  return wt_.data();
+}
 
 std::size_t quantize_network_weights(SpikingNetwork& net, const util::QuantSpec& spec) {
   spec.validate();
@@ -66,29 +103,6 @@ QuantFootprint network_quant_footprint(SpikingNetwork& net) {
     }
   });
   return fp;
-}
-
-void require_quantized_weights(const util::QuantizedGemmBackend& backend,
-                               const util::QuantizedMatrix& q, const char* layer_name) {
-  if (q.empty()) {
-    throw util::QuantizationError(
-        util::QuantizationError::Kind::kUncalibrated,
-        util::format(
-            "GEMM backend '%.*s' selected but %s has no calibrated quantized "
-            "weights; run snn::quantize_network_weights / "
-            "core::calibrate_quantized before inference (is DTSNN_GEMM_BACKEND "
-            "forcing a quantized backend on an uncalibrated network?)",
-            static_cast<int>(backend.name().size()), backend.name().data(),
-            layer_name));
-  }
-  if (q.bits() != backend.weight_bits()) {
-    throw util::QuantizationError(
-        util::QuantizationError::Kind::kBitsMismatch,
-        util::format("GEMM backend '%.*s' consumes %d-bit weights but %s is "
-                     "calibrated at %d bits; re-run calibration for this tier",
-                     static_cast<int>(backend.name().size()), backend.name().data(),
-                     backend.weight_bits(), layer_name, q.bits()));
-  }
 }
 
 }  // namespace dtsnn::snn

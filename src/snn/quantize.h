@@ -2,32 +2,30 @@
 //
 // Weight-bearing layers (Conv2d, Linear) additionally implement
 // QuantizedWeightHolder: alongside their float weights they can carry a
-// calibrated util::QuantizedMatrix, which the eval-time forward consumes
-// when the layer's GemmContext selects a quantized backend (int8_lut /
-// int4_lut). The float weights always remain authoritative — training,
-// serialization of float params, and the bitwise-tier backends never look at
-// the quantized copy.
+// calibrated util::QuantizedMatrix. Installing one dequantizes it once into
+// the weights the layer's eval forwards run, through the same float ops and
+// the same GEMM backends as an unquantized layer. A network runs quantized
+// exactly when its holders carry quantized weights; no backend name selects
+// it. The float weights stay authoritative: training forwards and backward,
+// and the float checkpoint params, never read the dequantized copy.
 //
 // quantize_network_weights() installs quantized weights on every holder;
 // core::calibrate_quantized() wraps it with a streaming measurement pass
-// that reports decision-flip-rate and accuracy delta versus the scalar_ref
-// oracle (the tolerance-gated identity contract, see util/gemm.h).
+// that reports decision-flip-rate and accuracy delta versus the float
+// network (the tolerance gate, see core/quantize.h).
 
 #pragma once
 
 #include <cstddef>
 
 #include "snn/tensor.h"
-#include "util/gemm.h"
 #include "util/quant.h"
 
 namespace dtsnn::snn {
 
 class SpikingNetwork;
 
-/// Implemented by layers whose weights can be quantized. The quantized copy
-/// is shape-checked against the float weight on installation
-/// (QuantizationError(kShapeMismatch)).
+/// Implemented by layers whose weights can be quantized.
 class QuantizedWeightHolder {
  public:
   virtual ~QuantizedWeightHolder() = default;
@@ -36,25 +34,61 @@ class QuantizedWeightHolder {
   [[nodiscard]] virtual const Tensor& quantizable_weight() const = 0;
 
   /// Calibrated quantized weights; empty() when not calibrated.
-  [[nodiscard]] virtual const util::QuantizedMatrix& quantized_weights() const = 0;
-  virtual void set_quantized_weights(util::QuantizedMatrix q) = 0;
-  virtual void clear_quantized_weights() = 0;
+  [[nodiscard]] const util::QuantizedMatrix& quantized_weights() const { return qweight_; }
+  /// Install `q` and dequantize it once into the weights eval forwards run.
+  /// Throws QuantizationError(kShapeMismatch) unless its dims match
+  /// quantizable_weight().
+  void set_quantized_weights(util::QuantizedMatrix q);
+  /// Drop the quantized weights: eval forwards run the float weights again.
+  void clear_quantized_weights();
+
+ protected:
+  /// The [out, in] weights eval forwards run: the dequantized copy while
+  /// quantized weights are installed, else quantizable_weight().
+  [[nodiscard]] const Tensor& eval_weight() const {
+    return qweight_.empty() ? quantizable_weight() : dequantized_;
+  }
+  /// Called after set/clear_quantized_weights changed eval_weight(); the
+  /// layer drops what it derived from it.
+  virtual void eval_weight_changed() = 0;
+
+ private:
+  util::QuantizedMatrix qweight_;
+  Tensor dequantized_;
+};
+
+/// W^T [cols, rows] of a layer's [rows, cols] weight matrix, for the
+/// zero-skipping A-stationary product forms. Kept across the steps of one
+/// inference sequence: weights only change between sequences and forward
+/// passes, which the layer marks with invalidate() (set_time, begin_steps,
+/// eval_weight_changed). get() also rebuilds when asked for a different
+/// source than the one it holds, since one layer can ask for its float
+/// weights (training forward) and its dequantized weights (eval forward).
+class WeightTranspose {
+ public:
+  const float* get(const Tensor& w);
+  void invalidate() { dirty_ = true; }
+
+ private:
+  Tensor wt_;
+  const Tensor* source_ = nullptr;
+  bool dirty_ = true;
 };
 
 /// Quantize every holder's float weights under `spec`. Returns the number of
 /// layers quantized (0 for a network without weight-bearing layers).
 std::size_t quantize_network_weights(SpikingNetwork& net, const util::QuantSpec& spec);
 
-/// Drop all calibrated quantized weights (quantized backends then refuse to
-/// run this network again until re-calibrated).
+/// Drop all calibrated quantized weights: the network runs its float weights
+/// again.
 void clear_network_quantized_weights(SpikingNetwork& net);
 
 /// Uniform quantized bit-width of the network's holders: 0 when none are
 /// calibrated, 8 or 4 when all are calibrated at that width, -1 when the
-/// state is partial or mixed (invalid for inference).
+/// state is partial or mixed.
 int network_quantized_bits(SpikingNetwork& net);
 
-/// Resident weight-footprint accounting across all holders.
+/// Weight storage accounting across all holders.
 struct QuantFootprint {
   std::size_t float_bytes = 0;   ///< all holders' float weights
   std::size_t packed_bytes = 0;  ///< quantized integer codes
@@ -63,12 +97,5 @@ struct QuantFootprint {
   std::size_t quantized_layers = 0;  ///< of which calibrated
 };
 QuantFootprint network_quant_footprint(SpikingNetwork& net);
-
-/// Dispatch-time guard used by the layers: throws
-/// QuantizationError(kUncalibrated) when `q` is empty and (kBitsMismatch)
-/// when its width disagrees with the backend's — the loud typed failure for
-/// DTSNN_GEMM_BACKEND naming a quantized backend on an uncalibrated network.
-void require_quantized_weights(const util::QuantizedGemmBackend& backend,
-                               const util::QuantizedMatrix& q, const char* layer_name);
 
 }  // namespace dtsnn::snn

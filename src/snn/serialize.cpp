@@ -199,17 +199,41 @@ void load_checkpoint(SpikingNetwork& net, const std::string& path) {
               std::to_string(holder_index) + " but model has " +
               std::to_string(holders.size()) + " weight-bearing layers");
     }
-    std::vector<std::uint8_t> packed(static_cast<std::size_t>(packed_bytes));
+    // Size the buffers from the entry's dims, checked against the layer,
+    // never from the file's counts alone: a corrupt header must fail typed
+    // here, before it allocates.
+    const Tensor& weight = holders[holder_index]->quantizable_weight();
+    if (out_dim != weight.dim(0) || in_dim != weight.dim(1)) {
+      throw util::QuantizationError(
+          util::QuantizationError::Kind::kShapeMismatch,
+          "load_checkpoint: quantized entry for holder " + std::to_string(holder_index) +
+              " is [" + std::to_string(out_dim) + " x " + std::to_string(in_dim) +
+              "] but the layer's float weights are " + shape_to_string(weight.shape()));
+    }
+    const util::QuantizedMatrix::Layout want = util::QuantizedMatrix::layout(
+        static_cast<std::size_t>(out_dim), static_cast<std::size_t>(in_dim),
+        static_cast<int>(bits), static_cast<std::size_t>(group_size));
+    const auto expect_count = [&](const char* what, std::uint64_t got,
+                                  std::size_t expected) {
+      if (got == expected) return;
+      throw util::QuantizationError(
+          util::QuantizationError::Kind::kBadCheckpoint,
+          "load_checkpoint: quantized entry for holder " + std::to_string(holder_index) +
+              " declares " + std::to_string(got) + " " + what + ", its dims need " +
+              std::to_string(expected));
+    };
+    expect_count("packed bytes", packed_bytes, want.packed_bytes);
+    std::vector<std::uint8_t> packed(want.packed_bytes);
     in.read(reinterpret_cast<char*>(packed.data()),
             static_cast<std::streamsize>(packed.size()));
     std::uint64_t scale_count = 0;
     read_pod(in, scale_count);
-    std::vector<float> scales(static_cast<std::size_t>(scale_count));
+    expect_count("scales", scale_count, want.scale_count);
+    std::vector<float> scales(want.scale_count);
     in.read(reinterpret_cast<char*>(scales.data()),
             static_cast<std::streamsize>(scales.size() * sizeof(float)));
     if (!in) throw std::runtime_error("load_checkpoint: truncated file " + path);
-    // from_raw validates sizes against dims; set_quantized_weights validates
-    // dims against the layer's float weights.
+    // from_raw validates the codes and scales themselves.
     holders[holder_index]->set_quantized_weights(util::QuantizedMatrix::from_raw(
         static_cast<std::size_t>(out_dim), static_cast<std::size_t>(in_dim),
         static_cast<int>(bits), static_cast<std::size_t>(group_size),
@@ -236,7 +260,7 @@ void copy_network_state(SpikingNetwork& src, SpikingNetwork& dst) {
               dst_tensor->data());
   }
   // Mirror calibrated quantized weights so replicas (parallel evaluation,
-  // serving pools) can run the quantized tier without re-calibration.
+  // serving pools) run the same quantized weights without re-calibration.
   auto src_holders = quantized_holders(src);
   auto dst_holders = quantized_holders(dst);
   if (src_holders.size() != dst_holders.size()) {

@@ -10,8 +10,6 @@
 #include "util/conv_scatter_kernel.h"
 #include "util/env.h"
 #include "util/gemm_internal.h"
-#include "util/logging.h"
-#include "util/quant.h"
 #include "util/spike_epilogue_kernel.h"
 
 namespace dtsnn::util {
@@ -57,31 +55,6 @@ void GemmBackend::spike_epilogue(float* pix, float* membrane, float* spikes,
                                  std::size_t batch, std::size_t pixels, std::size_t cout,
                                  const SpikeEpilogue& e) const {
   if (batch != 0) do_spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e);
-}
-
-void QuantizedGemmBackend::qgemm(const float* a, const QuantizedMatrix& q, float* c,
-                                 std::size_t m, std::size_t k, std::size_t n,
-                                 bool accumulate) const {
-  if (q.bits() != weight_bits() && !(q.empty() && k == 0 && n == 0)) {
-    throw QuantizationError(
-        QuantizationError::Kind::kBitsMismatch,
-        format("GEMM backend '%.*s' consumes %d-bit weights but was given a "
-               "%d-bit QuantizedMatrix",
-               static_cast<int>(name().size()), name().data(), weight_bits(),
-               q.bits()));
-  }
-  if (q.out() != n || q.in() != k) {
-    throw QuantizationError(
-        QuantizationError::Kind::kShapeMismatch,
-        format("qgemm shape mismatch: op expects Q[%zu x %zu] but the "
-               "QuantizedMatrix is [%zu x %zu]",
-               n, k, q.out(), q.in()));
-  }
-  if (prepare_output(c, m, k, n, accumulate)) do_qgemm(a, q, c, m, k, n);
-}
-
-const QuantizedGemmBackend* as_quantized_backend(const GemmBackend* backend) {
-  return dynamic_cast<const QuantizedGemmBackend*>(backend);
 }
 
 // ------------------------------------------------------------------ kernels
@@ -346,11 +319,6 @@ std::span<const GemmBackend* const> gemm_backends() {
     std::vector<const GemmBackend*> v{&scalar_ref, &blocked_omp};
     if (const GemmBackend* avx2 = avx2_backend_or_null()) v.push_back(avx2);
     if (const GemmBackend* avx512 = avx512_backend_or_null()) v.push_back(avx512);
-    // Quantized tier: listed and forceable by name, but never auto-selected
-    // (resolve_gemm_backend's automatic path considers bitwise backends only,
-    // since the quantized tier additionally requires calibrated weights).
-    v.push_back(int8_lut_backend());
-    v.push_back(int4_lut_backend());
     return v;
   }();
   return backends;
@@ -459,21 +427,6 @@ void GemmContext::gemm_bt(const float* a, const float* b, float* c, std::size_t 
   record(&GemmStats::bt, m, k, n, static_cast<double>(m * k),
          static_cast<double>(count_nonzeros(a, m * k)));
   backend_->gemm_bt(a, b, c, m, k, n, accumulate);
-}
-
-void GemmContext::qgemm(const float* a, const QuantizedMatrix& q, float* c,
-                        std::size_t m, std::size_t k, std::size_t n,
-                        bool accumulate) {
-  const QuantizedGemmBackend* qb = as_quantized_backend(backend_);
-  if (qb == nullptr) {
-    throw QuantizationError(
-        QuantizationError::Kind::kNotQuantized,
-        format("qgemm dispatched to non-quantized GEMM backend '%.*s'",
-               static_cast<int>(backend_->name().size()), backend_->name().data()));
-  }
-  record(&GemmStats::quant, m, k, n, static_cast<double>(m * k),
-         static_cast<double>(count_nonzeros(a, m * k)));
-  qb->qgemm(a, q, c, m, k, n, accumulate);
 }
 
 void GemmContext::conv_scatter(const float* x, const float* wt, float* pix,

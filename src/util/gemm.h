@@ -39,54 +39,37 @@
 //                 compiled with -mavx512f -ffp-contract=off (AVX-512F
 //                 implies FMA, and contraction would break the bitwise
 //                 contract). Auto-selected above avx2 when the CPU has it.
-//   int8_lut      quantized inference tier: weights pre-quantized to INT8
-//   int4_lut      (or packed INT4) with group-wise symmetric scales
-//                 (util::QuantizedMatrix); binary {0,1} spike activations
-//                 index precomputed per-chunk code-sum tables
-//                 (util::QuantLut), one table gather + integer add per
-//                 4-position chunk, with one dequantize per group per output
-//                 and a graded-spike float fallback. Small batches without a
-//                 cached table run the bit-identical spike kernel
-//                 (internal::qgemm_spike_kernel). Selected only by explicit
-//                 name, never by auto-selection, and usable only on networks
-//                 with calibrated scales (see snn/quantize.h).
 //
-// Every bitwise backend runs the one conv_scatter kernel
-// (util/conv_scatter_kernel.h) and the one spike_epilogue kernel
-// (util/spike_epilogue_kernel.h), each compiled once per backend TU at that
-// TU's ISA flags: scalar_ref serially, blocked_omp, avx2 and avx512 parallel
-// over images. The quantized backends delegate both to blocked_omp.
+// Quantized weights are a storage format, not a backend: a Conv2d or Linear
+// carrying calibrated util::QuantizedMatrix weights dequantizes them once at
+// install (snn/quantize.h), and its eval forwards run the dequantized floats
+// through these same ops.
 //
-// The registry picks only the ISA and the precision. Whether a product runs
-// in the sparse or the dense op form is decided once, by the layers, from the
-// input spike density (snn::kSparseDensityThreshold).
+// Every backend runs the one conv_scatter kernel (util/conv_scatter_kernel.h)
+// and the one spike_epilogue kernel (util/spike_epilogue_kernel.h), each
+// compiled once per backend TU at that TU's ISA flags: scalar_ref serially,
+// blocked_omp, avx2 and avx512 parallel over images.
 //
-// Identity contract tiers:
+// The registry picks only the ISA. Whether a product runs in the sparse or
+// the dense op form is decided once, by the layers, from the input spike
+// density (snn::kSparseDensityThreshold).
 //
-//   kBitwise (scalar_ref, blocked_omp, avx2, avx512): for every op, each
-//   output element accumulates its contributions in ascending-k order with
-//   exact-zero A values skipped (NN / A^T / conv_scatter, whose k order is
-//   the ascending (c, ky, kx) patch order), and the B^T op sums each dot
-//   product sequentially into a local accumulator before a single add into
-//   C. spike_epilogue applies, per element, the float operations of the
-//   unfused BatchNorm2d and Lif eval steps in their order. These backends
-//   follow the contract exactly, so DT-SNN logits — and therefore early-exit
-//   decisions — are bitwise identical no matter which backend runs, and the
-//   per-backend identity suite enforces it against scalar_ref.
-//
-//   kToleranceGated (int8_lut, int4_lut): quantized weights cannot reproduce
-//   float logits bitwise. These backends instead honor a tolerance gate
-//   versus the scalar_ref oracle: per dataset preset, the early-exit
-//   decision flip rate and accuracy delta are measured
-//   (core::calibrate_quantized / core::compare_decisions) and must stay
-//   within configured bounds. Their plain float ops (gemm / gemm_at /
-//   gemm_bt / conv_scatter / spike_epilogue, used by training, non-weight
-//   GEMMs and the eval epilogue) delegate to the blocked kernels and so
-//   remain bitwise-tier.
+// Identity contract: for every op, each output element accumulates its
+// contributions in ascending-k order with exact-zero A values skipped (NN /
+// A^T / conv_scatter, whose k order is the ascending (c, ky, kx) patch
+// order), and the B^T op sums each dot product sequentially into a local
+// accumulator before a single add into C. spike_epilogue applies, per
+// element, the float operations of the unfused BatchNorm2d and Lif eval steps
+// in their order. Every backend follows the contract exactly, so DT-SNN
+// logits — and therefore early-exit decisions — are bitwise identical no
+// matter which backend runs, and the per-backend identity suite enforces it
+// against scalar_ref. That holds for quantized networks too: they run the
+// float ops on their dequantized weights. Versus the float network they are
+// tolerance-gated instead (core::calibrate_quantized).
 //
 // Selection: the DTSNN_GEMM_BACKEND environment variable forces a backend by
 // name (unknown or unavailable names throw, listing the registry with
-// availability); otherwise the best available dense backend runs:
+// availability); otherwise the best available backend runs:
 // avx512 > avx2 > blocked_omp.
 //
 // Call sites do not invoke backends directly: they go through a GemmContext
@@ -104,8 +87,6 @@
 #include "util/thread_annotations.h"
 
 namespace dtsnn::util {
-
-class QuantizedMatrix;  // util/quant.h
 
 /// Geometry of one 2-D convolution over an NCHW input (square kernel, same
 /// stride and zero padding on both axes). The layers' im2col transforms and
@@ -149,23 +130,12 @@ struct SpikeEpilogue {
 
 // ------------------------------------------------------------------ backend
 
-/// Which identity contract a backend honors (see file comment).
-enum class GemmIdentityTier {
-  kBitwise,         ///< bitwise identical to scalar_ref, always
-  kToleranceGated,  ///< quantized: accuracy-delta / decision-flip-rate gate
-};
-
 class GemmBackend {
  public:
   virtual ~GemmBackend() = default;
 
   /// Stable identifier used by DTSNN_GEMM_BACKEND and reports.
   [[nodiscard]] virtual std::string_view name() const = 0;
-
-  /// Identity contract tier. Bitwise unless overridden.
-  [[nodiscard]] virtual GemmIdentityTier identity_tier() const {
-    return GemmIdentityTier::kBitwise;
-  }
 
   /// Whether this backend can run on the current machine (runtime CPUID for
   /// ISA-specific backends). Unavailable backends stay listed but are never
@@ -228,51 +198,11 @@ class GemmBackend {
                                  const SpikeEpilogue& e) const = 0;
 };
 
-// ------------------------------------------------------------ quantized tier
-
-/// Base of the tolerance-gated quantized backends (int8_lut, int4_lut).
-/// Adds the quantized-weight op: C[m,n] (+)= A[m,k] * Q^T where Q is a
-/// QuantizedMatrix of shape [n, k] (output-channel major, like the layers'
-/// float weights). A carries spike activations; exact-zero entries are
-/// skipped, exact-1.0 entries take the multiply-free integer path, anything
-/// else falls back to graded float accumulation. Accumulation is ascending-k
-/// within each scale group and row-independent, so results are deterministic
-/// and batch-composition invariant — but NOT bitwise comparable to the float
-/// backends (identity_tier() == kToleranceGated).
-class QuantizedGemmBackend : public GemmBackend {
- public:
-  [[nodiscard]] GemmIdentityTier identity_tier() const final {
-    return GemmIdentityTier::kToleranceGated;
-  }
-
-  /// Weight bit-width this backend consumes (8 or 4). Feeding it a
-  /// QuantizedMatrix of any other width throws
-  /// QuantizationError(kBitsMismatch).
-  [[nodiscard]] virtual int weight_bits() const = 0;
-
-  /// C[m,n] (+)= A[m,k] * Q^T, Q quantized [n, k]. Degenerate shapes
-  /// (m, k, or n == 0) are handled like the float ops: C is zeroed when not
-  /// accumulating and the kernel is never entered. Throws QuantizationError
-  /// for bit-width (kBitsMismatch) or dimension (kShapeMismatch) disagreements.
-  void qgemm(const float* a, const QuantizedMatrix& q, float* c, std::size_t m,
-             std::size_t k, std::size_t n, bool accumulate = false) const;
-
- protected:
-  /// Same always-accumulate / nonzero-shapes contract as the float kernels.
-  virtual void do_qgemm(const float* a, const QuantizedMatrix& q, float* c,
-                        std::size_t m, std::size_t k, std::size_t n) const = 0;
-};
-
-/// Downcast helper: the backend as a quantized backend, or nullptr when it
-/// is a plain float (bitwise-tier) backend.
-const QuantizedGemmBackend* as_quantized_backend(const GemmBackend* backend);
-
 // ----------------------------------------------------------------- registry
 
 /// All compiled-in backends in registration order: scalar_ref, blocked_omp,
 /// avx2 (when the toolchain supported -mavx2), avx512 (when the toolchain
-/// supported -mavx512f and the build did not disable it), int8_lut,
-/// int4_lut.
+/// supported -mavx512f and the build did not disable it).
 std::span<const GemmBackend* const> gemm_backends();
 
 /// Lookup by name; nullptr when no such backend is compiled in.
@@ -290,8 +220,8 @@ const GemmBackend& resolve_gemm_backend(const char* override_name);
 /// evaluated once and cached.
 const GemmBackend& default_gemm_backend();
 
-/// The best dense bitwise backend this machine can run: avx512 > avx2 >
-/// blocked_omp. Automatic selection uses this.
+/// The best backend this machine can run: avx512 > avx2 > blocked_omp.
+/// Automatic selection uses this.
 const GemmBackend& preferred_dense_gemm_backend();
 
 /// Runtime CPUID check used to gate the avx2 backend.
@@ -317,21 +247,16 @@ struct GemmCallStats {
 
 /// Per-op accounting of one GemmContext.
 struct GemmStats {
-  GemmCallStats nn;     ///< gemm and conv_scatter (as its im2col NN product)
-  GemmCallStats at;     ///< gemm_at
-  GemmCallStats bt;     ///< gemm_bt
-  GemmCallStats quant;  ///< qgemm (quantized-weight op; flops = dense equivalent)
-  [[nodiscard]] std::size_t calls() const {
-    return nn.calls + at.calls + bt.calls + quant.calls;
-  }
-  [[nodiscard]] double flops() const {
-    return nn.flops + at.flops + bt.flops + quant.flops;
-  }
+  GemmCallStats nn;  ///< gemm and conv_scatter (as its im2col NN product)
+  GemmCallStats at;  ///< gemm_at
+  GemmCallStats bt;  ///< gemm_bt
+  [[nodiscard]] std::size_t calls() const { return nn.calls + at.calls + bt.calls; }
+  [[nodiscard]] double flops() const { return nn.flops + at.flops + bt.flops; }
   [[nodiscard]] double elements() const {
-    return nn.a_elements + at.a_elements + bt.a_elements + quant.a_elements;
+    return nn.a_elements + at.a_elements + bt.a_elements;
   }
   [[nodiscard]] double nonzeros() const {
-    return nn.a_nonzeros + at.a_nonzeros + bt.a_nonzeros + quant.a_nonzeros;
+    return nn.a_nonzeros + at.a_nonzeros + bt.a_nonzeros;
   }
   [[nodiscard]] double density() const {
     const double e = elements();
@@ -363,12 +288,6 @@ class GemmContext {
                std::size_t n, bool accumulate = false);
   void gemm_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n, bool accumulate = false);
-
-  /// Quantized-weight op; valid only when the selected backend is a
-  /// QuantizedGemmBackend (throws QuantizationError(kNotQuantized)
-  /// otherwise — layers check as_quantized_backend before dispatching here).
-  void qgemm(const float* a, const QuantizedMatrix& q, float* c, std::size_t m,
-             std::size_t k, std::size_t n, bool accumulate = false);
 
   /// Spike convolution (GemmBackend::conv_scatter), recorded as the NN
   /// product it equals: m = batch*OH*OW, k = Cin*K*K, n = cout, dense

@@ -1,10 +1,8 @@
 #include "util/quant.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
-#include "util/env.h"
 #include "util/logging.h"
 
 namespace dtsnn::util {
@@ -12,6 +10,21 @@ namespace dtsnn::util {
 namespace {
 
 std::size_t default_group_size(int bits) { return bits == 4 ? 32 : 64; }
+
+/// Scale groups per output channel; no overflow for any group_size > 0.
+std::size_t group_count(std::size_t in, std::size_t group_size) {
+  return in == 0 ? 0 : (in - 1) / group_size + 1;
+}
+
+/// Bytes per packed k-row: out for INT8, ceil(out / 2) for INT4.
+std::size_t packed_row_stride(std::size_t out, int bits) {
+  return bits == 4 ? out / 2 + out % 2 : out;
+}
+
+/// Stored (offset-binary) nibble of column j in an INT4 k-row.
+int int4_nibble(const std::uint8_t* row, std::size_t j) {
+  return j % 2 == 0 ? row[j / 2] & 0x0F : row[j / 2] >> 4;
+}
 
 }  // namespace
 
@@ -25,11 +38,7 @@ void QuantSpec::validate() const {
 
 std::size_t QuantSpec::resolved_group_size() const {
   validate();
-  if (group_size != 0) return group_size;
-  if (const auto env = env_u64("DTSNN_QUANT_GROUP_SIZE", 1)) {
-    return static_cast<std::size_t>(*env);
-  }
-  return default_group_size(bits);
+  return group_size != 0 ? group_size : default_group_size(bits);
 }
 
 QuantizedMatrix QuantizedMatrix::quantize(const float* w, std::size_t out,
@@ -41,8 +50,8 @@ QuantizedMatrix QuantizedMatrix::quantize(const float* w, std::size_t out,
   q.in_ = in;
   q.bits_ = spec.bits;
   q.group_size_ = gs;
-  q.groups_ = in == 0 ? 0 : (in + gs - 1) / gs;
-  q.row_stride_ = spec.bits == 4 ? (out + 1) / 2 : out;
+  q.groups_ = group_count(in, gs);
+  q.row_stride_ = packed_row_stride(out, spec.bits);
   q.data_.assign(q.row_stride_ * in, 0);
   q.scales_.assign(q.groups_ * out, 0.0f);
 
@@ -84,10 +93,8 @@ QuantizedMatrix QuantizedMatrix::quantize(const float* w, std::size_t out,
   return q;
 }
 
-QuantizedMatrix QuantizedMatrix::from_raw(std::size_t out, std::size_t in, int bits,
-                                          std::size_t group_size,
-                                          std::vector<std::uint8_t> packed,
-                                          std::vector<float> scales) {
+QuantizedMatrix::Layout QuantizedMatrix::layout(std::size_t out, std::size_t in,
+                                                int bits, std::size_t group_size) {
   if (bits != 8 && bits != 4) {
     throw QuantizationError(
         QuantizationError::Kind::kBadCheckpoint,
@@ -97,93 +104,77 @@ QuantizedMatrix QuantizedMatrix::from_raw(std::size_t out, std::size_t in, int b
     throw QuantizationError(QuantizationError::Kind::kBadCheckpoint,
                             "quantized checkpoint entry has group_size 0");
   }
+  Layout l;
+  if (__builtin_mul_overflow(packed_row_stride(out, bits), in, &l.packed_bytes) ||
+      __builtin_mul_overflow(group_count(in, group_size), out, &l.scale_count)) {
+    throw QuantizationError(
+        QuantizationError::Kind::kBadCheckpoint,
+        format("quantized checkpoint entry [%zu x %zu] is too large", out, in));
+  }
+  return l;
+}
+
+QuantizedMatrix QuantizedMatrix::from_raw(std::size_t out, std::size_t in, int bits,
+                                          std::size_t group_size,
+                                          std::vector<std::uint8_t> packed,
+                                          std::vector<float> scales) {
+  const Layout want = layout(out, in, bits, group_size);
+  if (packed.size() != want.packed_bytes || scales.size() != want.scale_count) {
+    throw QuantizationError(
+        QuantizationError::Kind::kBadCheckpoint,
+        format("quantized checkpoint entry [%zu x %zu, %d-bit] has %zu packed bytes / "
+               "%zu scales, expected %zu / %zu",
+               out, in, bits, packed.size(), scales.size(), want.packed_bytes,
+               want.scale_count));
+  }
+  const auto reject = [&](const char* what, const char* where, std::size_t at) {
+    throw QuantizationError(
+        QuantizationError::Kind::kBadCheckpoint,
+        format("quantized checkpoint entry [%zu x %zu, %d-bit] has %s at %s %zu", out,
+               in, bits, what, where, at));
+  };
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    if (!std::isfinite(scales[i]) || scales[i] < 0.0f) {
+      reject("a NaN, infinite or negative scale", "scale", i);
+    }
+  }
+  // Only codes quantize() writes: INT8 never -128, INT4 never the nibble 0
+  // (code -8), and an odd-out INT4 row's unused high nibble is 0.
+  const std::size_t row_stride = packed_row_stride(out, bits);
+  for (std::size_t kk = 0; kk < in; ++kk) {
+    const std::uint8_t* row = packed.data() + kk * row_stride;
+    for (std::size_t j = 0; j < out; ++j) {
+      if (bits == 4 ? int4_nibble(row, j) == 0 : row[j] == 0x80) {
+        reject("a code outside [-qmax, qmax]", "k-row", kk);
+      }
+    }
+    if (bits == 4 && out % 2 == 1 && int4_nibble(row, out) != 0) {
+      reject("a nonzero padding nibble", "k-row", kk);
+    }
+  }
+
   QuantizedMatrix q;
   q.out_ = out;
   q.in_ = in;
   q.bits_ = bits;
   q.group_size_ = group_size;
-  q.groups_ = in == 0 ? 0 : (in + group_size - 1) / group_size;
-  q.row_stride_ = bits == 4 ? (out + 1) / 2 : out;
-  if (packed.size() != q.row_stride_ * in || scales.size() != q.groups_ * out) {
-    throw QuantizationError(
-        QuantizationError::Kind::kBadCheckpoint,
-        format("quantized checkpoint entry [%zu x %zu, %d-bit] has %zu packed "
-               "bytes / %zu scales, expected %zu / %zu",
-               out, in, bits, packed.size(), scales.size(), q.row_stride_ * in,
-               q.groups_ * out));
-  }
+  q.groups_ = group_count(in, group_size);
+  q.row_stride_ = row_stride;
   q.data_ = std::move(packed);
   q.scales_ = std::move(scales);
   return q;
 }
 
-QuantLut build_spike_lut(const QuantizedMatrix& q) {
-  QuantLut lut;
-  if (q.empty()) return lut;
-  const std::size_t out = q.out();
-  const std::size_t in = q.in();
-  const std::size_t gs = q.group_size();
-  std::size_t chunks = 0;
-  for (std::size_t g = 0; g < q.num_groups(); ++g) {
-    const std::size_t k0 = g * gs;
-    const std::size_t k1 = std::min(k0 + gs, in);
-    chunks += (k1 - k0 + kLutChunkWidth - 1) / kLutChunkWidth;
+void QuantizedMatrix::dequantize(float* w) const {
+  for (std::size_t j = 0; j < out_; ++j) {
+    for (std::size_t kk = 0; kk < in_; ++kk) w[j * in_ + kk] = dequantized(j, kk);
   }
-  lut.chunks = chunks;
-  lut.out = out;
-  lut.table.assign(chunks * kLutMaskCount * out, 0);
-
-  // Per chunk: decode its (at most kLutChunkWidth) code rows once, then fill
-  // the 16 mask entries incrementally — entry[mask] = entry[mask minus its
-  // lowest bit] + codes[lowest bit] — so the build costs one add per table
-  // element instead of popcount(mask) adds.
-  std::vector<std::int16_t> codes(kLutChunkWidth * out);
-  std::size_t chunk = 0;
-  for (std::size_t g = 0; g < q.num_groups(); ++g) {
-    const std::size_t k0 = g * gs;
-    const std::size_t k1 = std::min(k0 + gs, in);
-    for (std::size_t kc = k0; kc < k1; kc += kLutChunkWidth, ++chunk) {
-      const std::size_t w = std::min(kLutChunkWidth, k1 - kc);
-      for (std::size_t b = 0; b < w; ++b) {
-        std::int16_t* crow = codes.data() + b * out;
-        for (std::size_t j = 0; j < out; ++j) {
-          crow[j] = static_cast<std::int16_t>(q.q(j, kc + b));
-        }
-      }
-      std::int16_t* base = lut.table.data() + chunk * kLutMaskCount * out;
-      for (std::size_t mask = 1; mask < kLutMaskCount; ++mask) {
-        const std::size_t low = mask & (~mask + 1);
-        const std::size_t bit = std::countr_zero(low);
-        const std::int16_t* prev = base + (mask ^ low) * out;
-        std::int16_t* dst = base + mask * out;
-        if (bit >= w) {
-          // Mask bit past a clipped chunk's width selects nothing; the
-          // kernels never form such masks, but keep the table total anyway.
-          std::copy(prev, prev + out, dst);
-          continue;
-        }
-        const std::int16_t* crow = codes.data() + bit * out;
-        for (std::size_t j = 0; j < out; ++j) {
-          dst[j] = static_cast<std::int16_t>(prev[j] + crow[j]);
-        }
-      }
-    }
-  }
-  return lut;
-}
-
-void QuantizedMatrix::ensure_lut() {
-  if (!lut_.empty() || empty()) return;
-  lut_ = build_spike_lut(*this);
 }
 
 int QuantizedMatrix::q(std::size_t j, std::size_t kk) const {
-  if (bits_ == 4) {
-    const std::uint8_t byte = data_[kk * row_stride_ + j / 2];
-    const int nibble = j % 2 == 0 ? (byte & 0x0F) : (byte >> 4);
-    return nibble - 8;
-  }
-  return static_cast<std::int8_t>(data_[kk * row_stride_ + j]);
+  const std::uint8_t* row = data_.data() + kk * row_stride_;
+  if (bits_ == 4) return int4_nibble(row, j) - 8;
+  return static_cast<std::int8_t>(row[j]);
 }
 
 }  // namespace dtsnn::util

@@ -9,27 +9,23 @@
 //   W[j, kk] ~= q(j, kk) * scale(j, kk / group_size)
 //
 // with q in [-127, 127] (INT8) or [-7, 7] (INT4) and
-// scale = maxabs(group) / qmax (symmetric, zero-point-free — spike GEMM adds
-// selected weight rows, and a zero point would break the multiply-free path).
+// scale = maxabs(group) / qmax (symmetric and zero-point-free, so code 0
+// dequantizes to exactly 0).
 //
-// Packed storage is k-major so the quantized spike kernels stream one
-// contiguous quantized "row" per spiking k position:
+// Packed storage is k-major, one contiguous quantized "row" per k position
+// (the checkpoint v2 layout, snn/serialize.h):
 //   INT8: data[kk * out + j] holds q(j, kk) as one signed byte.
 //   INT4: data[kk * ceil(out/2) + j/2] holds two nibbles — low nibble is
 //         column j even, high nibble j odd — in offset-binary form
 //         (stored = q + 8, q in [-7, 7]) so unpacking is shift/mask/subtract
-//         with no implementation-defined signed shifts.
+//         with no implementation-defined signed shifts. The unused high
+//         nibble of an odd-out row's last byte is 0.
 //
 // Quantization is deterministic: std::lround (half away from zero), clamped
 // to [-qmax, qmax]; an all-zero group gets scale 0 and all-zero codes.
 //
-// Derived data: a QuantizedMatrix can additionally carry a spike-mask lookup
-// table (QuantLut) consumed by the int8_lut/int4_lut GEMM backends. The k
-// dimension is cut into chunks of kLutChunkWidth consecutive positions that
-// never cross a scale-group boundary; for every chunk and every 4-bit mask of
-// "these positions spiked", the table stores the per-output-column sum of the
-// selected integer codes. The LUT is pure derived data — rebuilt on demand
-// via ensure_lut(), never serialized, dropped by from_raw/quantize.
+// A QuantizedMatrix is a storage format: the layers dequantize it once, when
+// it is installed (snn/quantize.h), and run the float eval path on the result.
 
 #pragma once
 
@@ -44,19 +40,15 @@ namespace dtsnn::util {
 
 // -------------------------------------------------------------------- errors
 
-/// Typed failure for the quantized tier: forcing a quantized backend on an
-/// uncalibrated network, feeding a backend weights quantized at different
-/// bit-width, malformed specs, and corrupt checkpoints all throw this with a
+/// Typed failure for quantized weights: weights whose dims disagree with the
+/// layer, malformed specs, and corrupt checkpoints all throw this with a
 /// machine-checkable Kind.
 class QuantizationError : public std::runtime_error {
  public:
   enum class Kind {
-    kUncalibrated,   ///< quantized backend selected but no calibrated scales
-    kBitsMismatch,   ///< weights quantized at a different bit-width
-    kShapeMismatch,  ///< quantized dims disagree with the op / float weights
+    kShapeMismatch,  ///< quantized dims disagree with the float weights
     kBadSpec,        ///< unsupported bits / group size
     kBadCheckpoint,  ///< quantized checkpoint section fails validation
-    kNotQuantized,   ///< qgemm dispatched to a non-quantized backend
   };
 
   QuantizationError(Kind kind, const std::string& message)
@@ -72,42 +64,17 @@ class QuantizationError : public std::runtime_error {
 
 /// Quantizer configuration. bits must be 8 or 4. group_size 0 means
 /// automatic: 64 for INT8, 32 for INT4 (tighter groups bound INT4's larger
-/// per-code error), overridable process-wide via DTSNN_QUANT_GROUP_SIZE.
+/// per-code error).
 struct QuantSpec {
   int bits = 8;
   std::size_t group_size = 0;
 
-  /// The effective group size after defaults and the environment override.
-  /// Throws QuantizationError(kBadSpec) for unsupported bits.
+  /// The effective group size after the per-width default. Throws
+  /// QuantizationError(kBadSpec) for unsupported bits.
   [[nodiscard]] std::size_t resolved_group_size() const;
 
   /// Throws QuantizationError(kBadSpec) unless bits is 8 or 4.
   void validate() const;
-};
-
-// ------------------------------------------------------------------- spike LUT
-
-/// k positions per LUT chunk (and bits per spike mask). Chunks are clipped at
-/// scale-group boundaries, so a group of width w contributes ceil(w / 4)
-/// chunks.
-inline constexpr std::size_t kLutChunkWidth = 4;
-/// Mask entries per chunk: 1 << kLutChunkWidth.
-inline constexpr std::size_t kLutMaskCount = 16;
-
-/// Precomputed per-chunk spike-mask sums for one QuantizedMatrix:
-/// table[(chunk * kLutMaskCount + mask) * out + j] is the sum of the integer
-/// codes q(j, kc + b) over the bits b set in mask, where kc is the chunk's
-/// first k position. int16 holds the worst case exactly (4 * 127 = 508).
-/// Entries for mask bits beyond a clipped chunk's width select nothing.
-struct QuantLut {
-  std::size_t chunks = 0;  ///< total chunks across all scale groups
-  std::size_t out = 0;     ///< output columns per entry
-  std::vector<std::int16_t> table;
-
-  [[nodiscard]] bool empty() const { return table.empty(); }
-  [[nodiscard]] std::size_t bytes() const {
-    return table.size() * sizeof(std::int16_t);
-  }
 };
 
 // -------------------------------------------------------------- packed matrix
@@ -122,12 +89,26 @@ class QuantizedMatrix {
   static QuantizedMatrix quantize(const float* w, std::size_t out, std::size_t in,
                                   const QuantSpec& spec);
 
-  /// Rebuild from serialized pieces, validating sizes against the declared
-  /// dims (throws QuantizationError(kBadCheckpoint) on any mismatch).
+  /// Rebuild from serialized pieces. Throws QuantizationError(kBadCheckpoint)
+  /// unless the sizes match the declared dims (layout) and every value
+  /// is one quantize() can produce: finite non-negative scales, INT8 codes in
+  /// [-127, 127], INT4 nibbles in [1, 15] for real columns and a zero padding
+  /// nibble.
   static QuantizedMatrix from_raw(std::size_t out, std::size_t in, int bits,
                                   std::size_t group_size,
                                   std::vector<std::uint8_t> packed,
                                   std::vector<float> scales);
+
+  /// Storage sizes of one matrix.
+  struct Layout {
+    std::size_t packed_bytes = 0;
+    std::size_t scale_count = 0;
+  };
+  /// The sizes a [out x in] matrix at `bits` and `group_size` stores, so a
+  /// reader can check a section's declared sizes before allocating them.
+  /// Throws QuantizationError(kBadCheckpoint) unless bits is 8 or 4,
+  /// group_size is nonzero (when in > 0) and the sizes fit a size_t.
+  static Layout layout(std::size_t out, std::size_t in, int bits, std::size_t group_size);
 
   [[nodiscard]] bool empty() const { return out_ == 0 && in_ == 0; }
   [[nodiscard]] std::size_t out() const { return out_; }
@@ -146,25 +127,26 @@ class QuantizedMatrix {
   [[nodiscard]] float scale(std::size_t j, std::size_t g) const {
     return scales_[g * out_ + j];
   }
-  /// q(j, kk) * scale(j, kk / group_size): the value the quantized kernels
-  /// effectively multiply against.
+  /// q(j, kk) * scale(j, kk / group_size): the weight a quantized layer runs.
   [[nodiscard]] float dequantized(std::size_t j, std::size_t kk) const {
     return static_cast<float>(q(j, kk)) * scale(j, kk / group_size_);
   }
+  /// w[j * in + kk] = dequantized(j, kk) for the whole matrix: row-major
+  /// [out, in], the layout of the float weights it replaces.
+  void dequantize(float* w) const;
 
   /// Raw packed codes (k-major; see file comment for the INT4 nibble order).
   [[nodiscard]] std::span<const std::uint8_t> packed() const { return data_; }
   /// Raw scales, g-major: scales()[g * out + j].
   [[nodiscard]] std::span<const float> scales() const { return scales_; }
 
-  /// Size of the packed integer codes alone — the bytes actually streamed
-  /// per spike in the quantized kernels.
+  /// Size of the packed integer codes alone.
   [[nodiscard]] std::size_t packed_bytes() const { return data_.size(); }
   /// Size of the group scales.
   [[nodiscard]] std::size_t scale_bytes() const {
     return scales_.size() * sizeof(float);
   }
-  /// Total resident footprint (codes + scales).
+  /// Total storage size (codes + scales).
   [[nodiscard]] std::size_t footprint_bytes() const {
     return packed_bytes() + scale_bytes();
   }
@@ -172,15 +154,6 @@ class QuantizedMatrix {
   [[nodiscard]] std::size_t float_bytes() const {
     return out_ * in_ * sizeof(float);
   }
-
-  /// Build the spike-mask LUT if not already built (no-op on an empty or
-  /// already-LUT'd matrix). Not synchronized: call from single-threaded layer
-  /// dispatch, like the layers' cached weight transposes. The LUT is derived
-  /// data — copies carry it, serialization does not.
-  void ensure_lut();
-  [[nodiscard]] bool has_lut() const { return !lut_.empty(); }
-  /// The spike-mask LUT; empty() unless ensure_lut() ran.
-  [[nodiscard]] const QuantLut& lut() const { return lut_; }
 
  private:
   std::size_t out_ = 0;
@@ -191,11 +164,6 @@ class QuantizedMatrix {
   std::size_t row_stride_ = 0;
   std::vector<std::uint8_t> data_;
   std::vector<float> scales_;
-  QuantLut lut_;
 };
-
-/// Build a QuantLut for `q` without caching it on the matrix — the LUT
-/// backends use this for per-call tables when no cached LUT is present.
-[[nodiscard]] QuantLut build_spike_lut(const QuantizedMatrix& q);
 
 }  // namespace dtsnn::util

@@ -508,6 +508,18 @@ TEST(ServingFleet, ConstructionValidatesModelsAndConfig) {
     m.make_replica = nullptr;
     EXPECT_THROW(ServingFleet({std::move(m)}), std::invalid_argument);
   }
+  for (const char* backend : {"no_such_backend", "int8_lut"}) {
+    // Unknown (and retired) backend names fail with the registry's
+    // invalid_argument, naming the backend.
+    FleetModel m = model_for(e, policy, 3);
+    m.gemm_backend = backend;
+    try {
+      ServingFleet fleet({std::move(m)});
+      ADD_FAILURE() << backend << " must be rejected at construction";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(backend), std::string::npos) << err.what();
+    }
+  }
   {
     EXPECT_THROW(ServingFleet({model_for(e, policy, 3, 1, 4, "dup"),
                                model_for(e, policy, 3, 1, 4, "dup")}),

@@ -63,15 +63,14 @@ const char* fill_name(Fill fill) {
 // ----------------------------------------------------------------- registry
 
 TEST(GemmRegistry, ShipsAllBackends) {
-  // scalar_ref, blocked_omp, and the quantized LUT tier are unconditional;
-  // the ISA backends (avx2, avx512) are present whenever the toolchain could
-  // target them (this repo's CI always can), and must be consistently gated
-  // by runtime CPUID. The registry lists exactly these, in this order.
+  // scalar_ref and blocked_omp are unconditional; the ISA backends (avx2,
+  // avx512) are present whenever the toolchain could target them (this
+  // repo's CI always can), and must be consistently gated by runtime CPUID.
+  // The registry lists exactly these, in this order.
   std::vector<std::string> expected{"scalar_ref", "blocked_omp"};
   for (const char* isa : {"avx2", "avx512"}) {
     if (util::find_gemm_backend(isa) != nullptr) expected.emplace_back(isa);
   }
-  for (const char* name : {"int8_lut", "int4_lut"}) expected.emplace_back(name);
   std::vector<std::string> listed;
   for (const util::GemmBackend* backend : util::gemm_backends()) {
     listed.emplace_back(backend->name());
@@ -93,30 +92,6 @@ TEST(GemmRegistry, ShipsAllBackends) {
   EXPECT_EQ(util::find_gemm_backend("no_such_backend"), nullptr);
 }
 
-TEST(GemmRegistry, IdentityTiers) {
-  // The float backends honor the bitwise contract; only the quantized tier
-  // is tolerance-gated, and exactly those backends downcast to
-  // QuantizedGemmBackend.
-  for (const util::GemmBackend* backend : util::gemm_backends()) {
-    const bool quantized =
-        backend->identity_tier() == util::GemmIdentityTier::kToleranceGated;
-    EXPECT_EQ(util::as_quantized_backend(backend) != nullptr, quantized)
-        << backend->name();
-  }
-  EXPECT_EQ(util::find_gemm_backend("scalar_ref")->identity_tier(),
-            util::GemmIdentityTier::kBitwise);
-  const auto* int8 = util::as_quantized_backend(util::find_gemm_backend("int8_lut"));
-  const auto* int4 = util::as_quantized_backend(util::find_gemm_backend("int4_lut"));
-  ASSERT_NE(int8, nullptr);
-  ASSERT_NE(int4, nullptr);
-  EXPECT_EQ(int8->weight_bits(), 8);
-  EXPECT_EQ(int4->weight_bits(), 4);
-  // Auto-selection must never pick the quantized tier (it additionally
-  // requires calibrated weights).
-  EXPECT_EQ(util::resolve_gemm_backend(nullptr).identity_tier(),
-            util::GemmIdentityTier::kBitwise);
-}
-
 TEST(GemmRegistry, ResolutionRules) {
   // Explicit names resolve to themselves; unknown names throw (a typo'd
   // DTSNN_GEMM_BACKEND must fail loudly, not fall back silently), and the
@@ -124,8 +99,8 @@ TEST(GemmRegistry, ResolutionRules) {
   // Retired backend names are unknown names like any other.
   EXPECT_EQ(&util::resolve_gemm_backend("scalar_ref"),
             util::find_gemm_backend("scalar_ref"));
-  for (const char* unknown :
-       {"no_such_backend", "sparse_spike", "adaptive", "int8_spike", "int4_spike"}) {
+  for (const char* unknown : {"no_such_backend", "sparse_spike", "adaptive", "int8_spike",
+                              "int4_spike", "int8_lut", "int4_lut"}) {
     try {
       util::resolve_gemm_backend(unknown);
       ADD_FAILURE() << unknown << " is not a registered backend and must throw";
@@ -207,10 +182,7 @@ TEST(GemmContext, ConvScatterIsRecordedAsOneNNCall) {
   const std::size_t n = 2, rows = n * 5 * 5, patch = 4 * 3 * 3, cout = 8;
   const double flops = 2.0 * static_cast<double>(rows * patch * cout);
   for (const util::GemmBackend* backend : util::gemm_backends()) {
-    if (!backend->available() ||
-        backend->identity_tier() != util::GemmIdentityTier::kBitwise) {
-      continue;
-    }
+    if (!backend->available()) continue;
     util::Rng rng(9);
     snn::Conv2d conv(4, 8, 3, 2, 1, /*bias=*/false, rng);
     util::GemmContext ctx(*backend);
@@ -624,12 +596,7 @@ TEST(GemmContext, SpikeEpilogueRecordsNothing) {
 /// of the scatter (1, 2, and the generic runtime stride), with and without
 /// padding.
 TEST(ConvSparseTraining, TrainAndEvalForwardsBitwiseEqual) {
-  // A forced quantized backend has its own eval form (qgemm on calibrated
-  // weights); these float-tier forms then run on the dense float pick.
-  const util::GemmBackend& forced = util::GemmContext::global().backend();
-  util::GemmContext ctx(util::as_quantized_backend(&forced) != nullptr
-                            ? util::preferred_dense_gemm_backend()
-                            : forced);
+  util::GemmContext ctx(util::GemmContext::global().backend());
   for (const std::size_t stride : {1, 2, 3}) {
     for (const std::size_t padding : {0, 1}) {
       util::Rng rng(5);
@@ -670,9 +637,8 @@ core::Experiment micro_experiment(const std::string& dataset, std::size_t timest
 
 /// Acceptance: BatchedSequentialEngine decisions — predictions, exit
 /// timesteps, entropies, and full logit trajectories — are identical under
-/// every bitwise-tier backend, on all four dataset presets. The quantized
-/// tier is tolerance-gated instead (tests/test_quantized.cpp) and needs
-/// calibrated weights, so it is excluded here.
+/// every backend, on all four dataset presets. Quantized networks run the
+/// same ops on dequantized weights (tests/test_quantized.cpp).
 TEST(GemmBackendEndToEnd, BatchedEngineDecisionsIdenticalUnderEveryBackend) {
   const core::EntropyExitPolicy policy(0.35);
   for (const std::string preset : {"sync10", "sync100", "syntin", "syndvs"}) {
@@ -691,10 +657,7 @@ TEST(GemmBackendEndToEnd, BatchedEngineDecisionsIdenticalUnderEveryBackend) {
     EXPECT_GT(ref_ctx.stats().calls(), 0u) << "context not threaded through " << preset;
 
     for (const util::GemmBackend* backend : util::gemm_backends()) {
-      if (!backend->available() ||
-          backend->identity_tier() != util::GemmIdentityTier::kBitwise) {
-        continue;
-      }
+      if (!backend->available()) continue;
       util::GemmContext ctx(*backend);
       e.net.set_gemm_context(&ctx);
       EXPECT_EQ(engine.gemm_backend(), backend->name());

@@ -1,16 +1,22 @@
-// Tests for the quantized GEMM tier: INT8/INT4 packing, the spike qgemm
-// kernels, loud typed failures, checkpointing of calibrated state, the
-// per-preset tolerance gate, and quantized serving.
+// Tests for quantized weights: INT8/INT4 packing, checkpoint validation,
+// the dequantized eval path, calibration, the per-preset tolerance gate, and
+// quantized serving.
 //
-// The quantized backends are tolerance-gated, not bitwise (util/gemm.h):
-// comparisons against float references here go through EXPECT_NEAR bounds or
-// core::compare_decisions — never a bitwise float EXPECT_EQ against the
-// scalar reference (enforced by the quant-bitwise-oracle lint rule).
+// A quantized network runs its dequantized weights through the float path
+// (snn/quantize.h), so it is bitwise identical to its dequantized-float twin
+// — a float network carrying those weights — and those comparisons are
+// exact. Versus the float oracle it was quantized from it is tolerance-gated:
+// such comparisons go through EXPECT_NEAR bounds or core::compare_decisions,
+// never a bitwise EXPECT_EQ (enforced by the quant-bitwise-oracle lint rule).
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,12 +30,13 @@
 #include "core/quantize.h"
 #include "fused_step_support.h"
 #include "serve/fleet.h"
+#include "snn/conv.h"
+#include "snn/linear.h"
 #include "snn/models.h"
 #include "snn/network.h"
 #include "snn/quantize.h"
 #include "snn/serialize.h"
 #include "util/gemm.h"
-#include "util/gemm_internal.h"
 #include "util/quant.h"
 #include "util/rng.h"
 
@@ -67,43 +74,39 @@ std::vector<float> random_weights(std::size_t count, std::uint64_t seed) {
   return w;
 }
 
-/// Binary spike matrix with the requested ones-density, plus optional graded
-/// (non-binary) entries exercising the kernels' float fallback path.
-std::vector<float> spike_matrix(std::size_t count, double density, double graded_share,
-                                std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<float> a(count, 0.0f);
-  for (float& v : a) {
-    if (!rng.bernoulli(density)) continue;
-    v = rng.bernoulli(graded_share) ? static_cast<float>(rng.uniform(0.2, 0.8)) : 1.0f;
-  }
-  return a;
-}
-
-/// What the quantized kernels effectively compute: A against the dequantized
-/// weights, in plain float arithmetic. The kernels' integer-accumulate /
-/// group-flush ordering differs, hence EXPECT_NEAR at the call sites.
-std::vector<float> dequantized_product(const std::vector<float>& a,
-                                       const util::QuantizedMatrix& q, std::size_t m,
-                                       std::size_t k, std::size_t n) {
-  std::vector<float> c(m * n, 0.0f);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aval = a[i * k + kk];
-      if (aval == 0.0f) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        c[i * n + j] += aval * q.dequantized(j, kk);
-      }
+/// The float weight Param value of every weight-bearing layer of `net`, in
+/// visit order.
+std::vector<snn::Tensor*> float_weights_of(snn::SpikingNetwork& net) {
+  std::vector<snn::Tensor*> weights;
+  net.visit([&weights](snn::Layer& layer) {
+    if (auto* conv = dynamic_cast<snn::Conv2d*>(&layer)) weights.push_back(&conv->weight().value);
+    if (auto* linear = dynamic_cast<snn::Linear*>(&layer)) {
+      weights.push_back(&linear->weight().value);
     }
-  }
-  return c;
+  });
+  return weights;
 }
 
-const util::QuantizedGemmBackend& quant_backend(const char* name) {
-  const util::QuantizedGemmBackend* qb =
-      util::as_quantized_backend(util::find_gemm_backend(name));
-  EXPECT_NE(qb, nullptr) << name;
-  return *qb;
+/// Every weight-bearing layer of `net`, in visit order.
+std::vector<snn::QuantizedWeightHolder*> holders_of(snn::SpikingNetwork& net) {
+  std::vector<snn::QuantizedWeightHolder*> holders;
+  net.visit([&holders](snn::Layer& layer) {
+    if (auto* holder = dynamic_cast<snn::QuantizedWeightHolder*>(&layer)) {
+      holders.push_back(holder);
+    }
+  });
+  return holders;
+}
+
+/// Expects `fn` to throw QuantizationError of kind `want`.
+template <typename Fn>
+void expect_quant_error(util::QuantizationError::Kind want, Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": expected QuantizationError";
+  } catch (const util::QuantizationError& err) {
+    EXPECT_EQ(err.kind(), want) << what << ": " << err.what();
+  }
 }
 
 // ------------------------------------------------------------ spec & packing
@@ -121,13 +124,6 @@ TEST(QuantSpec, ValidatesAndResolvesGroupSize) {
   EXPECT_EQ((util::QuantSpec{.bits = 8}.resolved_group_size()), 64u);
   EXPECT_EQ((util::QuantSpec{.bits = 4}.resolved_group_size()), 32u);
   EXPECT_EQ((util::QuantSpec{.bits = 8, .group_size = 16}.resolved_group_size()), 16u);
-
-  // The env knob overrides the per-width default but not an explicit size.
-  ASSERT_EQ(setenv("DTSNN_QUANT_GROUP_SIZE", "48", 1), 0);
-  EXPECT_EQ((util::QuantSpec{.bits = 8}.resolved_group_size()), 48u);
-  EXPECT_EQ((util::QuantSpec{.bits = 4, .group_size = 8}.resolved_group_size()), 8u);
-  ASSERT_EQ(unsetenv("DTSNN_QUANT_GROUP_SIZE"), 0);
-  EXPECT_EQ((util::QuantSpec{.bits = 8}.resolved_group_size()), 64u);
 }
 
 TEST(QuantizedMatrix, Int8RoundTripWithinHalfScale) {
@@ -233,380 +229,311 @@ TEST(QuantizedMatrix, FromRawRejectsCorruptSections) {
   }
 
   const auto expect_bad = [&](std::size_t o, std::size_t i, int bits, std::size_t gs,
-                              std::vector<std::uint8_t> p, std::vector<float> s) {
-    try {
-      util::QuantizedMatrix::from_raw(o, i, bits, gs, std::move(p), std::move(s));
-      FAIL() << "corrupt section must be rejected";
-    } catch (const util::QuantizationError& err) {
-      EXPECT_EQ(err.kind(), util::QuantizationError::Kind::kBadCheckpoint);
-    }
+                              std::vector<std::uint8_t> p, std::vector<float> s,
+                              const std::string& what) {
+    expect_quant_error(
+        util::QuantizationError::Kind::kBadCheckpoint,
+        [&] { util::QuantizedMatrix::from_raw(o, i, bits, gs, std::move(p), std::move(s)); },
+        what);
   };
   auto short_packed = packed;
   short_packed.pop_back();
-  expect_bad(out, in, 8, 4, short_packed, scales);
+  expect_bad(out, in, 8, 4, short_packed, scales, "short packed");
   auto long_scales = scales;
   long_scales.push_back(1.0f);
-  expect_bad(out, in, 8, 4, packed, long_scales);
-  expect_bad(out, in, 3, 4, packed, scales);   // unsupported width
-  expect_bad(out, in, 8, 0, packed, scales);   // zero group size
-}
+  expect_bad(out, in, 8, 4, packed, long_scales, "long scales");
+  expect_bad(out, in, 3, 4, packed, scales, "unsupported width");
+  expect_bad(out, in, 8, 0, packed, scales, "zero group size");
+  expect_bad(out, std::numeric_limits<std::size_t>::max(), 8, 4, packed, scales,
+             "dims whose sizes overflow");
 
-// ---------------------------------------------------------------- LUT tables
-
-TEST(QuantLut, BuildTablesAreExactCodeSums) {
-  // Odd group size (5): each group splits into one width-4 chunk plus one
-  // clipped width-1 chunk, and the last group is short — the table must clip
-  // at group boundaries and never sum codes across groups.
-  const std::size_t out = 5, in = 13, gs = 5;
-  const std::vector<float> w = random_weights(out * in, 201);
-  const util::QuantizedMatrix q =
-      util::QuantizedMatrix::quantize(w.data(), out, in, {.bits = 4, .group_size = gs});
-  const util::QuantLut lut = util::build_spike_lut(q);
-  // Groups cover k-ranges [0,5) [5,10) [10,13): chunk widths 4,1 / 4,1 / 3.
-  ASSERT_EQ(lut.chunks, 5u);
-  ASSERT_EQ(lut.out, out);
-  ASSERT_EQ(lut.table.size(), lut.chunks * util::kLutMaskCount * out);
-  EXPECT_EQ(lut.bytes(), lut.table.size() * sizeof(std::int16_t));
-
-  // Reconstruct every entry the slow way from the decoded codes. Mask bits
-  // past a clipped chunk's width select nothing by construction.
-  std::size_t chunk = 0;
-  for (std::size_t g = 0; g < q.num_groups(); ++g) {
-    const std::size_t k0 = g * gs, k1 = std::min(k0 + gs, in);
-    for (std::size_t kc = k0; kc < k1; kc += util::kLutChunkWidth, ++chunk) {
-      const std::size_t width = std::min(util::kLutChunkWidth, k1 - kc);
-      for (std::size_t mask = 0; mask < util::kLutMaskCount; ++mask) {
-        for (std::size_t j = 0; j < out; ++j) {
-          int expected = 0;
-          for (std::size_t b = 0; b < width; ++b) {
-            if ((mask & (std::size_t{1} << b)) != 0) expected += q.q(j, kc + b);
-          }
-          EXPECT_EQ(lut.table[(chunk * util::kLutMaskCount + mask) * out + j], expected)
-              << "chunk " << chunk << " mask " << mask << " j " << j;
-        }
-      }
-    }
+  // Values quantize() never writes: each would silently change the
+  // dequantized weights a quantized network runs.
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(), -0.5f}) {
+    auto bad_scales = scales;
+    bad_scales[scales.size() - 1] = bad;
+    expect_bad(out, in, 8, 4, packed, bad_scales, "scale " + std::to_string(bad));
   }
-  EXPECT_EQ(chunk, lut.chunks);
-}
+  auto int8_min = packed;
+  int8_min[packed.size() - 1] = 0x80;  // code -128
+  expect_bad(out, in, 8, 4, int8_min, scales, "INT8 code -128");
 
-TEST(QuantLut, EnsureLutCachesOnceAndSkipsEmpty) {
-  const std::size_t out = 4, in = 20;
-  const std::vector<float> w = random_weights(out * in, 202);
-  util::QuantizedMatrix q = util::QuantizedMatrix::quantize(w.data(), out, in, {.bits = 8});
-  EXPECT_FALSE(q.has_lut());
-  q.ensure_lut();
-  ASSERT_TRUE(q.has_lut());
-  EXPECT_FALSE(q.lut().empty());
-  const std::int16_t* table = q.lut().table.data();
-  q.ensure_lut();  // idempotent: the cached table is not rebuilt
-  EXPECT_EQ(q.lut().table.data(), table);
-  // Uncalibrated matrices stay LUT-less (nothing to tabulate).
-  util::QuantizedMatrix uncalibrated;
-  uncalibrated.ensure_lut();
-  EXPECT_FALSE(uncalibrated.has_lut());
-}
-
-// ------------------------------------------------------------------- kernels
-
-TEST(QuantGemm, MatchesDequantizedProductBinarySpikes) {
-  const std::size_t m = 9, k = 70, n = 13;  // spans multiple groups, odd n
-  const std::vector<float> w = random_weights(n * k, 105);
-  const std::vector<float> a = spike_matrix(m * k, 0.3, 0.0, 106);
-  for (const char* name : {"int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
-    const util::QuantizedMatrix q =
-        util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
-    const std::vector<float> expected = dequantized_product(a, q, m, k, n);
-    std::vector<float> c(m * n, -1.0f);  // must be overwritten, not accumulated
-    qb.qgemm(a.data(), q, c.data(), m, k, n);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      EXPECT_NEAR(c[i], expected[i], 1e-4f * (1.0f + std::abs(expected[i])))
-          << name << " elem " << i;
-    }
-  }
-}
-
-TEST(QuantGemm, GradedSpikesTakeFloatFallback) {
-  const std::size_t m = 5, k = 40, n = 8;
-  const std::vector<float> w = random_weights(n * k, 107);
-  const std::vector<float> a = spike_matrix(m * k, 0.5, 0.5, 108);
-  for (const char* name : {"int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
-    const util::QuantizedMatrix q =
-        util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
-    const std::vector<float> expected = dequantized_product(a, q, m, k, n);
-    std::vector<float> c(m * n, 0.0f);
-    qb.qgemm(a.data(), q, c.data(), m, k, n);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      EXPECT_NEAR(c[i], expected[i], 1e-4f * (1.0f + std::abs(expected[i])))
-          << name << " elem " << i;
-    }
-    // accumulate=true adds on top instead of overwriting.
-    qb.qgemm(a.data(), q, c.data(), m, k, n, /*accumulate=*/true);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      EXPECT_NEAR(c[i], 2.0f * expected[i], 2e-4f * (1.0f + std::abs(expected[i])))
-          << name << " elem " << i;
-    }
-  }
-}
-
-TEST(QuantGemm, BatchCompositionInvariant) {
-  // Row i of a batched qgemm is bitwise the same as running row i alone —
-  // the property that makes served quantized decisions independent of pool
-  // composition.
-  const std::size_t m = 6, k = 96, n = 10;
-  const std::vector<float> w = random_weights(n * k, 109);
-  const std::vector<float> a = spike_matrix(m * k, 0.4, 0.2, 110);
-  for (const char* name : {"int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
-    util::QuantizedMatrix q =
-        util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
-    // Uncached, these small batches take the spike-kernel fallback; cached,
-    // the real table path.
-    for (const char* path : {"uncached", "cached"}) {
-      if (path[0] == 'c') q.ensure_lut();
-      std::vector<float> batched(m * n);
-      qb.qgemm(a.data(), q, batched.data(), m, k, n);
-      for (std::size_t i = 0; i < m; ++i) {
-        std::vector<float> solo(n);
-        qb.qgemm(a.data() + i * k, q, solo.data(), 1, k, n);
-        for (std::size_t j = 0; j < n; ++j) {
-          EXPECT_EQ(solo[j], batched[i * n + j])
-              << name << " " << path << " row " << i << " col " << j;
-        }
-      }
-    }
-  }
-}
-
-TEST(QuantGemm, DegenerateShapes) {
-  const std::size_t k = 12, n = 6;
-  const std::vector<float> w = random_weights(n * k, 111);
-  const std::vector<float> a = spike_matrix(2 * k, 0.5, 0.0, 112);
-  for (const char* name : {"int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
-    const util::QuantizedMatrix q =
-        util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
-
-    // m == 0: no output, kernel never entered.
-    std::vector<float> empty_c;
-    EXPECT_NO_THROW(qb.qgemm(nullptr, q, empty_c.data(), 0, k, n)) << name;
-
-    // k == 0 and n == 0 with a default (uncalibrated) matrix.
-    std::vector<float> untouched(4, 7.0f);
-    EXPECT_NO_THROW(qb.qgemm(a.data(), util::QuantizedMatrix{}, untouched.data(), 2, 0, 0))
-        << name;
-    for (const float v : untouched) EXPECT_FLOAT_EQ(v, 7.0f) << name;
-
-    // k == 0 with real output dims: C is zeroed (or preserved when
-    // accumulating), matching the float ops' degenerate contract.
-    const util::QuantizedMatrix q0 =
-        util::QuantizedMatrix::quantize(nullptr, n, 0, {.bits = qb.weight_bits()});
-    std::vector<float> c(2 * n, 3.0f);
-    EXPECT_NO_THROW(qb.qgemm(a.data(), q0, c.data(), 2, 0, n)) << name;
-    for (const float v : c) EXPECT_FLOAT_EQ(v, 0.0f) << name;
-    std::vector<float> acc(2 * n, 3.0f);
-    EXPECT_NO_THROW(qb.qgemm(a.data(), q0, acc.data(), 2, 0, n, /*accumulate=*/true))
-        << name;
-    for (const float v : acc) EXPECT_FLOAT_EQ(v, 3.0f) << name;
-  }
-}
-
-/// The LUT backends' defining property: bit-for-bit the same output as the
-/// spike kernel (util::internal::qgemm_spike_kernel) — integer group sums
-/// are exact, and the graded-spike / flush float ordering is unchanged —
-/// across spike mixes, awkward group sizes (chunk clipping), and all three
-/// table-sourcing paths: cached LUT, per-call build (large batches), and
-/// spike-kernel fallback (small batches without a cached table).
-TEST(QuantGemm, LutBitwiseMatchesSpikeKernel) {
-  const std::size_t k = 70, n = 13;
-  const std::vector<float> w = random_weights(n * k, 203);
-  struct Mix {
-    double density, graded;
-  };
-  for (const char* lut_name : {"int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& lb = quant_backend(lut_name);
-    // The kernel always accumulates; zeroing C first gives the overwrite form.
-    const auto spike_kernel = [&](const float* a, const util::QuantizedMatrix& q,
-                                  std::vector<float>& c, std::size_t m, bool accumulate) {
-      if (!accumulate) std::fill(c.begin(), c.end(), 0.0f);
-      util::internal::qgemm_spike_kernel(lb.weight_bits(), a, q, c.data(), m, k, n);
-    };
-    for (const std::size_t gs : {std::size_t{2}, std::size_t{5}, std::size_t{32}}) {
-      util::QuantizedMatrix q = util::QuantizedMatrix::quantize(
-          w.data(), n, k, {.bits = lb.weight_bits(), .group_size = gs});
-      const auto expect_bitwise_match = [&](const char* path) {
-        for (const Mix mix :
-             {Mix{0.1, 0.0}, Mix{0.3, 0.5}, Mix{1.0, 1.0}, Mix{0.0, 0.0}}) {
-          // m = 16 crosses the per-call table-build threshold; m = 3 stays
-          // below it (spike fallback unless a cached LUT exists).
-          for (const std::size_t m : {std::size_t{16}, std::size_t{3}}) {
-            const std::vector<float> a = spike_matrix(
-                m * k, mix.density, mix.graded,
-                205 + m * 17 + gs + static_cast<std::size_t>(mix.density * 10));
-            std::vector<float> via_lut(m * n, -1.0f), via_spike(m * n, -2.0f);
-            lb.qgemm(a.data(), q, via_lut.data(), m, k, n);
-            spike_kernel(a.data(), q, via_spike, m, /*accumulate=*/false);
-            EXPECT_EQ(via_lut, via_spike)
-                << lut_name << " " << path << " gs=" << gs << " m=" << m
-                << " density=" << mix.density << " graded=" << mix.graded;
-            // And with accumulation on top of an existing C.
-            lb.qgemm(a.data(), q, via_lut.data(), m, k, n, /*accumulate=*/true);
-            spike_kernel(a.data(), q, via_spike, m, /*accumulate=*/true);
-            EXPECT_EQ(via_lut, via_spike)
-                << lut_name << " " << path << " accumulate gs=" << gs << " m=" << m;
-          }
-        }
-      };
-      expect_bitwise_match("uncached");
-      q.ensure_lut();
-      expect_bitwise_match("cached");
-    }
-  }
-}
-
-TEST(QuantGemm, LoudTypedErrors) {
-  const std::size_t m = 2, k = 8, n = 4;
-  const std::vector<float> w = random_weights(n * k, 113);
-  const std::vector<float> a = spike_matrix(m * k, 0.5, 0.0, 114);
-  std::vector<float> c(m * n);
-  const util::QuantizedGemmBackend& int8 = quant_backend("int8_lut");
-
-  const auto expect_kind = [](util::QuantizationError::Kind want, auto&& fn) {
-    try {
-      fn();
-      FAIL() << "expected QuantizationError";
-    } catch (const util::QuantizationError& err) {
-      EXPECT_EQ(err.kind(), want) << err.what();
-    }
-  };
-
-  // INT4 weights into the INT8 backend.
+  // INT4 with an odd out dim: the last byte of every k-row holds one real
+  // (low) nibble and a padding (high) nibble, which quantize() leaves 0.
+  const std::size_t out4 = 5, in4 = 3;
+  const std::vector<float> w4 = random_weights(out4 * in4, 105);
   const util::QuantizedMatrix q4 =
-      util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = 4});
-  expect_kind(util::QuantizationError::Kind::kBitsMismatch,
-              [&] { int8.qgemm(a.data(), q4, c.data(), m, k, n); });
-
-  // Dims disagreeing with the op.
-  const util::QuantizedMatrix q8 =
-      util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = 8});
-  expect_kind(util::QuantizationError::Kind::kShapeMismatch,
-              [&] { int8.qgemm(a.data(), q8, c.data(), m, k + 1, n); });
-
-  // qgemm through a context whose backend is a float backend.
-  util::GemmContext blocked(*util::find_gemm_backend("blocked_omp"));
-  expect_kind(util::QuantizationError::Kind::kNotQuantized,
-              [&] { blocked.qgemm(a.data(), q8, c.data(), m, k, n); });
-}
-
-TEST(QuantGemm, ContextRecordsQuantOpStats) {
-  const std::size_t m = 3, k = 16, n = 5;
-  const std::vector<float> w = random_weights(n * k, 115);
-  const std::vector<float> a = spike_matrix(m * k, 0.5, 0.0, 116);
-  const util::QuantizedMatrix q =
-      util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = 8});
-  std::vector<float> c(m * n);
-
-  util::GemmContext ctx(quant_backend("int8_lut"));
-  ctx.qgemm(a.data(), q, c.data(), m, k, n);
-  const util::GemmStats stats = ctx.stats();
-  EXPECT_EQ(stats.quant.calls, 1u);
-  EXPECT_EQ(stats.quant.flops, 2.0 * m * k * n);  // dense-equivalent FLOPs
-  EXPECT_EQ(stats.calls(), 1u);
-  EXPECT_GT(stats.quant.a_elements, 0.0);
-}
-
-// ----------------------------------------------------- network-level errors
-
-TEST(QuantNetwork, UncalibratedAndMismatchedDispatchFailLoudly) {
-  core::Experiment e = micro_experiment("sync10", 3);
-  const core::EntropyExitPolicy policy(0.35);
-  const core::InferenceRequest request = core::InferenceRequest::first_n(2);
-  core::BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/2);
-
-  // Forcing a quantized backend on an uncalibrated network: the loud typed
-  // failure a mis-set DTSNN_GEMM_BACKEND produces.
-  util::GemmContext int8_ctx(quant_backend("int8_lut"));
-  e.net.set_gemm_context(&int8_ctx);
-  try {
-    engine.run(*e.bundle.test, request);
-    FAIL() << "uncalibrated network must be rejected";
-  } catch (const util::QuantizationError& err) {
-    EXPECT_EQ(err.kind(), util::QuantizationError::Kind::kUncalibrated);
-    EXPECT_NE(std::string(err.what()).find("DTSNN_GEMM_BACKEND"), std::string::npos)
-        << err.what();
+      util::QuantizedMatrix::quantize(w4.data(), out4, in4, {.bits = 4, .group_size = 2});
+  const std::vector<std::uint8_t> packed4(q4.packed().begin(), q4.packed().end());
+  const std::vector<float> scales4(q4.scales().begin(), q4.scales().end());
+  const util::QuantizedMatrix rebuilt4 =
+      util::QuantizedMatrix::from_raw(out4, in4, 4, 2, packed4, scales4);
+  for (std::size_t j = 0; j < out4; ++j) {
+    for (std::size_t kk = 0; kk < in4; ++kk) EXPECT_EQ(rebuilt4.q(j, kk), q4.q(j, kk));
   }
-
-  // Calibrated at 4 bits but dispatched through the 8-bit backend.
-  ASSERT_GT(snn::quantize_network_weights(e.net, {.bits = 4}), 0u);
-  EXPECT_EQ(snn::network_quantized_bits(e.net), 4);
-  try {
-    engine.run(*e.bundle.test, request);
-    FAIL() << "bit-width mismatch must be rejected";
-  } catch (const util::QuantizationError& err) {
-    EXPECT_EQ(err.kind(), util::QuantizationError::Kind::kBitsMismatch);
-  }
-
-  // Matching width runs.
-  util::GemmContext int4_ctx(quant_backend("int4_lut"));
-  e.net.set_gemm_context(&int4_ctx);
-  EXPECT_NO_THROW(engine.run(*e.bundle.test, request));
-
-  // Clearing drops back to the uncalibrated refusal.
-  snn::clear_network_quantized_weights(e.net);
-  EXPECT_EQ(snn::network_quantized_bits(e.net), 0);
-  EXPECT_THROW(engine.run(*e.bundle.test, request), util::QuantizationError);
-  e.net.set_gemm_context(nullptr);
+  const std::size_t last = q4.row_stride() - 1;  // byte holding column 4
+  auto nibble_low = packed4;
+  nibble_low[last] &= 0xF0;  // column 4 -> nibble 0 (code -8)
+  expect_bad(out4, in4, 4, 2, nibble_low, scales4, "INT4 low nibble 0");
+  auto nibble_high = packed4;
+  nibble_high[0] &= 0x0F;  // column 1 -> nibble 0
+  expect_bad(out4, in4, 4, 2, nibble_high, scales4, "INT4 high nibble 0");
+  auto padding = packed4;
+  padding[q4.row_stride() + last] |= 0x30;  // k-row 1's padding nibble
+  expect_bad(out4, in4, 4, 2, padding, scales4, "INT4 padding nibble");
 }
 
-/// The layer-side LUT hook: one run under int4_lut leaves every quantized
-/// layer's weights with a cached spike-mask table (the layers call
-/// ensure_lut before dispatching), and the quant-op accounting lands on the
-/// context. The LUT-vs-spike-kernel bitwise identity is pinned at the kernel
-/// level (QuantGemm.LutBitwiseMatchesSpikeKernel).
-TEST(QuantNetwork, LutRunCachesEveryLayerTable) {
-  core::Experiment e = micro_experiment("sync10", 3);
-  ASSERT_GT(snn::quantize_network_weights(e.net, {.bits = 4}), 0u);
-  const core::EntropyExitPolicy policy(0.35);
-  const core::InferenceRequest request = core::InferenceRequest::first_n(
-      std::min<std::size_t>(16, e.bundle.test->size()));
-  core::BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/4);
+// ------------------------------------------------------- dequantized path
 
-  util::GemmContext lut_ctx(quant_backend("int4_lut"));
-  e.net.set_gemm_context(&lut_ctx);
-  engine.run(*e.bundle.test, request);
-  e.net.set_gemm_context(nullptr);
+/// Builds the same float network every call.
+using NetFactory = std::function<snn::SpikingNetwork()>;
 
-  std::size_t holders = 0;
-  e.net.visit([&](snn::Layer& layer) {
-    if (const auto* holder = dynamic_cast<const snn::QuantizedWeightHolder*>(&layer)) {
-      ++holders;
-      EXPECT_TRUE(holder->quantized_weights().has_lut()) << "holder " << holders;
+/// A preset model at test size.
+NetFactory preset_factory(const std::string& preset) {
+  return [preset] {
+    snn::ModelConfig mc;
+    mc.num_classes = 4;
+    mc.input_shape = {3, 8, 8};
+    mc.seed = 5;
+    return snn::make_model(preset, mc);
+  };
+}
+
+/// A hand-built Linear head, Flatten -> Linear -> Lif -> Linear, both biased:
+/// dense frames run the first Linear's dense form, spikes can run the second
+/// one's sparse form.
+snn::SpikingNetwork linear_head() {
+  util::Rng rng(8);
+  snn::Sequential body;
+  body.append(std::make_unique<snn::Flatten>());
+  body.append(std::make_unique<snn::Linear>(3 * 4 * 4, 24, /*bias=*/true, rng));
+  body.append(std::make_unique<snn::Lif>(snn::LifConfig{}));
+  body.append(std::make_unique<snn::Linear>(24, 4, /*bias=*/true, rng));
+  return snn::SpikingNetwork(std::move(body), 4, {3, 4, 4});
+}
+
+struct TwinCase {
+  const char* name;
+  NetFactory make;
+};
+
+std::vector<TwinCase> twin_cases() {
+  return {{"vgg_micro", preset_factory("vgg_micro")},
+          {"resnet_micro", preset_factory("resnet_micro")},
+          {"linear_head", linear_head}};
+}
+
+/// Four dense frames, [batch, C, H, W] each. With `compacted`, each frame
+/// has the batch size of the compaction before its step
+/// (fused_test::compactions, which run_steps applies); else `batch`.
+std::vector<snn::Tensor> frames_for(const snn::SpikingNetwork& net, std::size_t batch,
+                                    bool compacted, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto gathers = snn::fused_test::compactions();
+  std::vector<snn::Tensor> frames;
+  for (std::size_t t = 0; t <= gathers.size(); ++t) {
+    snn::Shape shape = net.sample_shape();
+    shape.insert(shape.begin(), compacted && t > 0 ? gathers[t - 1].size() : batch);
+    frames.push_back(snn::Tensor::randn(shape, rng, 0.5f, 1.0f));
+  }
+  return frames;
+}
+
+/// The frames stacked time-major, [T*B, C, H, W], for the multi-step forward.
+snn::Tensor stacked(const std::vector<snn::Tensor>& frames) {
+  snn::Shape shape = frames.front().shape();
+  const std::size_t per = frames.front().numel();
+  shape[0] *= frames.size();
+  snn::Tensor x(shape);
+  for (std::size_t t = 0; t < frames.size(); ++t) {
+    std::copy(frames[t].data(), frames[t].data() + per, x.data() + t * per);
+  }
+  return x;
+}
+
+/// Bitwise equality of two tensors.
+void expect_bitwise(const snn::Tensor& a, const snn::Tensor& b, const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  for (std::size_t i = 0; i < a.numel(); ++i) ASSERT_EQ(a[i], b[i]) << what << " i=" << i;
+}
+
+/// A quantized network runs its dequantized weights through the float path:
+/// every logit equals that of its dequantized-float twin — a copy whose float
+/// weights are overwritten by q.dequantized(j, kk) and which carries no
+/// quantized state — for stepped (fused) inference and the multi-step eval
+/// forward, under every available backend. Training forwards read the float
+/// weights, never the dequantized copy, so the quantized network's training
+/// forward equals its float original's.
+TEST(QuantNetwork, EvalEqualsDequantizedFloatTwin) {
+  for (const TwinCase& c : twin_cases()) {
+    for (const int bits : {8, 4}) {
+      SCOPED_TRACE(std::string(c.name) + " int" + std::to_string(bits));
+      snn::SpikingNetwork quant = c.make();
+      snn::SpikingNetwork twin = c.make();
+      snn::SpikingNetwork float_original = c.make();
+      for (snn::SpikingNetwork* net : {&quant, &twin, &float_original}) {
+        util::Rng rng(31);
+        snn::fused_test::randomize_batch_norms(*net, rng);
+      }
+      ASSERT_GT(snn::quantize_network_weights(quant, {.bits = bits}), 0u);
+      const auto quant_holders = holders_of(quant);
+      const auto twin_weights = float_weights_of(twin);
+      ASSERT_EQ(quant_holders.size(), twin_weights.size());
+      for (std::size_t h = 0; h < quant_holders.size(); ++h) {
+        const util::QuantizedMatrix& q = quant_holders[h]->quantized_weights();
+        snn::Tensor& w = *twin_weights[h];
+        for (std::size_t j = 0; j < q.out(); ++j) {
+          for (std::size_t kk = 0; kk < q.in(); ++kk) w[j * q.in() + kk] = q.dequantized(j, kk);
+        }
+      }
+      ASSERT_EQ(snn::network_quantized_bits(twin), 0);
+
+      const std::vector<snn::Tensor> frames = frames_for(quant, 4, /*compacted=*/true, 77);
+      const std::size_t timesteps = frames.size();
+      const snn::Tensor x = stacked(frames_for(quant, 5, /*compacted=*/false, 78));
+      for (const util::GemmBackend* backend : util::gemm_backends()) {
+        if (!backend->available()) continue;
+        SCOPED_TRACE(std::string(backend->name()));
+        util::GemmContext quant_ctx(*backend);
+        util::GemmContext twin_ctx(*backend);
+        quant.set_gemm_context(&quant_ctx);
+        twin.set_gemm_context(&twin_ctx);
+        const snn::fused_test::SteppedRun quant_steps =
+            snn::fused_test::run_steps(quant, frames, /*fused=*/true);
+        const snn::fused_test::SteppedRun twin_steps =
+            snn::fused_test::run_steps(twin, frames, /*fused=*/true);
+        for (std::size_t t = 0; t < timesteps; ++t) {
+          expect_bitwise(quant_steps.logits[t], twin_steps.logits[t],
+                         "step logits t=" + std::to_string(t));
+        }
+        EXPECT_EQ(quant_steps.stats.nonzeros(), twin_steps.stats.nonzeros());
+        expect_bitwise(quant.forward(x, timesteps, /*train=*/false),
+                       twin.forward(x, timesteps, /*train=*/false), "eval forward");
+        quant.set_gemm_context(nullptr);
+        twin.set_gemm_context(nullptr);
+      }
+
+      expect_bitwise(quant.forward(x, timesteps, /*train=*/true),
+                     float_original.forward(x, timesteps, /*train=*/true),
+                     "training forward");
+      // Cleared, the network is its float original again.
+      snn::clear_network_quantized_weights(quant);
+      expect_bitwise(quant.forward(x, timesteps, /*train=*/false),
+                     float_original.forward(x, timesteps, /*train=*/false), "cleared");
     }
-  });
-  EXPECT_GT(holders, 0u);
-  EXPECT_GT(lut_ctx.stats().quant.calls, 0u);
+  }
 }
 
-/// The fused eval spiking block runs under the quantized tier too: the conv
-/// pixels come from qgemm and the epilogue from the blocked kernel the LUT
-/// backends delegate to. Fused and leaf-by-leaf steps of one calibrated
-/// network under int8_lut run the same quantized products, so they must
-/// agree bit for bit, with the same accounting.
-TEST(QuantNetwork, FusedStepEqualsLeafByLeafUnderInt8Lut) {
-  snn::ModelConfig mc;
-  mc.num_classes = 4;
-  mc.input_shape = {3, 8, 8};
-  mc.seed = 5;
+/// One Conv2d serves two W^T's: of its eval weights for the eval scatter
+/// and of its float weights for the sparse training forward. With no
+/// set_time in between, a training forward after an eval forward must not
+/// run the dequantized transpose, and installing other quantized weights, or
+/// clearing them, must rebuild the eval one.
+TEST(QuantNetwork, ConvTransposeFollowsItsSource) {
+  util::Rng rng(12);
+  snn::Conv2d conv(4, 8, 3, 1, 1, /*bias=*/true, rng);
+  const snn::Tensor& w = conv.weight().value;
+  snn::Tensor x({3, 4, 6, 6});
+  for (float& v : x.span()) v = rng.bernoulli(0.1) ? 1.0f : 0.0f;  // sparse form
+  const auto quantized = [&](int bits) {
+    return util::QuantizedMatrix::quantize(w.data(), 8, 4 * 9, {.bits = bits});
+  };
+  // A fresh conv with the same weights, and quantized ones unless bits is 0.
+  const auto fresh_forward = [&](int bits, bool train) {
+    snn::Conv2d fresh(4, 8, 3, 1, 1, /*bias=*/true, rng);
+    fresh.weight().value = w;
+    fresh.bias().value = conv.bias().value;
+    if (bits != 0) fresh.set_quantized_weights(quantized(bits));
+    fresh.set_time(1, 3);
+    return fresh.forward(x, train);
+  };
+
+  conv.set_time(1, 3);
+  conv.set_quantized_weights(quantized(8));
+  expect_bitwise(conv.forward(x, /*train=*/false), fresh_forward(8, false), "int8 eval");
+  conv.set_quantized_weights(quantized(4));
+  expect_bitwise(conv.forward(x, /*train=*/false), fresh_forward(4, false), "int4 over int8");
+  expect_bitwise(conv.forward(x, /*train=*/true), fresh_forward(0, true),
+                 "training forward after an eval forward");
+  conv.clear_quantized_weights();
+  expect_bitwise(conv.forward(x, /*train=*/false), fresh_forward(0, false), "cleared");
+}
+
+TEST(QuantNetwork, MismatchedWeightsFailTyped) {
+  snn::SpikingNetwork net = linear_head();
+  const auto holders = holders_of(net);
+  ASSERT_EQ(holders.size(), 2u);
+  const std::vector<float> w = random_weights(24 * 48, 120);
+  // [24 x 48] fits the first Linear only.
+  expect_quant_error(
+      util::QuantizationError::Kind::kShapeMismatch,
+      [&] {
+        holders[1]->set_quantized_weights(
+            util::QuantizedMatrix::quantize(w.data(), 24, 48, {.bits = 8}));
+      },
+      "second Linear");
+  EXPECT_TRUE(holders[1]->quantized_weights().empty());
+  holders[0]->set_quantized_weights(
+      util::QuantizedMatrix::quantize(w.data(), 24, 48, {.bits = 8}));
+  EXPECT_EQ(snn::network_quantized_bits(net), -1);  // partial
+}
+
+/// The fused eval spiking block runs on quantized networks too: fused and
+/// leaf-by-leaf steps of one calibrated network run the same dequantized
+/// products, so they must agree bit for bit, with the same accounting.
+TEST(QuantNetwork, FusedStepEqualsLeafByLeaf) {
   for (const std::string preset : {"vgg_micro", "resnet_micro"}) {
-    SCOPED_TRACE(preset);
-    snn::SpikingNetwork net = snn::make_model(preset, mc);
-    ASSERT_GT(snn::quantize_network_weights(net, {.bits = 8}), 0u);
-    util::GemmContext ctx(quant_backend("int8_lut"));
-    snn::fused_test::expect_fused_equals_leaf_by_leaf(net, ctx, 64);
-    EXPECT_GT(ctx.stats().quant.calls, 0u);
+    for (const int bits : {8, 4}) {
+      SCOPED_TRACE(preset + " int" + std::to_string(bits));
+      snn::SpikingNetwork net = preset_factory(preset)();
+      ASSERT_GT(snn::quantize_network_weights(net, {.bits = bits}), 0u);
+      util::GemmContext ctx(util::GemmContext::global().backend());
+      snn::fused_test::expect_fused_equals_leaf_by_leaf(net, ctx, 64);
+    }
   }
+}
+
+// ---------------------------------------------------------------- calibration
+
+/// calibrate_quantized's oracle pass is the float network — even when the
+/// network already carries quantized weights — and its candidate pass is the
+/// calibrated network: the report matches independent runs of both.
+TEST(QuantCalibration, ReportMatchesIndependentRuns) {
+  core::Experiment e = micro_experiment("sync10", 3);
+  const core::EntropyExitPolicy policy(0.35);
+  core::QuantCalibrationConfig config;
+  config.spec.bits = 8;
+  config.max_samples = 24;
+  config.batch_size = 5;
+  const core::InferenceRequest request = core::InferenceRequest::first_n(
+      std::min<std::size_t>(config.max_samples, e.bundle.test->size()));
+  const auto run = [&] {
+    core::BatchedSequentialEngine engine(e.net, policy, 3, config.batch_size);
+    return engine.run(*e.bundle.test, request);
+  };
+  const auto accuracy = [&](const std::vector<core::InferenceResult>& results) {
+    std::size_t correct = 0;
+    for (const core::InferenceResult& r : results) {
+      correct += r.predicted_class == static_cast<std::size_t>(e.bundle.test->label(r.sample));
+    }
+    return static_cast<double>(correct) / static_cast<double>(results.size());
+  };
+
+  const std::vector<core::InferenceResult> float_run = run();
+  // A stale 4-bit calibration the oracle pass must not run.
+  ASSERT_GT(snn::quantize_network_weights(e.net, {.bits = 4}), 0u);
+  const core::QuantCalibrationReport report =
+      core::calibrate_quantized(e.net, *e.bundle.test, policy, 3, config);
+  EXPECT_EQ(snn::network_quantized_bits(e.net), 8);
+  EXPECT_EQ(report.samples, request.samples.size());
+  EXPECT_EQ(report.accuracy_float, accuracy(float_run));
+
+  const std::vector<core::InferenceResult> quant_run = run();
+  const core::DecisionDiff diff = core::compare_decisions(float_run, quant_run);
+  EXPECT_EQ(report.diff.prediction_flips, diff.prediction_flips);
+  EXPECT_EQ(report.diff.exit_flips, diff.exit_flips);
+  EXPECT_EQ(report.accuracy_quant, accuracy(quant_run));
 }
 
 // ------------------------------------------------------------ tolerance gate
@@ -673,15 +600,11 @@ TEST(QuantCheckpoint, RoundTripCarriesQuantizedState) {
   EXPECT_EQ(fa.scale_bytes, fb.scale_bytes);
   EXPECT_EQ(fa.quantized_layers, fb.quantized_layers);
 
-  // Decisions of the restored net under the quantized tier are identical to
-  // the original's (two runs of the same deterministic quantized kernel).
+  // The restored net runs the same dequantized weights, so its decisions
+  // are identical to the original's.
   const core::EntropyExitPolicy policy(0.35);
   const core::InferenceRequest request = core::InferenceRequest::first_n(
       std::min<std::size_t>(16, e.bundle.test->size()));
-  util::GemmContext ctx_a(quant_backend("int4_lut"));
-  util::GemmContext ctx_b(quant_backend("int4_lut"));
-  e.net.set_gemm_context(&ctx_a);
-  restored.set_gemm_context(&ctx_b);
   core::BatchedSequentialEngine engine_a(e.net, policy, 3, 4);
   core::BatchedSequentialEngine engine_b(restored, policy, 3, 4);
   const auto results_a = engine_a.run(*e.bundle.test, request);
@@ -692,8 +615,51 @@ TEST(QuantCheckpoint, RoundTripCarriesQuantizedState) {
     EXPECT_EQ(results_a[i].exit_timestep, results_b[i].exit_timestep) << i;
     EXPECT_EQ(results_a[i].final_entropy, results_b[i].final_entropy) << i;
   }
-  e.net.set_gemm_context(nullptr);
-  restored.set_gemm_context(nullptr);
+}
+
+/// Corrupt counts in a quantized section's header fail typed before the
+/// loader sizes a buffer from them: no bad_alloc, no multi-gigabyte
+/// allocation.
+TEST(QuantCheckpoint, CorruptSectionHeaderFailsTypedBeforeAllocating) {
+  snn::SpikingNetwork net = snn::make_model("vgg_micro", snn::ModelConfig{});
+  const std::string plain = testing::TempDir() + "/dtsnn_quant_plain.bin";
+  snn::save_checkpoint(net, plain);
+  // The plain file ends in the u64 quant_count 0; the quantized one carries
+  // the section from there: u64 quant_count | u64 holder_index | u32 bits |
+  // u64 group_size | u64 out | u64 in | u64 packed_bytes | packed |
+  // u64 scale_count | scales.
+  const auto section = static_cast<std::streamoff>(std::filesystem::file_size(plain)) - 8;
+  std::filesystem::remove(plain);
+  const std::streamoff out_at = section + 28;
+  const std::streamoff packed_at = section + 44;
+
+  ASSERT_GT(snn::quantize_network_weights(net, {.bits = 8}), 0u);
+  const util::QuantizedMatrix& q = holders_of(net).front()->quantized_weights();
+  const std::streamoff scales_at = packed_at + 8 + static_cast<std::streamoff>(q.packed_bytes());
+  const std::string path = testing::TempDir() + "/dtsnn_quant_corrupt.bin";
+  const auto patched_load = [&](std::streamoff at, std::uint64_t value) {
+    snn::save_checkpoint(net, path);
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      std::uint64_t original = 0;
+      f.seekg(at);
+      f.read(reinterpret_cast<char*>(&original), sizeof(original));
+      EXPECT_NE(original, value);
+      f.seekp(at);
+      f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+      ASSERT_TRUE(f.good());
+    }
+    snn::SpikingNetwork target = snn::make_model("vgg_micro", snn::ModelConfig{});
+    snn::load_checkpoint(target, path);
+  };
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  expect_quant_error(util::QuantizationError::Kind::kBadCheckpoint,
+                     [&] { patched_load(packed_at, huge); }, "packed_bytes 2^62");
+  expect_quant_error(util::QuantizationError::Kind::kBadCheckpoint,
+                     [&] { patched_load(scales_at, huge); }, "scale_count 2^62");
+  expect_quant_error(util::QuantizationError::Kind::kShapeMismatch,
+                     [&] { patched_load(out_at, huge); }, "out 2^62");
+  std::filesystem::remove(path);
 }
 
 TEST(QuantCheckpoint, LoadWithoutQuantSectionClearsState) {
@@ -731,28 +697,6 @@ TEST(QuantCheckpoint, CopyNetworkStateMirrorsQuantizedWeights) {
 
 // ------------------------------------------------------------------- serving
 
-TEST(QuantServer, RefusesUncalibratedNetworkAtConstruction) {
-  core::Experiment e = micro_experiment("sync10", 3);
-  const core::EntropyExitPolicy policy(0.35);
-  serve::FleetModel model;
-  model.network = &e.net;
-  model.dataset = e.bundle.test.get();
-  model.default_policy = &policy;
-  model.max_timesteps = 3;
-  model.gemm_backend = "int8_lut";
-  try {
-    serve::ServingFleet fleet({model});
-    FAIL() << "uncalibrated network must be rejected at construction";
-  } catch (const util::QuantizationError& err) {
-    EXPECT_EQ(err.kind(), util::QuantizationError::Kind::kUncalibrated);
-    EXPECT_NE(std::string(err.what()).find("int8_lut"), std::string::npos)
-        << err.what();
-  }
-  // Unknown backend names still fail with the registry's invalid_argument.
-  model.gemm_backend = "no_such_backend";
-  EXPECT_THROW(serve::ServingFleet({model}), std::invalid_argument);
-}
-
 TEST(QuantServer, ServesQuantizedTierMatchingOfflineEngine) {
   core::Experiment e = micro_experiment("sync10", 3);
   const core::EntropyExitPolicy policy(0.35);
@@ -764,14 +708,8 @@ TEST(QuantServer, ServesQuantizedTierMatchingOfflineEngine) {
 
   const core::InferenceRequest request = core::InferenceRequest::first_n(
       std::min<std::size_t>(16, e.bundle.test->size()));
-  std::vector<core::InferenceResult> offline;
-  {
-    util::GemmContext ctx(quant_backend("int8_lut"));
-    e.net.set_gemm_context(&ctx);
-    core::BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/4);
-    offline = engine.run(*e.bundle.test, request);
-    e.net.set_gemm_context(nullptr);
-  }
+  core::BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/4);
+  const std::vector<core::InferenceResult> offline = engine.run(*e.bundle.test, request);
 
   serve::FleetModel model;
   model.network = &e.net;
@@ -779,16 +717,15 @@ TEST(QuantServer, ServesQuantizedTierMatchingOfflineEngine) {
   model.default_policy = &policy;
   model.max_timesteps = 3;
   model.max_pool = 3;
-  model.gemm_backend = "int8_lut";
   serve::ServingFleet fleet({model});
-  EXPECT_EQ(fleet.model_gemm_backend(0), "int8_lut");
   serve::FleetRequest sreq;
   sreq.request = request;
   const std::vector<core::InferenceResult> served = fleet.submit(std::move(sreq)).results.get();
   fleet.drain();
 
-  // Quantized kernels are batch-composition invariant, so served decisions
-  // match the offline quantized engine exactly regardless of pool makeup.
+  // The dequantized path keeps the float path's batch-composition
+  // invariance, so served decisions match the offline engine exactly
+  // regardless of pool makeup.
   ASSERT_EQ(served.size(), offline.size());
   for (std::size_t i = 0; i < served.size(); ++i) {
     EXPECT_EQ(served[i].sample, offline[i].sample) << i;
