@@ -28,6 +28,15 @@
 // the pool had drained. Per-row trajectories therefore never depend on the
 // pool's composition, and every exit is bitwise identical to
 // SequentialEngine on the same sample, policy and budget.
+//
+// The rows' frames are encoded in parallel, as one OpenMP loop over rows
+// (Dataset::write_frame is thread-safe under const access), except on the
+// step that begins an inference sequence, which encodes serially. Each row
+// writes only its own frame, so the step input does not depend on the
+// thread count. No exception leaves the loop: each row's is caught, and
+// after the loop the exception of the lowest failing row is rethrown, so
+// which error surfaces does not depend on thread timing. As for any throw
+// from step(), no row has left the pool.
 
 #pragma once
 
@@ -109,6 +118,8 @@ class LivePoolRows {
   /// Per row, its row in the network's inference state (kFreshRow for an
   /// admission not yet stepped).
   std::vector<std::size_t> keep_;
+  /// Per row, the exception its frame encode threw in the last forward().
+  std::vector<std::exception_ptr> encode_errors_;
   bool active_ = false;      ///< the network holds inference state for keep_
   bool reconciled_ = false;  ///< keep_ is the identity over that state
 };

@@ -25,22 +25,27 @@ namespace {
 /// rule of the A-stationary im2col GEMM — so the result is bitwise identical
 /// to the NN op on the im2col matrix, while the im2col materialization is
 /// skipped entirely. `wt` is W^T, [Cin*K*K, Cout]. Returns the number of
-/// nonzero inputs, which the zero test yields for free. Templated on the
-/// compile-time stride (0 = generic runtime stride) so the hot loops carry no
-/// divisibility checks for stride-1 convs and strength-reduced ones for
-/// stride-2.
+/// nonzero inputs, which the zero test yields for free.
+///
+/// Templated on the compile-time stride (0 = generic runtime stride) so the
+/// hot loops carry no divisibility checks for stride-1 convs and
+/// strength-reduced ones for stride-2, and on the compile-time output width
+/// kCout (0 = generic runtime `cout`): with the width known, each tap's row
+/// add is straight-line vector code instead of a loop with peel and
+/// remainder iterations. Neither parameter touches the per-element order.
 ///
 /// Out of line and 64-byte aligned: the speed of the short inner loops
 /// depends on where they fall relative to 64-byte boundaries, and pinning
 /// the function start keeps that placement — and the step time — from
 /// shifting with unrelated code linked ahead of it (swings of ~30% in
 /// per-step time were measured on an AVX-512 Xeon).
-template <std::size_t kStride>
+template <std::size_t kStride, std::size_t kCout>
 [[gnu::noinline, gnu::aligned(64)]] std::size_t scatter_image(const float* xp,
                                                               const float* wt,
                                                               const ConvGeometry& g,
-                                                              std::size_t cout,
+                                                              std::size_t runtime_cout,
                                                               float* pp) {
+  const std::size_t cout = kCout ? kCout : runtime_cout;
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
   const auto stride = static_cast<std::ptrdiff_t>(kStride ? kStride : g.stride);
@@ -87,24 +92,42 @@ template <std::size_t kStride>
   return nonzeros;
 }
 
+using ScatterImageFn = std::size_t (*)(const float*, const float*, const ConvGeometry&,
+                                       std::size_t, float*);
+
+/// The scatter_image instantiation for output width `cout` at stride
+/// kStride: the widths the model presets build (snn/models.cpp: 8, 16, 32,
+/// 64, 128) are compiled at that width, any other runs the generic one.
+template <std::size_t kStride>
+ScatterImageFn scatter_image_at_width(std::size_t cout) {
+  switch (cout) {
+    case 8: return &scatter_image<kStride, 8>;
+    case 16: return &scatter_image<kStride, 16>;
+    case 32: return &scatter_image<kStride, 32>;
+    case 64: return &scatter_image<kStride, 64>;
+    case 128: return &scatter_image<kStride, 128>;
+    default: return &scatter_image<kStride, 0>;
+  }
+}
+
 /// The scatter over a batch x [N, Cin, H, W] into pix [N*OHW, Cout]. Images
 /// are independent, so `parallel` runs them as one OpenMP loop; the result
 /// does not depend on it. Returns the nonzero count of x.
 std::size_t scatter_batch(const float* x, const float* wt, float* pix, std::size_t batch,
                           const ConvGeometry& g, std::size_t cout,
                           [[maybe_unused]] bool parallel) {
+  ScatterImageFn scatter = nullptr;
+  switch (g.stride) {
+    case 1: scatter = scatter_image_at_width<1>(cout); break;
+    case 2: scatter = scatter_image_at_width<2>(cout); break;
+    default: scatter = scatter_image_at_width<0>(cout); break;
+  }
   const std::size_t in_size = g.in_channels * g.in_h * g.in_w;
   const std::size_t out_size = g.out_h() * g.out_w() * cout;
   std::size_t nonzeros = 0;
 #pragma omp parallel for schedule(static) if (parallel) reduction(+ : nonzeros)
   for (std::size_t img = 0; img < batch; ++img) {
-    const float* xp = x + img * in_size;
-    float* pp = pix + img * out_size;
-    switch (g.stride) {
-      case 1: nonzeros += scatter_image<1>(xp, wt, g, cout, pp); break;
-      case 2: nonzeros += scatter_image<2>(xp, wt, g, cout, pp); break;
-      default: nonzeros += scatter_image<0>(xp, wt, g, cout, pp); break;
-    }
+    nonzeros += scatter(x + img * in_size, wt, g, cout, pix + img * out_size);
   }
   return nonzeros;
 }

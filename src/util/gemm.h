@@ -48,7 +48,11 @@
 // Every backend runs the one conv_scatter kernel (util/conv_scatter_kernel.h)
 // and the one spike_epilogue kernel (util/spike_epilogue_kernel.h), each
 // compiled once per backend TU at that TU's ISA flags: scalar_ref serially,
-// blocked_omp, avx2 and avx512 parallel over images.
+// blocked_omp, avx2 and avx512 parallel over images. The scatter is also
+// compiled at the output widths the model presets build (Cout 8, 16, 32, 64,
+// 128), where each tap's row add becomes straight-line vector code; any other
+// width runs the generic kernel. The width changes no per-element order, so
+// it is invisible to the identity contract below.
 //
 // The registry picks only the ISA. Whether a product runs in the sparse or
 // the dense op form is decided once, by the layers, from the input spike

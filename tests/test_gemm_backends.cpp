@@ -401,7 +401,8 @@ class ConvScatterIdentity
 /// (ASSERT_EQ on floats) and return the same nonzero count, over strides
 /// {1, 2, 3} (both compile-time specializations and the generic stride),
 /// padding {0, 1}, kernels {1, 3}, densities from all-zero to dense graded,
-/// and Cout values that cross the 8- and 16-lane vector tails. pix starts
+/// and Cout values that cross the 8- and 16-lane vector tails plus every
+/// width the kernel compiles as a constant (8, 16, 32, 64, 128). pix starts
 /// from dense values, so the accumulate semantics are checked too.
 TEST_P(ConvScatterIdentity, BitwiseEqualToScalarRef) {
   const auto& [backend, c] = GetParam();
@@ -437,7 +438,7 @@ std::vector<ScatterCase> scatter_cases() {
   for (const std::size_t stride : {1, 2, 3}) {
     for (const std::size_t padding : {0, 1}) {
       for (const std::size_t kernel : {1, 3}) {
-        for (const std::size_t cout : {1, 8, 17, 33, 72}) {
+        for (const std::size_t cout : {1, 8, 16, 17, 32, 33, 64, 72, 128}) {
           for (const std::size_t batch : {1, 3}) {
             cases.push_back({stride, padding, kernel, cout, batch});
           }
@@ -460,6 +461,78 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.padding) + "k" + std::to_string(c.kernel) + "_cout" +
              std::to_string(c.cout) + "_n" + std::to_string(c.batch);
     });
+
+/// The explicit im2col matrix of x [batch, Cin, H, W]: one row per output
+/// pixel (image, oy, ox), one column per patch position (c, ky, kx)
+/// ascending, zero where the patch reads padding.
+std::vector<float> im2col(const std::vector<float>& x, std::size_t batch,
+                          const util::ConvGeometry& g) {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), patch = g.patch_size();
+  std::vector<float> cols(batch * oh * ow * patch, 0.0f);
+  for (std::size_t img = 0; img < batch; ++img) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        float* row = cols.data() + ((img * oh + oy) * ow + ox) * patch;
+        for (std::size_t c = 0; c < g.in_channels; ++c) {
+          for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+              const auto y = static_cast<std::ptrdiff_t>(oy * g.stride + ky) -
+                             static_cast<std::ptrdiff_t>(g.padding);
+              const auto xx = static_cast<std::ptrdiff_t>(ox * g.stride + kx) -
+                              static_cast<std::ptrdiff_t>(g.padding);
+              if (y < 0 || xx < 0 || y >= static_cast<std::ptrdiff_t>(g.in_h) ||
+                  xx >= static_cast<std::ptrdiff_t>(g.in_w)) {
+                continue;
+              }
+              row[(c * g.kernel + ky) * g.kernel + kx] =
+                  x[((img * g.in_channels + c) * g.in_h + static_cast<std::size_t>(y)) *
+                        g.in_w +
+                    static_cast<std::size_t>(xx)];
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+/// Every backend's conv_scatter, scalar_ref's included, at every width the
+/// kernel compiles as a constant and strides {1, 2, 3}, equals an explicit
+/// im2col followed by scalar_ref's NN gemm, bit for bit. ConvScatterIdentity
+/// compares backends against scalar_ref's scatter, which compiles the same
+/// kernel header, so a width-specialization bug shared by every backend would
+/// pass it; this reference shares no code with the scatter.
+TEST(ConvScatterWidths, EqualsIm2colTimesScalarRefGemm) {
+  const util::GemmBackend& ref = *util::find_gemm_backend("scalar_ref");
+  const std::size_t batch = 2;
+  for (const std::size_t cout : {8, 16, 32, 64, 128}) {
+    for (const std::size_t stride : {1, 2, 3}) {
+      const util::ConvGeometry g{3, 9, 7, 3, stride, 1};
+      ASSERT_TRUE(g.valid());
+      const std::size_t rows = batch * g.out_h() * g.out_w();
+      const auto wt = make_matrix(g.patch_size(), cout, Fill::kDense, 31 + cout);
+      for (const ScatterFill fill : {ScatterFill::kBinary30, ScatterFill::kGraded60}) {
+        const auto x = scatter_input(batch * g.in_channels * g.in_h * g.in_w, fill,
+                                     32 + stride + static_cast<std::uint64_t>(fill));
+        const auto pix0 = make_matrix(rows, cout, Fill::kDense, 33);
+        auto expected = pix0;
+        ref.gemm(im2col(x, batch, g).data(), wt.data(), expected.data(), rows,
+                 g.patch_size(), cout, /*accumulate=*/true);
+        for (const util::GemmBackend* backend : util::gemm_backends()) {
+          if (!backend->available()) continue;
+          auto out = pix0;
+          backend->conv_scatter(x.data(), wt.data(), out.data(), batch, g, cout);
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            ASSERT_EQ(out[i], expected[i])
+                << backend->name() << " cout " << cout << " stride " << stride << " fill "
+                << static_cast<int>(fill) << " elem " << i;
+          }
+        }
+      }
+    }
+  }
+}
 
 // ------------------------------------------ spike epilogue identity suite
 

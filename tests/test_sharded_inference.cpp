@@ -8,8 +8,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -58,6 +66,13 @@ class ShardedCopy {
     fs::remove_all(dir_, ec);
   }
   [[nodiscard]] const data::ShardedDataset& dataset() const { return *dataset_; }
+  /// The shard files, in the dataset's (filename) order.
+  [[nodiscard]] std::vector<fs::path> shard_paths() const {
+    std::vector<fs::path> paths;
+    for (const auto& entry : fs::directory_iterator(dir_)) paths.push_back(entry.path());
+    std::sort(paths.begin(), paths.end());
+    return paths;
+  }
 
  private:
   fs::path dir_;
@@ -214,6 +229,121 @@ TEST(ShardedInference, EvaluateEngineIdenticalAcrossBackends) {
   EXPECT_EQ(a.correct, b.correct);
   EXPECT_EQ(a.accuracy, b.accuracy);
   EXPECT_EQ(a.avg_timesteps, b.avg_timesteps);
+}
+
+/// Runs its scope at `threads` OpenMP threads (a no-op without OpenMP),
+/// then restores the previous team size.
+class OmpThreads {
+ public:
+  explicit OmpThreads([[maybe_unused]] int threads) {
+#ifdef _OPENMP
+    previous_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#endif
+  }
+  ~OmpThreads() {
+#ifdef _OPENMP
+    omp_set_num_threads(previous_);
+#endif
+  }
+  OmpThreads(const OmpThreads&) = delete;
+  OmpThreads& operator=(const OmpThreads&) = delete;
+
+ private:
+  int previous_ = 1;
+};
+
+/// The live pool encodes its rows' frames as one OpenMP loop, and the
+/// network step runs parallel over images: neither may let the thread count
+/// reach the results. Exits and recorded logits are bitwise identical at 1
+/// and 4 threads, from memory and from a 1-slot shard cache that four
+/// concurrent encodes contend for.
+TEST(ShardedInference, BatchedEngineIdenticalAtOneAndFourThreads) {
+  Experiment e = micro_experiment("sync10", 3);
+  const data::ArrayDataset& array = *e.bundle.test;
+  const std::size_t n = std::min<std::size_t>(24, array.size());
+  InferenceRequest request = InferenceRequest::first_n(n);
+  request.record_logits = true;
+  const EntropyExitPolicy policy(0.35);
+  const ShardedCopy copy(array, "threads", 7, /*cache_slots=*/1);
+  BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/8);
+
+  const std::vector<const data::Dataset*> datasets{&array, &copy.dataset()};
+  for (const data::Dataset* dataset : datasets) {
+    const std::string context = dataset == &array ? "array" : "sharded";
+    std::vector<InferenceResult> one;
+    std::vector<InferenceResult> four;
+    {
+      const OmpThreads threads(1);
+      one = engine.run(*dataset, request);
+    }
+    {
+      const OmpThreads threads(4);
+      four = engine.run(*dataset, request);
+    }
+    expect_identical(one, four, context);
+  }
+}
+
+/// Exits every second row it is asked about, in call order. The engine's
+/// pool then never drains between steps: half of it is refilled while the
+/// other half keeps stepping, so the refills encode in a step that continues
+/// an inference sequence.
+class AlternatingExitPolicy final : public ExitPolicy {
+ public:
+  [[nodiscard]] bool should_exit(std::span<const float> /*cum_logits*/) const override {
+    return calls_.fetch_add(1) % 2 == 1;
+  }
+  [[nodiscard]] std::string name() const override { return "alternating"; }
+
+ private:
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+/// A shard truncated after the dataset opened it fails the frame encode of
+/// every row reading it. Under the parallel encode, run() surfaces the typed
+/// ShardError of the lowest failing row — never std::terminate from an
+/// exception leaving the OpenMP region — and the same engine then serves a
+/// clean request bitwise identical to the in-memory dataset.
+TEST(ShardedInference, TruncatedShardFailsTheRunWithTheLowestRowsTypedError) {
+  Experiment e = micro_experiment("sync10", 3);
+  const data::ArrayDataset& array = *e.bundle.test;
+  ASSERT_GE(array.size(), 24u);
+  const ShardedCopy copy(array, "truncated", 4, /*cache_slots=*/1);
+  const std::vector<fs::path> shards = copy.shard_paths();
+  ASSERT_GE(shards.size(), 6u);
+  for (const std::size_t shard : {2, 3}) {  // samples 8-11 and 12-15
+    fs::resize_file(shards[shard], fs::file_size(shards[shard]) - 4);
+  }
+
+  const AlternatingExitPolicy alternating;
+  BatchedSequentialEngine engine(e.net, alternating, 3, /*batch_size=*/8);
+  // Step 1 runs samples 0-7; rows 1, 3, 5, 7 exit and are refilled with 13
+  // (shard 3) then 9 (shard 2), which the next step encodes next to the four
+  // survivors. Both fail; the lower row, sample 13's, names the error.
+  InferenceRequest failing;
+  failing.samples = {0, 1, 2, 3, 4, 5, 6, 7, 13, 9};
+  try {
+    const OmpThreads threads(4);
+    (void)engine.run(copy.dataset(), failing);
+    FAIL() << "expected a ShardError";
+  } catch (const data::ShardError& err) {
+    EXPECT_EQ(err.kind(), data::ShardError::Kind::kTruncated) << err.what();
+    const std::string what = err.what();
+    EXPECT_NE(what.find(shards[3].filename().string()), std::string::npos) << what;
+    EXPECT_EQ(what.find(shards[2].filename().string()), std::string::npos) << what;
+  }
+
+  const EntropyExitPolicy entropy(0.35);
+  InferenceRequest clean;
+  clean.policy = &entropy;
+  clean.record_logits = true;
+  for (std::size_t s = 0; s < 24; ++s) {
+    if (s < 8 || s >= 16) clean.samples.push_back(s);
+  }
+  const OmpThreads threads(4);
+  expect_identical(engine.run(copy.dataset(), clean), engine.run(array, clean),
+                   "clean after failure");
 }
 
 }  // namespace
