@@ -240,8 +240,8 @@ int main(int argc, char** argv) {
     // network): calibrate INT8/INT4 weights against the float network on the
     // measured samples, then rerun the batched DT-SNN operating point
     // theta=0.30 on the calibrated network, on the same default context as
-    // the float rows. Reported, not gated — the hard per-preset flip gate
-    // lives in bench/gemm_microbench.
+    // the float rows. Reported, not gated — the flip gate on a fully
+    // trained model is QuantToleranceGate in tests/test_quantized.cpp.
     for (const int bits : {8, 4}) {
       core::QuantCalibrationConfig config;
       config.spec.bits = bits;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "core/evaluator.h"
 #include "core/exit_policy.h"
 #include "core/inference.h"
+#include "test_helpers.h"
 #include "util/math.h"
 
 namespace dtsnn::core {
@@ -393,6 +395,29 @@ TEST(Engine, ParallelCollectMatchesSerial) {
           << c.threads << " threads, value " << j;
     }
   }
+
+  // The replay behind threshold sweeps and calibration runs its samples in
+  // parallel and aggregates serially: its decisions, and the calibrated
+  // theta, do not depend on the thread count either.
+  const auto grid = default_theta_grid();
+  const double target = static_accuracy(serial, serial.timesteps);
+  const auto replay_at = [&](int threads) {
+    const test::OmpThreads scoped(threads);
+    return std::pair{theta_sweep(serial, grid), calibrate_theta(serial, target)};
+  };
+  const auto [sweep_1t, calib_1t] = replay_at(1);
+  const auto [sweep_3t, calib_3t] = replay_at(3);
+  ASSERT_EQ(sweep_1t.size(), grid.size());
+  ASSERT_EQ(sweep_3t.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_EQ(sweep_3t[i].result.exit_timestep, sweep_1t[i].result.exit_timestep)
+        << "theta " << grid[i];
+    ASSERT_EQ(sweep_3t[i].result.accuracy, sweep_1t[i].result.accuracy) << grid[i];
+    ASSERT_EQ(sweep_3t[i].result.avg_timesteps, sweep_1t[i].result.avg_timesteps)
+        << grid[i];
+  }
+  ASSERT_EQ(calib_3t.theta, calib_1t.theta);
+  ASSERT_EQ(calib_3t.result.exit_timestep, calib_1t.result.exit_timestep);
 
   EXPECT_THROW(collect_outputs(e.net, ds, spec.timesteps, 0), std::invalid_argument);
   EXPECT_THROW(collect_outputs(e.net, ds, spec.timesteps, 0, 0, counting, 2),

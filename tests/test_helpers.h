@@ -1,9 +1,14 @@
-// Shared test utilities: numerical gradient checking and tensor generators.
+// Shared test utilities: numerical gradient checking, tensor generators, and
+// a scoped OpenMP thread count.
 
 #pragma once
 
 #include <cmath>
 #include <functional>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -98,5 +103,27 @@ inline GradCheckResult grad_check_params(snn::Layer& layer, const snn::Tensor& x
   }
   return result;
 }
+
+/// Runs its scope at `threads` OpenMP threads (a no-op without OpenMP),
+/// then restores the previous team size.
+class OmpThreads {
+ public:
+  explicit OmpThreads([[maybe_unused]] int threads) {
+#ifdef _OPENMP
+    previous_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#endif
+  }
+  ~OmpThreads() {
+#ifdef _OPENMP
+    omp_set_num_threads(previous_);
+#endif
+  }
+  OmpThreads(const OmpThreads&) = delete;
+  OmpThreads& operator=(const OmpThreads&) = delete;
+
+ private:
+  int previous_ = 1;
+};
 
 }  // namespace dtsnn::test

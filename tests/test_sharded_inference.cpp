@@ -15,10 +15,6 @@
 #include <string>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
@@ -28,11 +24,13 @@
 #include "data/shard.h"
 #include "data/sharded_dataset.h"
 #include "serve/fleet.h"
+#include "test_helpers.h"
 
 namespace dtsnn::core {
 namespace {
 
 namespace fs = std::filesystem;
+using test::OmpThreads;
 
 Experiment micro_experiment(const std::string& dataset, std::size_t timesteps,
                             std::uint64_t seed = 1) {
@@ -230,28 +228,6 @@ TEST(ShardedInference, EvaluateEngineIdenticalAcrossBackends) {
   EXPECT_EQ(a.accuracy, b.accuracy);
   EXPECT_EQ(a.avg_timesteps, b.avg_timesteps);
 }
-
-/// Runs its scope at `threads` OpenMP threads (a no-op without OpenMP),
-/// then restores the previous team size.
-class OmpThreads {
- public:
-  explicit OmpThreads([[maybe_unused]] int threads) {
-#ifdef _OPENMP
-    previous_ = omp_get_max_threads();
-    omp_set_num_threads(threads);
-#endif
-  }
-  ~OmpThreads() {
-#ifdef _OPENMP
-    omp_set_num_threads(previous_);
-#endif
-  }
-  OmpThreads(const OmpThreads&) = delete;
-  OmpThreads& operator=(const OmpThreads&) = delete;
-
- private:
-  int previous_ = 1;
-};
 
 /// The live pool encodes its rows' frames as one OpenMP loop, and the
 /// network step runs parallel over images: neither may let the thread count
