@@ -1,12 +1,15 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "data/dataset.h"
 #include "util/logging.h"
@@ -57,18 +60,31 @@ core::Experiment run(core::ExperimentSpec spec, const BenchOptions& options) {
 }
 
 double mean_hidden_activity(core::Experiment& experiment) {
-  // Probe with a test batch at the experiment's timestep budget.
-  const std::size_t probe = std::min<std::size_t>(64, experiment.bundle.test->size());
-  std::vector<std::size_t> indices(probe);
-  for (std::size_t i = 0; i < probe; ++i) indices[i] = i;
-  auto batch = data::materialize_batch(*experiment.bundle.test, indices,
-                                       experiment.spec.timesteps);
-  experiment.net.forward(batch.x, experiment.spec.timesteps, /*train=*/false);
-  const auto rates = experiment.net.lif_spike_rates();
-  if (rates.empty()) return 0.15;
+  // Probe the first 64 test samples at the experiment's timestep budget, as
+  // forwards of 8 samples, so the probe never holds the buffers of one
+  // 64-sample forward. Every probe row carries the same neurons and
+  // timesteps, so a LIF's spike rate over the whole probe is its chunk
+  // rates weighted by the chunks' rows.
+  constexpr std::size_t kProbe = 64;
+  constexpr std::size_t kChunk = 8;
+  const std::size_t probe = std::min(kProbe, experiment.bundle.test->size());
+  std::vector<double> weighted;  // per LIF: sum of chunk rate * chunk rows
+  for (std::size_t start = 0; start < probe; start += kChunk) {
+    std::vector<std::size_t> indices(std::min(kChunk, probe - start));
+    std::iota(indices.begin(), indices.end(), start);
+    const auto batch = data::materialize_batch(*experiment.bundle.test, indices,
+                                               experiment.spec.timesteps);
+    experiment.net.forward(batch.x, experiment.spec.timesteps, /*train=*/false);
+    const auto rates = experiment.net.lif_spike_rates();
+    weighted.resize(rates.size(), 0.0);
+    for (std::size_t l = 0; l < rates.size(); ++l) {
+      weighted[l] += rates[l] * static_cast<double>(indices.size());
+    }
+  }
+  if (weighted.empty()) return 0.15;
   double acc = 0.0;
-  for (const double r : rates) acc += r;
-  return acc / static_cast<double>(rates.size());
+  for (const double w : weighted) acc += w / static_cast<double>(probe);
+  return acc / static_cast<double>(weighted.size());
 }
 
 imc::EnergyModel measured_energy_model(core::Experiment& experiment,

@@ -1,6 +1,7 @@
 // Fig. 2 reproduction: accuracy versus the number of inference timesteps for
 // a spiking VGG on the three static-image benchmarks (synthetic substitutes
-// for CIFAR-10 / CIFAR-100 / TinyImageNet; see DESIGN.md §4).
+// for CIFAR-10 / CIFAR-100 / TinyImageNet; see README, "Substitutions for
+// the paper's setting").
 //
 // Expected shape (paper, VGG-16): accuracy climbs steeply from T=1 and
 // saturates by T=4, e.g. CIFAR-10 76.3 -> 93.17. With Eq. 9 training the

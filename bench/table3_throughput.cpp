@@ -4,7 +4,8 @@
 //
 // The paper measures an RTX 2080Ti through PyTorch; this environment has no
 // GPU, so the measurement substrate is this library's sequential engines on
-// CPU (DESIGN.md §4.2). The reproduced claims are relative:
+// CPU (README, "Substitutions for the paper's setting", item 2). The
+// reproduced claims are relative:
 //   * throughput falls roughly linearly with T, and DT-SNN recovers most of
 //     the 1-timestep throughput while holding the 4-timestep accuracy;
 //   * batching the early-exit control flow (BatchedSequentialEngine, batch

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <exception>
@@ -13,9 +14,12 @@
 #endif
 
 #include "core/entropy.h"
+#include "core/live_pool.h"
 #include "snn/loss.h"
 #include "snn/serialize.h"
 #include "util/math.h"
+#include "util/sync.h"
+#include "util/thread_annotations.h"
 
 namespace dtsnn::core {
 
@@ -49,11 +53,13 @@ std::size_t worker_index() {
 /// index, so the rethrown error does not depend on thread scheduling.
 class LoopError {
  public:
-  void capture(std::size_t index) {
+  /// Records the exception being handled as the failure of `index`.
+  void capture(std::size_t index) { capture(index, std::current_exception()); }
+  void capture(std::size_t index, std::exception_ptr error) {
 #pragma omp critical(dtsnn_loop_error)
     if (index < index_) {
       index_ = index;
-      error_ = std::current_exception();
+      error_ = std::move(error);
       failed_.store(true, std::memory_order_relaxed);
     }
   }
@@ -67,6 +73,50 @@ class LoopError {
   std::size_t index_ = std::numeric_limits<std::size_t>::max();
   std::exception_ptr error_;
   std::atomic<bool> failed_{false};
+};
+
+/// Size of the enclosing OpenMP team (1 outside a parallel region and
+/// without OpenMP).
+std::size_t team_size() {
+#ifdef _OPENMP
+  return static_cast<std::size_t>(omp_get_num_threads());
+#else
+  return 1;
+#endif
+}
+
+/// Hands results from producer threads to one consumer thread.
+class Outbox {
+ public:
+  /// Moves `result` in for the consumer.
+  void post(InferenceResult& result) DTSNN_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    ready_.push_back(std::move(result));
+    cv_.notify_one();
+  }
+  /// A producer is done posting.
+  void close() DTSNN_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    ++closed_;
+    cv_.notify_one();
+  }
+  /// Replaces `out` with the posted results. With `wait`, first blocks
+  /// until there is one or all `producers` have closed. Returns false once
+  /// they all have, when nothing more will come.
+  bool take(std::vector<InferenceResult>& out, bool wait, std::size_t producers)
+      DTSNN_EXCLUDES(mu_) {
+    out.clear();
+    util::MutexLock lock(mu_);
+    while (wait && ready_.empty() && closed_ < producers) cv_.wait(lock);
+    std::swap(out, ready_);
+    return closed_ < producers || !out.empty();
+  }
+
+ private:
+  util::Mutex mu_;
+  util::CondVar cv_;
+  std::vector<InferenceResult> ready_ DTSNN_GUARDED_BY(mu_);
+  std::size_t closed_ DTSNN_GUARDED_BY(mu_) = 0;
 };
 
 /// Runs one encoded chunk through `net` and scatters cumulative-mean logits
@@ -321,6 +371,131 @@ void SequentialEngine::run_streaming(const data::Dataset& dataset,
     r.request_index = i;
     sink(r);
   }
+}
+
+// -------------------------------------------------- BatchedSequentialEngine
+
+BatchedSequentialEngine::BatchedSequentialEngine(snn::SpikingNetwork& net,
+                                                 const ExitPolicy& policy,
+                                                 std::size_t max_timesteps,
+                                                 std::size_t batch_size)
+    : net_(net), policy_(policy), max_timesteps_(max_timesteps),
+      batch_size_(batch_size) {
+  if (max_timesteps_ == 0) {
+    throw std::invalid_argument("BatchedSequentialEngine: max_timesteps == 0");
+  }
+  if (batch_size_ == 0) {
+    throw std::invalid_argument("BatchedSequentialEngine: batch_size == 0");
+  }
+}
+
+void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
+                                            const InferenceRequest& request,
+                                            const ResultSink& sink) {
+  const PoolAdmission rule{.policy = request.policy ? request.policy : &policy_,
+                           .budget = request.max_timesteps ? request.max_timesteps
+                                                           : max_timesteps_,
+                           .record_logits = request.record_logits};
+  const std::size_t n_samples = validate_request_samples(
+      request.samples, dataset.size(), "BatchedSequentialEngine");
+  if (n_samples == 0) return;
+  const std::size_t rows = std::min(batch_size_, n_samples);
+#ifdef _OPENMP
+  const std::size_t windows =
+      omp_in_parallel() ? 1 : std::min(evaluation_threads(), rows);
+#else
+  const std::size_t windows = 1;
+#endif
+
+  // Continuous batching: each pool holds up to its capacity of samples,
+  // each at its own timestep; every exit's slot is refilled with the next
+  // waiting request position before the next step, so every step runs as
+  // full as the remaining work allows. The payload is the request position.
+  // A failure (a throwing exit policy or frame encode, a network fault, a
+  // throwing sink) stops admissions; the rows already admitted step on, and
+  // the lowest failing position's error is rethrown at the end.
+  std::atomic<std::size_t> next{0};
+  LoopError error;
+  const auto deliver = [&](InferenceResult& result) {
+    try {
+      sink(result);
+    } catch (...) {
+      error.capture(result.request_index);
+    }
+  };
+  // Steps `pool` until it drains and no position is left to admit, handing
+  // each exit to `emit` and calling `between_steps` after every step.
+  const auto drive = [&](LivePool<std::size_t>& pool, std::size_t capacity,
+                         const auto& emit, const auto& between_steps) {
+    for (;;) {
+      while (pool.size() < capacity && !error.failed()) {
+        const std::size_t position = next.fetch_add(1, std::memory_order_relaxed);
+        if (position >= n_samples) break;
+        PoolAdmission admission = rule;
+        admission.sample = request.samples[position];
+        pool.admit(admission, position);
+      }
+      if (pool.empty()) return;
+      std::vector<LivePool<std::size_t>::Exit> exits;
+      try {
+        exits = pool.step(dataset);
+      } catch (...) {
+        const std::vector<std::size_t> lost = pool.reset();
+        error.capture(*std::min_element(lost.begin(), lost.end()));
+        continue;
+      }
+      for (LivePool<std::size_t>::Exit& exit : exits) {
+        if (exit.reason == ExitReason::kFailed) {
+          error.capture(exit.payload, exit.error);
+          continue;
+        }
+        exit.result.request_index = exit.payload;
+        emit(exit.result);
+      }
+      between_steps();
+    }
+  };
+
+  if (windows == 1) {
+    LivePool<std::size_t> pool(net_);
+    drive(pool, batch_size_, deliver, [] {});
+  } else {
+    // One OpenMP region per request: thread w steps its own pool over a row
+    // window of the one network, with no barrier against the others. The
+    // step state of every window is sized here, on the calling thread. The
+    // calling thread, thread 0, also delivers the other windows' exits
+    // between its own steps, so the sink runs on it alone, as at W = 1.
+    net_.begin_inference(rows);
+    std::vector<LivePool<std::size_t>> pools;
+    std::vector<std::size_t> capacity;
+    pools.reserve(windows);
+    for (std::size_t w = 0, offset = 0; w < windows; ++w) {
+      capacity.push_back(rows / windows + (w < rows % windows ? 1 : 0));
+      pools.emplace_back(net_, offset, capacity.back());
+      offset += capacity.back();
+    }
+    Outbox outbox;
+#pragma omp parallel num_threads(static_cast<int>(windows))
+    {
+      const std::size_t w = worker_index();
+      if (w == 0) {
+        std::vector<InferenceResult> posted;
+        const auto deliver_posted = [&](bool wait) {
+          const bool open = outbox.take(posted, wait, team_size() - 1);
+          for (InferenceResult& result : posted) deliver(result);
+          return open;
+        };
+        drive(pools[0], capacity[0], deliver, [&] { deliver_posted(false); });
+        while (deliver_posted(true)) {
+        }
+      } else {
+        drive(pools[w], capacity[w], [&](InferenceResult& result) { outbox.post(result); },
+              [] {});
+        outbox.close();
+      }
+    }
+  }
+  error.rethrow();
 }
 
 }  // namespace dtsnn::core

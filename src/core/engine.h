@@ -18,7 +18,9 @@
 //    pool of samples together, evaluates the exit rule per sample each
 //    timestep, and compacts finished samples out; the engine refills their
 //    slots with waiting samples in request order (continuous batching).
-//    Decision-identical to SequentialEngine; used for throughput
+//    With several OpenMP threads it enters one parallel region per request,
+//    in which each thread steps its own pool over a row window of the one
+//    network. Decision-identical to SequentialEngine; used for throughput
 //    (Table III). The serving fleet runs its worker pools on LivePool too.
 
 #pragma once
@@ -121,14 +123,33 @@ class SequentialEngine final : public InferenceEngine {
   std::size_t max_timesteps_;
 };
 
-/// Batched true early termination with continuous batching: a core::LivePool
-/// of up to `batch_size` samples steps together (each at its own timestep),
-/// finished samples are emitted to the sink immediately, in (exit step,
-/// batch position) order, and their slots are refilled with waiting samples
-/// in request order, so every step runs as full as the remaining work
-/// allows. Decisions, predictions and entropies are bitwise identical to
-/// SequentialEngine. An exception from the exit policy propagates out of
-/// run_streaming.
+/// Batched true early termination with continuous batching: up to
+/// `batch_size` samples step together (each at its own timestep), finished
+/// samples are emitted to the sink immediately, and their slots are
+/// refilled with the next waiting request positions, so every step runs as
+/// full as the remaining work allows.
+///
+/// The rows are split into W = min(OpenMP threads, batch_size, request
+/// size) windows of about batch_size / W rows (W = 1 when called inside an
+/// active OpenMP region, whose nested regions get one thread). At W = 1 one
+/// core::LivePool steps the whole network and each op is its own OpenMP
+/// loop; no region is opened around it. At W > 1 run_streaming enters one
+/// OpenMP region per request, in which thread w steps its own LivePool over
+/// window w of the network's step state (sized once, before the region),
+/// admitting the next waiting position from a shared cursor, with no
+/// barrier against the other threads. The sink runs on the calling thread
+/// alone, which delivers the other windows' exits between its own steps.
+/// Within a window exits reach the sink in (exit step, batch position)
+/// order; across windows the order depends on timing (run() reorders).
+///
+/// Decisions, predictions and entropies are bitwise identical to
+/// SequentialEngine at every W: a row's trajectory never depends on its
+/// neighbours. A failure — an exit policy or frame encode that throws, a
+/// network fault, a throwing sink — stops admissions; the rows already
+/// admitted step until they exit or fail, and run_streaming then rethrows
+/// the error of the lowest failing request position. Positions are admitted
+/// in order, so when each failure belongs to its sample (a bad frame, a
+/// policy error on its logits) that position does not depend on timing.
 class BatchedSequentialEngine final : public InferenceEngine {
  public:
   /// Throws std::invalid_argument when max_timesteps == 0 or batch_size == 0.

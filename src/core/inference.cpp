@@ -5,10 +5,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "core/engine.h"
 #include "core/entropy.h"
-#include "core/live_pool.h"
-#include "data/prefetch.h"
 #include "util/gemm.h"
 #include "util/math.h"
 
@@ -104,74 +101,6 @@ DtsnnResult evaluate_engine(InferenceEngine& engine, const data::Dataset& datase
   out.accuracy = results.empty() ? 0.0 : static_cast<double>(correct) / n;
   out.avg_timesteps = results.empty() ? 0.0 : total_t / n;
   return out;
-}
-
-// -------------------------------------------------- BatchedSequentialEngine
-
-BatchedSequentialEngine::BatchedSequentialEngine(snn::SpikingNetwork& net,
-                                                 const ExitPolicy& policy,
-                                                 std::size_t max_timesteps,
-                                                 std::size_t batch_size)
-    : net_(net), policy_(policy), max_timesteps_(max_timesteps),
-      batch_size_(batch_size) {
-  if (max_timesteps_ == 0) {
-    throw std::invalid_argument("BatchedSequentialEngine: max_timesteps == 0");
-  }
-  if (batch_size_ == 0) {
-    throw std::invalid_argument("BatchedSequentialEngine: batch_size == 0");
-  }
-}
-
-void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
-                                            const InferenceRequest& request,
-                                            const ResultSink& sink) {
-  const PoolAdmission rule{.policy = request.policy ? request.policy : &policy_,
-                           .budget = request.max_timesteps ? request.max_timesteps
-                                                           : max_timesteps_,
-                           .record_logits = request.record_logits};
-  const std::size_t n_samples = validate_request_samples(
-      request.samples, dataset.size(), "BatchedSequentialEngine");
-  if (n_samples == 0) return;
-
-  // Continuous batching: a live pool of up to batch_size_ samples, each at
-  // its own timestep; every exit's slot is refilled with the next waiting
-  // sample (in request order) before the next step, so every step runs as
-  // full as the remaining work allows. The payload is the request position.
-  LivePool<std::size_t> pool(net_);
-  std::size_t next = 0;  // next request position awaiting admission
-
-  // Background lookahead over the *waiting tail*: while the pool steps, the
-  // prefetcher warms the shards of the samples that will be admitted into
-  // freed slots next, so a refill's first write_frame hits a resident shard
-  // instead of stalling the whole pool on a load. Inactive (zero cost) for
-  // in-memory datasets or DTSNN_PREFETCH_DEPTH=0.
-  data::ShardPrefetcher prefetcher(dataset);
-  std::size_t hinted = 0;
-  const auto refill = [&]() {
-    for (; pool.size() < batch_size_ && next < n_samples; ++next) {
-      PoolAdmission admission = rule;
-      admission.sample = request.samples[next];
-      pool.admit(admission, next);
-    }
-    if (!prefetcher.active()) return;
-    const std::size_t horizon =
-        std::min(n_samples, next + batch_size_ * prefetcher.depth());
-    hinted = std::max(hinted, next);
-    if (hinted >= horizon) return;
-    prefetcher.enqueue(
-        std::span<const std::size_t>(request.samples).subspan(hinted, horizon - hinted));
-    hinted = horizon;
-  };
-
-  refill();
-  while (!pool.empty()) {
-    for (LivePool<std::size_t>::Exit& exit : pool.step(dataset)) {
-      if (exit.reason == ExitReason::kFailed) std::rethrow_exception(exit.error);
-      exit.result.request_index = exit.payload;
-      sink(exit.result);
-    }
-    refill();
-  }
 }
 
 }  // namespace dtsnn::core

@@ -6,11 +6,25 @@
 
 #include "snn/layer.h"
 #include "snn/loss.h"
+#include "util/parallel_for.h"
 
 namespace dtsnn::core::detail {
 
-LivePoolRows::LivePoolRows(snn::SpikingNetwork& net)
-    : net_(net), classes_(net.num_classes()), cum_(classes_) {}
+LivePoolRows::LivePoolRows(snn::SpikingNetwork& net, std::size_t offset,
+                           std::size_t capacity)
+    : net_(net),
+      classes_(net.num_classes()),
+      offset_(offset),
+      capacity_(capacity),
+      frame_numel_(snn::shape_numel(net.sample_shape())),
+      cum_(classes_) {
+  rows_.reserve(capacity);
+  acc_.reserve(capacity * classes_);
+  keep_.reserve(capacity);
+  encode_errors_.reserve(capacity);
+  leaving_.reserve(capacity);
+  frames_.resize(capacity * frame_numel_);
+}
 
 void LivePoolRows::push_row(const PoolAdmission& admission) {
   if (admission.policy == nullptr) {
@@ -19,58 +33,71 @@ void LivePoolRows::push_row(const PoolAdmission& admission) {
   if (admission.budget == 0) {
     throw std::invalid_argument("LivePool::admit: zero timestep budget");
   }
+  if (windowed() && rows_.size() == capacity_) {
+    throw std::invalid_argument("LivePool::admit: the window is full");
+  }
   rows_.push_back({admission, 0, {}});
   acc_.resize(rows_.size() * classes_, 0.0);
   keep_.push_back(snn::Layer::kFreshRow);
   reconciled_ = false;
 }
 
-snn::Tensor LivePoolRows::forward(const data::Dataset& dataset) {
+const float* LivePoolRows::forward(const data::Dataset& dataset) {
+  if (dataset.frame_shape() != net_.sample_shape()) {
+    throw std::invalid_argument("LivePool: dataset frames " +
+                                snn::shape_to_string(dataset.frame_shape()) +
+                                " do not match the network's samples " +
+                                snn::shape_to_string(net_.sample_shape()));
+  }
   // Survivors keep their rows (in order) and admissions become fresh
-  // zero-state rows, so admission is a pure gather that never perturbs a
-  // resident's trajectory. A drained pool starts a new inference sequence.
+  // zero-state rows, so admission is an in-place move that never perturbs a
+  // resident's trajectory. A drained whole-network pool starts a new
+  // inference sequence; a window's admissions into a drained pool are all
+  // fresh rows.
+  const std::size_t rows = rows_.size();
   [[maybe_unused]] const bool resumed = active_;
-  if (!active_) {
-    net_.begin_inference(rows_.size());
-    active_ = true;
+  if (windowed()) {
+    if (!reconciled_) net_.compact_window({offset_, held_, false}, keep_);
+  } else if (!active_) {
+    net_.begin_inference(rows);
   } else if (!reconciled_) {
     net_.compact_inference_state(keep_);
   }
+  active_ = true;
+  held_ = rows;
   std::iota(keep_.begin(), keep_.end(), std::size_t{0});
   reconciled_ = true;
 
-  // One OpenMP loop over rows; the lowest failing row's exception surfaces
-  // (see live_pool.h). The step that begins an inference sequence encodes
-  // serially, so a pool that is its process's first OpenMP user enters that
-  // first region in the network step. The first region allocates the OpenMP
-  // runtime's lasting thread-pool bookkeeping; entered ahead of the step's
-  // first buffers, it was placed mid-heap and split memory freed later
-  // (perfbench static_sharded peak RSS 66.5 -> 73.2 MB on a 4-core Xeon). A
-  // sequence runs many steps (about a hundred per perfbench job), so that
-  // one serial encode is rare.
-  const snn::Shape fs = dataset.frame_shape();
-  const std::size_t frame_numel = snn::shape_numel(fs);
-  const std::size_t rows = rows_.size();
-  snn::Tensor x({rows, fs[0], fs[1], fs[2]});
+  // The step that begins an inference sequence encodes serially, so a pool
+  // that is its process's first OpenMP user enters that first region in the
+  // network step. The first region allocates the OpenMP runtime's lasting
+  // thread-pool bookkeeping; entered ahead of the step's first buffers, it
+  // was placed mid-heap and split memory freed later (perfbench
+  // static_sharded peak RSS 66.5 -> 73.2 MB on a 4-core Xeon). A sequence
+  // runs many steps (about a hundred per perfbench job), so that one serial
+  // encode is rare.
+  if (frames_.size() < rows * frame_numel_) frames_.resize(rows * frame_numel_);
   encode_errors_.assign(rows, nullptr);
-#pragma omp parallel for schedule(static) if (resumed)
-  for (std::size_t j = 0; j < rows; ++j) {
+  util::for_each_index(!windowed() && resumed, rows, [&](std::size_t j) {
+    float* frame = frames_.data() + j * frame_numel_;
     try {
-      dataset.write_frame(rows_[j].rule.sample, rows_[j].t,
-                          {x.data() + j * frame_numel, frame_numel});
+      dataset.write_frame(rows_[j].rule.sample, rows_[j].t, {frame, frame_numel_});
     } catch (...) {
+      // The row fails at decide(); the step runs it on a zero frame.
       encode_errors_[j] = std::current_exception();
+      std::fill(frame, frame + frame_numel_, 0.0f);
     }
-  }
-  for (const std::exception_ptr& error : encode_errors_) {
-    if (error) std::rethrow_exception(error);
-  }
-  return net_.step(x);
+  });
+  return net_.step_window({offset_, rows, !windowed()}, frames_.data());
 }
 
 std::optional<ExitReason> LivePoolRows::decide(std::size_t j, const float* logits,
                                                std::exception_ptr& error) {
   Row& row = rows_[j];
+  if (encode_errors_[j]) {
+    error = std::move(encode_errors_[j]);
+    return ExitReason::kFailed;
+  }
   snn::cumulative_mean_step(logits, acc_.data() + j * classes_, cum_.data(), classes_,
                             row.t);
   if (row.rule.record_logits) row.history.insert(row.history.end(), cum_.begin(), cum_.end());

@@ -18,31 +18,44 @@
 // Decision order per row: budget exhaustion, then the row's exit policy
 // (consulted only below the budget, exactly as on the batch-1 oracle), then
 // the caller's force-exit predicate (the fleet's deadline). A policy that
-// throws fails only its own row (ExitReason::kFailed); co-resident rows
-// keep stepping. LivePool reads no clock, so its decisions are a function
-// of the rows' own logits, budgets and the caller's predicate.
+// throws, or a frame encode that throws, fails only its own row
+// (ExitReason::kFailed); co-resident rows keep stepping. LivePool reads no
+// clock, so its decisions are a function of the rows' own logits, budgets
+// and the caller's predicate.
 //
 // The network state is reconciled with the rows once per step, just before
 // it: survivors keep their LIF rows in order and admissions become fresh
-// zero-state rows (snn::Layer::kFreshRow), or a fresh begin_inference when
-// the pool had drained. Per-row trajectories therefore never depend on the
-// pool's composition, and every exit is bitwise identical to
-// SequentialEngine on the same sample, policy and budget.
+// zero-state rows (snn::Layer::kFreshRow). Per-row trajectories therefore
+// never depend on the pool's composition, and every exit is bitwise
+// identical to SequentialEngine on the same sample, policy and budget.
 //
-// The rows' frames are encoded in parallel, as one OpenMP loop over rows
-// (Dataset::write_frame is thread-safe under const access), except on the
-// step that begins an inference sequence, which encodes serially. Each row
-// writes only its own frame, so the step input does not depend on the
-// thread count. No exception leaves the loop: each row's is caught, and
-// after the loop the exception of the lowest failing row is rethrown, so
-// which error surfaces does not depend on thread timing. As for any throw
-// from step(), no row has left the pool.
+// A pool steps either the whole network or one row window of it:
+//
+//   LivePool(net)                    every row of the network's step state:
+//                                    a fresh begin_inference when the pool
+//                                    has drained, the state grown with the
+//                                    rows, and each op one OpenMP loop.
+//   LivePool(net, offset, capacity)  rows [offset, offset + capacity) of the
+//                                    state begin_inference already sized.
+//                                    It opens no OpenMP region and writes no
+//                                    member of the network, so pools over
+//                                    disjoint windows of one network step
+//                                    concurrently, one thread each
+//                                    (BatchedSequentialEngine).
+//
+// The whole-network pool encodes its rows' frames in parallel, as one
+// OpenMP loop over rows (Dataset::write_frame is thread-safe under const
+// access), except on the step that begins an inference sequence, which
+// encodes serially; a window pool encodes serially. Each row writes only
+// its own frame, into a buffer the pool keeps, so the step input does not
+// depend on the thread count.
 
 #pragma once
 
 #include <cstddef>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -58,7 +71,7 @@ enum class ExitReason : unsigned char {
   kBudget,  ///< ran its whole timestep budget
   kPolicy,  ///< its exit policy fired below the budget
   kForced,  ///< the caller's force-exit predicate claimed it
-  kFailed,  ///< its exit policy threw; the exit carries the exception
+  kFailed,  ///< its exit policy or frame encode threw (carried by the exit)
 };
 
 /// The exit rule of one admitted sample.
@@ -80,17 +93,21 @@ class LivePoolRows {
   [[nodiscard]] bool empty() const { return rows_.empty(); }
 
  protected:
-  explicit LivePoolRows(snn::SpikingNetwork& net);
+  /// capacity 0: the whole network; else the window at `offset`.
+  LivePoolRows(snn::SpikingNetwork& net, std::size_t offset, std::size_t capacity);
 
-  /// Append a row; throws std::invalid_argument on a null policy or a zero
-  /// budget.
+  /// Append a row; throws std::invalid_argument on a null policy, a zero
+  /// budget or a full window.
   void push_row(const PoolAdmission& admission);
   /// Reconcile the network state with the rows, encode each row's next
-  /// frame, and step the network once. Returns the [rows, K] logits.
-  [[nodiscard]] snn::Tensor forward(const data::Dataset& dataset);
+  /// frame, and step the network once. Returns the [rows, K] logits, valid
+  /// until the next step. Throws std::invalid_argument when the dataset's
+  /// frames do not have the network's sample shape.
+  [[nodiscard]] const float* forward(const data::Dataset& dataset);
   /// Fold row j's logits into its cumulative mean, then apply its budget
-  /// and policy. nullopt means the row stays; a throwing policy yields
-  /// kFailed with the exception in `error`.
+  /// and policy. nullopt means the row stays; a throwing policy, or a throw
+  /// from the row's frame encode in the last forward(), yields kFailed with
+  /// the exception in `error`.
   std::optional<ExitReason> decide(std::size_t j, const float* logits,
                                    std::exception_ptr& error);
   /// The exit quantities of row j at the timestep decide() just ran.
@@ -99,6 +116,8 @@ class LivePoolRows {
   /// the survivors to their next timestep.
   void retire(bool stepped);
   void clear_rows();
+
+  [[nodiscard]] std::size_t classes() const { return classes_; }
 
   /// Rows flagged to leave at the current step() / drop_if().
   std::vector<unsigned char> leaving_;
@@ -110,8 +129,14 @@ class LivePoolRows {
     std::vector<float> history;  ///< cumulative-mean trajectory when recording
   };
 
+  [[nodiscard]] bool windowed() const { return capacity_ != 0; }
+
   snn::SpikingNetwork& net_;
   std::size_t classes_;
+  std::size_t offset_;    ///< the window's first row (0 for the whole network)
+  std::size_t capacity_;  ///< the window's rows; 0 for the whole network
+  std::size_t frame_numel_;
+  std::vector<float> frames_;  ///< the step input, one frame per row
   std::vector<Row> rows_;
   std::vector<double> acc_;  ///< [rows, K] accumulators, the oracle's arithmetic
   std::vector<float> cum_;   ///< cumulative-mean row of the last decide()
@@ -120,6 +145,7 @@ class LivePoolRows {
   std::vector<std::size_t> keep_;
   /// Per row, the exception its frame encode threw in the last forward().
   std::vector<std::exception_ptr> encode_errors_;
+  std::size_t held_ = 0;     ///< rows the network state holds for this pool
   bool active_ = false;      ///< the network holds inference state for keep_
   bool reconciled_ = false;  ///< keep_ is the identity over that state
 };
@@ -142,7 +168,18 @@ class LivePool : public detail::LivePoolRows {
   };
 
   /// The pool steps `net` (exclusively) for its lifetime.
-  explicit LivePool(snn::SpikingNetwork& net) : LivePoolRows(net) {}
+  explicit LivePool(snn::SpikingNetwork& net) : LivePoolRows(net, 0, 0) {}
+
+  /// The pool steps rows [offset, offset + capacity) of `net`'s step state,
+  /// which net.begin_inference() must have sized to cover them, and admits
+  /// at most `capacity` rows. It allocates its buffers here, so stepping it
+  /// allocates only small per-exit results. Throws std::invalid_argument
+  /// for a zero capacity.
+  LivePool(snn::SpikingNetwork& net, std::size_t offset, std::size_t capacity)
+      : LivePoolRows(net, offset, capacity) {
+    if (capacity == 0) throw std::invalid_argument("LivePool: zero window capacity");
+    payloads_.reserve(capacity);
+  }
 
   void admit(const PoolAdmission& admission, Payload payload) {
     push_row(admission);
@@ -151,18 +188,19 @@ class LivePool : public detail::LivePoolRows {
 
   /// One timestep for every row; `force_exit(payload)` is asked about rows
   /// that neither their budget nor their policy claimed. Returns the exits
-  /// in batch-position order. If it throws (encoding, the network step), no
-  /// row has left and the caller must reset() before stepping again.
+  /// in batch-position order. If it throws (a dataset of the wrong frame
+  /// shape, the network step), no row has left and the caller must reset()
+  /// before stepping again.
   template <typename ForceExit>
   std::vector<Exit> step(const data::Dataset& dataset, ForceExit&& force_exit) {
     std::vector<Exit> exits;
     if (empty()) return exits;
-    const snn::Tensor y = forward(dataset);
-    const std::size_t k = y.numel() / size();
+    const float* y = forward(dataset);
+    const std::size_t k = classes();
     leaving_.assign(size(), 0);
     for (std::size_t j = 0; j < size(); ++j) {
       std::exception_ptr error;
-      std::optional<ExitReason> reason = decide(j, y.data() + j * k, error);
+      std::optional<ExitReason> reason = decide(j, y + j * k, error);
       if (!reason && force_exit(std::as_const(payloads_[j]))) reason = ExitReason::kForced;
       if (!reason) continue;
       Exit& e = exits.emplace_back();

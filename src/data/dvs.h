@@ -1,11 +1,12 @@
 // Synthetic event-stream (DVS-like) dataset.
 //
-// Substitute for CIFAR10-DVS (see DESIGN.md §4): each sample is a sequence of
-// T sparse binary event frames with ON/OFF polarity channels. Events are
-// drawn where a drifting class prototype has strong positive (ON) or
-// negative (OFF) local change, mimicking how a dynamic vision sensor converts
-// a moving stimulus into polarity events. Per-sample difficulty controls the
-// event rate of the signal versus background noise events.
+// Substitute for CIFAR10-DVS (see README, "Substitutions for the paper's
+// setting"): each sample is a sequence of T sparse binary event frames
+// with ON/OFF polarity channels. Events are drawn where a drifting class
+// prototype has strong positive (ON) or negative (OFF) local change,
+// mimicking how a dynamic vision sensor converts a moving stimulus into
+// polarity events. Per-sample difficulty controls the event rate of the
+// signal versus background noise events.
 
 #pragma once
 

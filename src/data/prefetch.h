@@ -16,8 +16,7 @@
 // the consumer's own pinned read.
 //
 // Consumers: each serve::ServingFleet worker hints its admission cycle's
-// samples; core::BatchedSequentialEngine hints the waiting tail of its
-// request pool.
+// samples, and perfbench's traced live pool hints its waiting tail.
 
 #pragma once
 

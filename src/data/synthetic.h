@@ -1,13 +1,14 @@
 // Synthetic class-prototype vision datasets.
 //
 // Substitute for CIFAR-10 / CIFAR-100 / TinyImageNet (none of which are
-// available offline — see DESIGN.md §4). Each class has a smooth random
-// prototype; a sample blends its class prototype with clutter from other
-// classes and pixel noise, with the blend controlled by a per-sample
-// *difficulty* drawn from a right-skewed distribution (most samples easy,
-// a tail of hard ones). This reproduces the property DT-SNN exploits: the
-// bulk of inputs are classifiable after one timestep while a minority need
-// deeper temporal integration.
+// available offline — see README, "Substitutions for the paper's
+// setting"). Each class has a smooth random prototype; a sample blends its
+// class prototype with clutter from other classes and pixel noise, with
+// the blend controlled by a per-sample *difficulty* drawn from a
+// right-skewed distribution (most samples easy, a tail of hard ones). This
+// reproduces the property DT-SNN exploits: the bulk of inputs are
+// classifiable after one timestep while a minority need deeper temporal
+// integration.
 
 #pragma once
 
@@ -62,7 +63,7 @@ SyntheticBundle make_synthetic_vision(const SyntheticSpec& spec);
 /// Named presets mirroring the paper's static-image benchmarks:
 ///   "sync10"  — 10 classes, 3x16x16   (stands in for CIFAR-10)
 ///   "sync100" — 20 classes, 3x16x16, more clutter (stands in for CIFAR-100;
-///               class count reduced for CPU-scale training, see DESIGN.md)
+///               class count reduced for CPU-scale training, see README)
 ///   "syntin"  — 20 classes, 3x20x20, hardest (stands in for TinyImageNet)
 /// `size_scale` scales train/test sample counts (benches use <1 for speed).
 SyntheticSpec synthetic_preset(const std::string& name, double size_scale = 1.0);

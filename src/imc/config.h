@@ -5,12 +5,13 @@
 // 0.1V read voltage, 20/10/5 KB global/tile/PE buffers, 3KB sigma & E LUTs)
 // plus the per-operation energy/latency atoms of the analytic macro-model.
 //
-// The energy atoms are calibrated (see DESIGN.md §4.4) so that the VGG-16 /
-// CIFAR-10 mapping reproduces the paper's Fig. 1(A) component shares
-// (digital peripherals 45%, crossbar+ADC 25%, H-Tree 17%, NoC 9%, LIF 1%)
-// and the Fig. 1(B) affine energy-vs-timesteps scaling (E(T) ~ 0.44+0.56*T
-// normalized to T=1). All constants live here so alternative technologies
-// can be modeled by swapping one struct.
+// The energy atoms are calibrated (see README, "Substitutions for the
+// paper's setting", item 3) so that the VGG-16 / CIFAR-10 mapping
+// reproduces the paper's Fig. 1(A) component shares (digital peripherals
+// 45%, crossbar+ADC 25%, H-Tree 17%, NoC 9%, LIF 1%) and the Fig. 1(B)
+// affine energy-vs-timesteps scaling (E(T) ~ 0.44+0.56*T normalized to
+// T=1). All constants live here so alternative technologies can be modeled
+// by swapping one struct.
 
 #pragma once
 

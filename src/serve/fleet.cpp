@@ -541,10 +541,11 @@ void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
         return s.owner->deadline.has_value() && decided_at() >= *s.owner->deadline;
       });
     } catch (...) {
-      // An encoding or network-step fault leaves this network's state
-      // indeterminate, so every resident trajectory on THIS worker is lost:
-      // fail their requests and keep serving with a fresh pool. Other
-      // workers purge the failed requests' slots at their next boundary.
+      // A network-step fault leaves this network's state indeterminate (a
+      // frame encode fault fails only its own row, below), so every
+      // resident trajectory on THIS worker is lost: fail their requests and
+      // keep serving with a fresh pool. Other workers purge the failed
+      // requests' slots at their next boundary.
       const std::exception_ptr error = std::current_exception();
       const std::vector<Worker::Slot> lost = w.pool.reset();
       for (const Worker::Slot& s : lost) fail_request(*s.owner, error);
@@ -564,9 +565,10 @@ void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
     if (exits.empty()) continue;
     const ServeClock::time_point exited_at = decided_at();
 
-    // A throwing exit policy fails its own request only (LivePool reports
-    // the row as a failed exit); fail it before delivery so the request's
-    // other samples exiting this step are discarded with it.
+    // A throwing exit policy or frame encode fails its own request only
+    // (LivePool reports the row as a failed exit); fail it before delivery
+    // so the request's other samples exiting this step are discarded with
+    // it.
     for (const auto& x : exits) {
       if (x.reason == core::ExitReason::kFailed) fail_request(*x.payload.owner, x.error);
     }

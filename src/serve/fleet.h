@@ -216,9 +216,9 @@ class ServingFleet {
   /// tenant's max_queued quota throws TenantQuotaError. The future resolves
   /// with results ordered by request position once the last sample exits,
   /// or with the exception that failed the request: a throw from the
-  /// request's exit policy or result callback fails that request only, and
-  /// an encoding or network-step fault fails the requests resident on that
-  /// worker; the fleet keeps serving either way.
+  /// request's exit policy, frame encode or result callback fails that
+  /// request only, and a network-step fault fails the requests resident on
+  /// that worker; the fleet keeps serving either way.
   Submission submit(FleetRequest req) DTSNN_EXCLUDES(mu_);
 
   /// Cancel a submitted request. Queued samples are removed immediately;

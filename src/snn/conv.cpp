@@ -1,10 +1,12 @@
 #include "snn/conv.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 #include "util/logging.h"
+#include "util/parallel_for.h"
 
 namespace dtsnn::snn {
 
@@ -14,19 +16,17 @@ namespace {
 // snn::kSparseDensityThreshold (snn/layer.h), shared with Linear: the layers
 // pick the op form, the GEMM registry only the ISA.
 
-/// [N*OHW, Cout] row-per-pixel layout -> NCHW [N, Cout, OH, OW].
-void pixels_to_nchw(const Tensor& pix, std::size_t n, std::size_t c, std::size_t oh,
-                    std::size_t ow, Tensor& out) {
-  out = Tensor({n, c, oh, ow});
-  const std::size_t hw = oh * ow;
-#pragma omp parallel for schedule(static)
-  for (std::size_t img = 0; img < n; ++img) {
-    const float* src = pix.data() + img * hw * c;
-    float* dst = out.data() + img * c * hw;
+/// [N*HW, C] row-per-pixel layout -> NCHW [N, C, HW], image by image (one
+/// OpenMP loop when `parallel`).
+void pixels_to_nchw(const float* pix, float* out, std::size_t n, std::size_t c,
+                    std::size_t hw, bool parallel) {
+  util::for_each_index(parallel, n, [&](std::size_t img) {
+    const float* src = pix + img * hw * c;
+    float* dst = out + img * c * hw;
     for (std::size_t p = 0; p < hw; ++p) {
       for (std::size_t ch = 0; ch < c; ++ch) dst[ch * hw + p] = src[p * c + ch];
     }
-  }
+  });
 }
 
 /// The output extent (in + 2*pad - kernel) / stride + 1 underflows when the
@@ -107,27 +107,52 @@ void Conv2d::eval_pixels(const Tensor& x, float* pix) {
   // kernel's own nonzero count.
   gemm_context().conv_scatter(x.data(), wt_.get(eval_weight()), pix, n, geom_,
                               out_channels_);
-  add_bias(pix, rows);
+  add_bias(pix, rows, /*parallel=*/true);
 }
 
-void Conv2d::add_bias(float* pix, std::size_t rows) const {
+void Conv2d::add_bias(float* pix, std::size_t rows, bool parallel) const {
   if (!has_bias_) return;
   const float* b = bias_.value.data();
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < rows; ++r) {
+  util::for_each_index(parallel, rows, [&](std::size_t r) {
     float* row = pix + r * out_channels_;
     for (std::size_t c = 0; c < out_channels_; ++c) row[c] += b[c];
-  }
+  });
 }
 
-float* Conv2d::step_pixels(const Tensor& x) {
-  set_geometry(x);
-  const std::size_t numel = x.dim(0) * geom_.out_h() * geom_.out_w() * out_channels_;
-  // Grows with zeros and never shrinks: a smaller batch uses a prefix, and
-  // every element the epilogue read is zero again.
+Shape Conv2d::reserve_steps(std::size_t rows, const Shape& sample_shape) {
+  if (sample_shape.size() != 3 || sample_shape[0] != in_channels_) {
+    throw std::invalid_argument("Conv2d: bad input shape " + shape_to_string(sample_shape));
+  }
+  step_geom_ = require_valid(ConvGeometry{in_channels_, sample_shape[1], sample_shape[2],
+                                          kernel_, stride_, padding_},
+                             "Conv2d");
+  // Grows with zeros and never shrinks: fewer rows use a prefix, and every
+  // element a step read is zero again.
+  const std::size_t numel = rows * step_row_numel();
   if (step_pix_.size() < numel) step_pix_.resize(numel, 0.0f);
-  eval_pixels(x, step_pix_.data());
-  return step_pix_.data();
+  wt_.get(eval_weight());
+  return {out_channels_, step_geom_.out_h(), step_geom_.out_w()};
+}
+
+float* Conv2d::step_pixels(const StepWindow& w, const float* x) {
+  // One op at every input density, as in eval_pixels, on the W^T that
+  // reserve_steps() built.
+  float* pix = step_pix_.data() + w.offset * step_row_numel();
+  gemm_context().conv_scatter(x, wt_.cached(), pix, w.rows, step_geom_, out_channels_,
+                              w.parallel);
+  add_bias(pix, w.rows * step_geom_.out_h() * step_geom_.out_w(), w.parallel);
+  return pix;
+}
+
+const float* Conv2d::step_window(const StepWindow& w, const float* x, float* y) {
+  float* pix = step_pixels(w, x);
+  pixels_to_nchw(pix, y, w.rows, out_channels_, step_output_pixels(), w.parallel);
+  // The scratch goes back to zero, image by image as the transpose read it.
+  const std::size_t image = step_row_numel();
+  util::for_each_index(w.parallel, w.rows, [&](std::size_t img) {
+    std::fill(pix + img * image, pix + (img + 1) * image, 0.0f);
+  });
+  return y;
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool train) {
@@ -157,13 +182,13 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
       gemm.gemm_bt(col.data(), weight_.value.data(), pix.data(), n * oh * ow, patch,
                    out_channels_);
     }
-    add_bias(pix.data(), n * oh * ow);
+    add_bias(pix.data(), n * oh * ow, /*parallel=*/true);
   } else {
     eval_pixels(x, pix.data());
   }
 
-  Tensor out;
-  pixels_to_nchw(pix, n, out_channels_, oh, ow, out);
+  Tensor out({n, out_channels_, oh, ow});
+  pixels_to_nchw(pix.data(), out.data(), n, out_channels_, oh * ow, /*parallel=*/true);
 
   if (train) {
     col_cache_ = std::move(col);

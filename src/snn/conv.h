@@ -6,11 +6,11 @@
 //
 // An eval forward is two parts: the "pixels" part (the scatter plus bias)
 // writes the pixel-major output [N*OH*OW, Cout], and a transpose turns it
-// into NCHW. Sequential::step (snn/network.h) runs a Conv2d -> BatchNorm2d ->
-// Lif run as the pixels part into the layer's retained step scratch
-// (step_pixels) followed by the GEMM registry's spike_epilogue op, which
-// replaces the transpose, BN and LIF passes with one and leaves the scratch
-// zeroed for the next step.
+// into NCHW. A step runs the pixels part into the window's rows of the
+// layer's step scratch (step_pixels), sized by reserve_steps(); a stepped
+// Conv2d -> BatchNorm2d -> Lif run (snn/network.h) follows it with the GEMM
+// registry's spike_epilogue op, which replaces the transpose, BN and LIF
+// passes with one. Either way the scratch is left zeroed for the next step.
 
 #pragma once
 
@@ -30,14 +30,16 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
 
   void set_time(std::size_t timesteps, std::size_t batch) override;
   void begin_steps(std::size_t batch) override;
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   Tensor forward(const Tensor& x, bool train) override;
 
-  /// The pixels part of an eval step: conv(x) plus bias, [N*OH*OW, Cout]
-  /// one row per output pixel, written into a scratch the layer keeps
-  /// across steps and returns. The scratch must be all zero on entry: the
-  /// caller, the fused spiking epilogue, zeroes every element it reads.
-  /// Throws before writing anything on a bad input shape.
-  float* step_pixels(const Tensor& x);
+  /// The pixels part of window w's eval step: conv(x) plus bias,
+  /// [w.rows*OH*OW, Cout] one row per output pixel, written into the
+  /// window's rows of the step scratch, which it returns. The scratch is all
+  /// zero on entry; the caller zeroes every element it reads (the fused
+  /// spiking epilogue does).
+  float* step_pixels(const StepWindow& w, const float* x);
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
@@ -49,6 +51,10 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   [[nodiscard]] std::size_t stride() const { return stride_; }
   [[nodiscard]] std::size_t padding() const { return padding_; }
   [[nodiscard]] bool has_bias() const { return has_bias_; }
+  /// OH*OW of the step input reserve_steps() saw.
+  [[nodiscard]] std::size_t step_output_pixels() const {
+    return step_geom_.out_h() * step_geom_.out_w();
+  }
 
   /// Weight tensor, shape [Cout, Cin*K*K].
   Param& weight() { return weight_; }
@@ -68,7 +74,11 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   /// input whose geometry set_geometry recorded.
   void eval_pixels(const Tensor& x, float* pix);
   /// pix[r, c] += bias[c] over `rows` pixel rows (no-op without a bias).
-  void add_bias(float* pix, std::size_t rows) const;
+  void add_bias(float* pix, std::size_t rows, bool parallel) const;
+  /// Floats of one step row's pixels part, OH*OW*Cout.
+  [[nodiscard]] std::size_t step_row_numel() const {
+    return step_output_pixels() * out_channels_;
+  }
 
   std::size_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -84,9 +94,10 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   // sparse training forward (of the float weights).
   WeightTranspose wt_;
 
-  // step_pixels' output, sized for the largest step batch seen and all zero
-  // between steps. The multi-step forward keeps its own local buffer, so
-  // this stays step-sized.
+  // The step input's geometry and step_pixels' output, sized by
+  // reserve_steps() and all zero between steps. The multi-step forward keeps
+  // its own local buffer, so this stays step-sized.
+  ConvGeometry step_geom_;
   std::vector<float> step_pix_;
 };
 

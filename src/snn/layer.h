@@ -7,17 +7,24 @@
 // temporal layers (LIF) slice time internally. set_time(T, B) announces the
 // temporal structure before each forward pass.
 //
-// Each layer also supports a *stateful single-step* path (`begin_steps` /
-// `step`) used by the sequential DT-SNN engine for true early termination:
-// `step` processes a batch of one timestep, with temporal layers keeping
-// their membrane state across calls. Sequential::step runs each Conv2d ->
-// BatchNorm2d -> Lif run fused (snn/network.h), bitwise equal to calling
-// the three leaves' step() in turn.
+// Each layer also supports a *stateful single-step* path used by the
+// stepping DT-SNN engines for true early termination: begin_steps() opens a
+// sequence, reserve_steps() sizes the step state for a number of rows and
+// computes every weight-derived cache, and step_window() runs one timestep
+// of a StepWindow, a range of those rows, with temporal layers keeping
+// their membrane state across calls. A window step writes only its own rows
+// of the state and no layer member, so several threads can step disjoint
+// windows of one network at once. step(x) is the window at offset 0 over
+// every row of x. Sequential runs each Conv2d -> BatchNorm2d -> Lif run
+// fused (snn/network.h), bitwise equal to stepping the three leaves in
+// turn.
 
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,6 +41,18 @@ namespace dtsnn::snn {
 /// ISA. Choices keyed on it are speed-only — both forms are
 /// bitwise identical for finite weights (see Conv2d::forward).
 inline constexpr double kSparseDensityThreshold = 0.35;
+
+/// Rows [offset, offset + rows) of the single-step state reserve_steps()
+/// sized: the part of a batch one thread steps. The whole batch is the
+/// window at offset 0.
+struct StepWindow {
+  std::size_t offset = 0;
+  std::size_t rows = 0;  ///< rows the window holds
+  /// Ops may open OpenMP regions. False when the caller is one of several
+  /// threads stepping their own windows: every op then runs on the calling
+  /// thread.
+  bool parallel = true;
+};
 
 /// A learnable parameter with its gradient accumulator.
 struct Param {
@@ -68,15 +87,27 @@ class Layer {
   /// Reset any temporal state and prepare for a sequence of single steps.
   virtual void begin_steps(std::size_t batch) { batch_ = batch; }
 
-  /// Single-timestep inference step (eval semantics). Default: stateless
-  /// layers reuse forward(x, /*train=*/false) with T=1.
-  virtual Tensor step(const Tensor& x) {
-    const std::size_t saved_t = timesteps_;
-    timesteps_ = 1;
-    Tensor out = forward(x, /*train=*/false);
-    timesteps_ = saved_t;
-    return out;
-  }
+  /// Size the single-step state for `rows` rows of inputs of `sample_shape`
+  /// (one sample) and compute every cache derived from the weights or the
+  /// statistics, so that step_window() and compact_window() write no
+  /// member. Keeps the state of the rows already held; grows, never
+  /// shrinks. Returns the output sample shape. Throws std::invalid_argument
+  /// for an input shape the layer does not take, or, for a temporal layer,
+  /// one that differs from its open sequence's.
+  virtual Shape reserve_steps(std::size_t rows, const Shape& sample_shape) = 0;
+
+  /// One eval timestep of window `w`: x holds its w.rows input rows and y
+  /// has room for as many output rows, both packed from the window's first
+  /// row in the shapes reserve_steps() saw. Touches only the window's rows
+  /// of the layer's state. Returns where the output rows are: y, or a
+  /// buffer of the layer's (x itself for Flatten), valid until the window's
+  /// next step.
+  virtual const float* step_window(const StepWindow& w, const float* x, float* y) = 0;
+
+  /// Single-timestep inference step (eval semantics) of the whole batch x
+  /// [B, ...]: reserve_steps() for B rows, then the window at offset 0 over
+  /// them.
+  Tensor step(const Tensor& x);
 
   /// Entry in a compact_state() gather meaning "fresh sample": the row is
   /// reset to the begin_steps() state (zero membrane) instead of copied
@@ -95,6 +126,15 @@ class Layer {
   virtual void compact_state(std::span<const std::size_t> keep) {
     batch_ = keep.size();
   }
+
+  /// compact_state() within window `w` (w.rows: the rows it held), in
+  /// place: row j of the window becomes its row keep[j], or a fresh row for
+  /// kFreshRow. Every other entry must satisfy keep[j] >= j — survivors in
+  /// order, then admissions, the order core::LivePool produces — and
+  /// keep.size() must fit the rows reserve_steps() sized from w.offset.
+  /// Writes no member. Default: nothing (stateless layers).
+  virtual void compact_window(const StepWindow& /*w*/,
+                              std::span<const std::size_t> /*keep*/) {}
 
   /// Point this layer's GEMM calls at an explicit dispatch context (backend
   /// selection + per-op stats); nullptr reverts to the process-wide
@@ -121,6 +161,17 @@ class Layer {
   std::size_t batch_ = 1;
   util::GemmContext* gemm_context_ = nullptr;  ///< nullptr = global context
 };
+
+inline Tensor Layer::step(const Tensor& x) {
+  if (x.rank() == 0) throw std::invalid_argument(name() + "::step: rank-0 input");
+  const Shape sample(x.shape().begin() + 1, x.shape().end());
+  Shape shape = reserve_steps(x.dim(0), sample);
+  shape.insert(shape.begin(), x.dim(0));
+  Tensor y(shape);
+  const float* out = step_window({0, x.dim(0), true}, x.data(), y.data());
+  if (out != y.data()) std::copy(out, out + y.numel(), y.data());
+  return y;
+}
 
 using LayerPtr = std::unique_ptr<Layer>;
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "util/parallel_for.h"
+
 namespace dtsnn::snn {
 
 void Lif::set_time(std::size_t timesteps, std::size_t batch) {
@@ -99,68 +101,129 @@ Tensor Lif::backward(const Tensor& grad_out) {
 
 void Lif::begin_steps(std::size_t batch) {
   Layer::begin_steps(batch);
-  membrane_ = Tensor();
+  row_shape_.clear();
+  row_numel_ = 0;
   stepping_ = true;
 }
 
+Shape Lif::reserve_steps(std::size_t rows, const Shape& sample_shape) {
+  if (!stepping_) begin_steps(rows);
+  if (row_shape_.empty()) {
+    // The first reserve of a sequence: every row starts at zero. assign()
+    // reuses the previous sequence's buffer.
+    row_shape_ = sample_shape;
+    row_numel_ = shape_numel(sample_shape);
+    membrane_.assign(rows * row_numel_, 0.0f);
+  } else if (row_shape_ != sample_shape) {
+    throw std::invalid_argument("Lif::step: input shape changed mid-sequence");
+  } else if (membrane_.size() < rows * row_numel_) {
+    membrane_.resize(rows * row_numel_, 0.0f);
+  }
+  return sample_shape;
+}
+
+const float* Lif::step_window(const StepWindow& w, const float* x, float* y) {
+  float* u = window_membrane(w);
+  const float vth = config_.vth;
+  const float tau = config_.tau;
+  const bool hard = config_.hard_reset;
+  // Element-wise (and in place when y == x), so the threads' chunking cannot
+  // change a bit.
+  util::for_each_index(w.parallel, w.rows * row_numel_, [&](std::size_t i) {
+    const float pre = tau * u[i] + x[i];
+    const float s = pre > vth ? 1.0f : 0.0f;
+    y[i] = s;
+    u[i] = hard ? pre * (1.0f - s) : pre - vth * s;
+  });
+  return y;
+}
+
+namespace {
+
+/// Throws std::out_of_range unless every non-fresh entry of `keep` is below
+/// `rows`.
+void check_keep(std::span<const std::size_t> keep, std::size_t rows) {
+  for (const std::size_t k : keep) {
+    if (k != Layer::kFreshRow && k >= rows) {
+      throw std::out_of_range("Lif::compact_state: keep index out of range");
+    }
+  }
+}
+
+/// True when gathering rows `keep` can move rows in place, front to back:
+/// every row it reads (keep[j] >= j) is read before a later write reaches it.
+bool in_place(std::span<const std::size_t> keep) {
+  for (std::size_t j = 0; j < keep.size(); ++j) {
+    if (keep[j] != Layer::kFreshRow && keep[j] < j) return false;
+  }
+  return true;
+}
+
+/// Row j of `rows` becomes its row keep[j], or zero for kFreshRow; requires
+/// in_place(keep).
+void move_rows(float* rows, std::size_t row_numel, std::span<const std::size_t> keep) {
+  for (std::size_t j = 0; j < keep.size(); ++j) {
+    float* out = rows + j * row_numel;
+    if (keep[j] == Layer::kFreshRow) {
+      std::fill(out, out + row_numel, 0.0f);
+    } else if (keep[j] != j) {
+      std::copy(rows + keep[j] * row_numel, rows + (keep[j] + 1) * row_numel, out);
+    }
+  }
+}
+
+}  // namespace
+
 void Lif::compact_state(std::span<const std::size_t> keep) {
-  if (stepping_ && !membrane_.empty()) {
-    const std::size_t rows = membrane_.dim(0);
-    const std::size_t row_numel = membrane_.row_size();
-    for (const std::size_t k : keep) {
-      if (k != kFreshRow && k >= rows) {
-        throw std::out_of_range("Lif::compact_state: keep index out of range");
+  if (stepping_ && !row_shape_.empty()) {
+    check_keep(keep, batch_);
+    if (in_place(keep)) {
+      if (membrane_.size() < keep.size() * row_numel_) {
+        membrane_.resize(keep.size() * row_numel_, 0.0f);
       }
+      compact_window({0, batch_, true}, keep);
+    } else {
+      // A general gather goes through the spare membrane, swapped in, so a
+      // pool that keeps its batch size reuses both buffers. Only kFreshRow
+      // rows need zeroing; every other row is overwritten.
+      spare_.resize(std::max(spare_.size(), keep.size() * row_numel_));
+      const float* src = membrane_.data();
+      float* dst = spare_.data();
+      const std::size_t numel = row_numel_;
+      util::for_each_index(true, keep.size(), [&](std::size_t j) {
+        float* out = dst + j * numel;
+        if (keep[j] == kFreshRow) {
+          std::fill(out, out + numel, 0.0f);
+        } else {
+          std::copy(src + keep[j] * numel, src + (keep[j] + 1) * numel, out);
+        }
+      });
+      std::swap(membrane_, spare_);
     }
-    // Gather into the spare membrane and swap it in, so a pool that keeps
-    // its batch size reuses both buffers instead of allocating one per
-    // compaction. Only kFreshRow rows need zeroing; every other row is
-    // overwritten.
-    Shape shape = membrane_.shape();
-    shape[0] = keep.size();
-    if (spare_.shape() != shape) spare_ = Tensor(shape);
-    const float* src = membrane_.data();
-    float* dst = spare_.data();
-#pragma omp parallel for schedule(static)
-    for (std::size_t j = 0; j < keep.size(); ++j) {
-      float* out = dst + j * row_numel;
-      if (keep[j] == kFreshRow) {
-        std::fill(out, out + row_numel, 0.0f);
-      } else {
-        std::copy(src + keep[j] * row_numel, src + (keep[j] + 1) * row_numel, out);
-      }
-    }
-    std::swap(membrane_, spare_);
   }
   Layer::compact_state(keep);
 }
 
-float* Lif::step_membrane(const Shape& shape) {
-  if (!stepping_) begin_steps(shape.at(0));
-  if (membrane_.empty()) membrane_ = Tensor(shape);
-  if (membrane_.shape() != shape) {
-    throw std::invalid_argument("Lif::step: input shape changed mid-sequence");
+void Lif::compact_window(const StepWindow& w, std::span<const std::size_t> keep) {
+  if (row_shape_.empty()) return;
+  check_keep(keep, w.rows);
+  if (!in_place(keep) || (w.offset + keep.size()) * row_numel_ > membrane_.size()) {
+    throw std::invalid_argument(
+        "Lif::compact_window: keep must fit the window and move rows in place");
   }
-  return membrane_.data();
+  move_rows(window_membrane(w), row_numel_, keep);
 }
 
-Tensor Lif::step(const Tensor& x) {
-  float* u = step_membrane(x.shape());
-  Tensor spikes(x.shape());
-  const float vth = config_.vth;
-  const float tau = config_.tau;
-  const float* in = x.data();
-  float* out = spikes.data();
-  const std::size_t n = x.numel();
-  // Element-wise, so the threads' chunking cannot change a bit.
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < n; ++i) {
-    const float pre = tau * u[i] + in[i];
-    const float s = pre > vth ? 1.0f : 0.0f;
-    out[i] = s;
-    u[i] = config_.hard_reset ? pre * (1.0f - s) : pre - vth * s;
-  }
-  return spikes;
+Tensor Lif::membrane() const {
+  if (row_shape_.empty()) return {};
+  const std::size_t rows =
+      row_numel_ == 0 ? batch_ : std::min(batch_, membrane_.size() / row_numel_);
+  Shape shape = row_shape_;
+  shape.insert(shape.begin(), rows);
+  const std::size_t numel = rows * row_numel_;
+  return Tensor(shape, std::vector<float>(membrane_.begin(),
+                                          membrane_.begin() +
+                                              static_cast<std::ptrdiff_t>(numel)));
 }
 
 }  // namespace dtsnn::snn

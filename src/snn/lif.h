@@ -9,8 +9,9 @@
 //
 // Multi-step mode consumes [T*B, ...] inputs and caches the membrane
 // trajectory for the reverse-time backward pass. Single-step mode keeps the
-// membrane as persistent state across step() calls for the sequential
-// early-exit engine.
+// membrane as persistent state across steps for the stepping early-exit
+// engines: one row per sample, sized by reserve_steps(), each window
+// stepping and compacting only its own rows.
 
 #pragma once
 
@@ -36,8 +37,10 @@ class Lif final : public Layer {
   Tensor backward(const Tensor& grad_out) override;
 
   void begin_steps(std::size_t batch) override;
-  Tensor step(const Tensor& x) override;
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   void compact_state(std::span<const std::size_t> keep) override;
+  void compact_window(const StepWindow& w, std::span<const std::size_t> keep) override;
 
   [[nodiscard]] std::string name() const override { return "Lif"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override {
@@ -46,16 +49,17 @@ class Lif final : public Layer {
 
   [[nodiscard]] const LifConfig& config() const { return config_; }
 
-  /// The single-step membrane for a step input of `shape`: zero at the
-  /// first step after begin_steps (which it calls if no sequence is open),
-  /// then the post-reset membrane of the previous step. Throws
-  /// std::invalid_argument if the shape changed mid-sequence. step() and the
-  /// fused spiking epilogue (snn/network.h), which updates it in place, both
-  /// take it from here.
-  float* step_membrane(const Shape& shape);
-  /// The single-step membrane [B, ...] after the latest step or compaction
-  /// (empty before the first step of a sequence).
-  [[nodiscard]] const Tensor& membrane() const { return membrane_; }
+  /// Window w's rows of the single-step membrane: zero for a row's first
+  /// step, then its post-reset membrane of the previous step. step_window()
+  /// and the fused spiking epilogue (snn/network.h), which updates it in
+  /// place, both take it from here.
+  [[nodiscard]] float* window_membrane(const StepWindow& w) {
+    return membrane_.data() + w.offset * row_numel_;
+  }
+  /// A copy of the single-step membrane [B, ...] of the batch begin_steps()
+  /// or the latest compact_state() announced (empty before the first step
+  /// of a sequence).
+  [[nodiscard]] Tensor membrane() const;
   /// Mean firing rate of the most recent multi-step forward (spikes per
   /// neuron per timestep); feeds the IMC activity model.
   [[nodiscard]] double last_spike_rate() const { return last_spike_rate_; }
@@ -68,9 +72,13 @@ class Lif final : public Layer {
   Tensor spike_cache_;  // [T*B, ...] emitted spikes
   bool have_cache_ = false;
 
-  // Single-step persistent state.
-  Tensor membrane_;  // [B, ...] post-reset membrane
-  Tensor spare_;     // compact_state's gather target, swapped with membrane_
+  // Single-step persistent state: the post-reset membrane, one row of
+  // row_numel_ floats per reserved row (row_shape_ empty until the first
+  // reserve_steps() of a sequence).
+  std::vector<float> membrane_;
+  std::vector<float> spare_;  // compact_state's gather target, swapped in
+  Shape row_shape_;
+  std::size_t row_numel_ = 0;
   bool stepping_ = false;
 
   double last_spike_rate_ = 0.0;

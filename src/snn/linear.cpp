@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/gemm.h"
+#include "util/parallel_for.h"
 
 namespace dtsnn::snn {
 
@@ -53,14 +54,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
     // out = x * W^T
     gemm.gemm_bt(x.data(), w.data(), out.data(), n, in_features_, out_features_);
   }
-  if (has_bias_) {
-    const float* b = bias_.value.data();
-#pragma omp parallel for schedule(static)
-    for (std::size_t r = 0; r < n; ++r) {
-      float* row = out.data() + r * out_features_;
-      for (std::size_t c = 0; c < out_features_; ++c) row[c] += b[c];
-    }
-  }
+  add_bias(out.data(), n, /*parallel=*/true);
   if (train) {
     input_cache_ = x;
     have_cache_ = true;
@@ -69,6 +63,31 @@ Tensor Linear::forward(const Tensor& x, bool train) {
     have_cache_ = false;
   }
   return out;
+}
+
+void Linear::add_bias(float* out, std::size_t rows, bool parallel) const {
+  if (!has_bias_) return;
+  const float* b = bias_.value.data();
+  util::for_each_index(parallel, rows, [&](std::size_t r) {
+    float* row = out + r * out_features_;
+    for (std::size_t c = 0; c < out_features_; ++c) row[c] += b[c];
+  });
+}
+
+Shape Linear::reserve_steps(std::size_t /*rows*/, const Shape& sample_shape) {
+  if (shape_numel(sample_shape) != in_features_) {
+    throw std::invalid_argument("Linear: bad input shape " + shape_to_string(sample_shape));
+  }
+  wt_.get(eval_weight());
+  return {out_features_};
+}
+
+const float* Linear::step_window(const StepWindow& w, const float* x, float* y) {
+  // Bitwise the eval forward's either form (see forward()).
+  gemm_context().gemm(x, wt_.cached(), y, w.rows, in_features_, out_features_,
+                      /*accumulate=*/false, w.parallel);
+  add_bias(y, w.rows, w.parallel);
+  return y;
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {

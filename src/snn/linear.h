@@ -1,7 +1,8 @@
 // Fully connected layer and the Flatten adapter that precedes it. Eval
 // forwards run the eval weights (the dequantized copy when quantized weights
 // are installed, see snn/quantize.h) in one of two bitwise-equal product
-// forms picked by input density; training runs the float weights.
+// forms picked by input density, eval steps in the NN form; training runs
+// the float weights.
 
 #pragma once
 
@@ -19,6 +20,10 @@ class Linear final : public Layer, public QuantizedWeightHolder {
   Tensor backward(const Tensor& grad_out) override;
   void set_time(std::size_t timesteps, std::size_t batch) override;
   void begin_steps(std::size_t batch) override;
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  /// Runs the NN form against W^T at every density: the B^T form packs B
+  /// into a fresh buffer per call.
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override;
@@ -38,6 +43,8 @@ class Linear final : public Layer, public QuantizedWeightHolder {
 
  private:
   void eval_weight_changed() override { wt_.invalidate(); }
+  /// out[r, c] += bias[c] over `rows` rows (no-op without a bias).
+  void add_bias(float* out, std::size_t rows, bool parallel) const;
 
   std::size_t in_features_, out_features_;
   bool has_bias_;
@@ -57,6 +64,14 @@ class Flatten final : public Layer {
     return x.reshaped({x.dim(0), x.row_size()});
   }
   Tensor backward(const Tensor& grad_out) override { return grad_out.reshaped(in_shape_); }
+  Shape reserve_steps(std::size_t /*rows*/, const Shape& sample_shape) override {
+    return infer_shape(sample_shape);
+  }
+  /// The output rows are the input rows: returns x.
+  const float* step_window(const StepWindow& /*w*/, const float* x,
+                           float* /*y*/) override {
+    return x;
+  }
   [[nodiscard]] std::string name() const override { return "Flatten"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override {
     return {shape_numel(sample_shape)};

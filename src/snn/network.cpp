@@ -1,37 +1,30 @@
 #include "snn/network.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "snn/conv.h"
 #include "snn/norm.h"
+#include "util/parallel_for.h"
 
 namespace dtsnn::snn {
 
 namespace {
 
-/// One eval step of a Conv2d -> BatchNorm2d -> Lif run: the conv's pixels
-/// part into its step scratch, then the GEMM registry's spike_epilogue, one
-/// pass that applies the BN affine and the LIF update and writes NCHW
-/// spikes. Bitwise equal to stepping the three leaves one at a time.
-/// Everything that can throw is checked before the conv writes its scratch,
-/// which only the epilogue drains back to zero.
-Tensor fused_spiking_step(Conv2d& conv, BatchNorm2d& bn, Lif& lif, const Tensor& x) {
-  if (x.rank() != 4) {
-    throw std::invalid_argument("Conv2d: bad input shape " + shape_to_string(x.shape()));
-  }
-  Shape shape = conv.infer_shape({x.dim(1), x.dim(2), x.dim(3)});
-  shape.insert(shape.begin(), x.dim(0));
-  if (bn.channels() != shape[1]) {
-    throw std::invalid_argument("BatchNorm2d: bad input shape " + shape_to_string(shape));
-  }
-  float* membrane = lif.step_membrane(shape);
-  float* pix = conv.step_pixels(x);
-  Tensor spikes(shape);
+/// One eval step of window w through a Conv2d -> BatchNorm2d -> Lif run:
+/// the conv's pixels part into its step scratch, then the GEMM registry's
+/// spike_epilogue, one pass that applies the BN affine and the LIF update
+/// and writes NCHW spikes into y. Bitwise equal to stepping the three
+/// leaves one at a time; the shapes were checked at reserve_steps().
+const float* fused_spiking_step(Conv2d& conv, const BatchNorm2d& bn, Lif& lif,
+                                const StepWindow& w, const float* x, float* y) {
+  float* pix = conv.step_pixels(w, x);
   const LifConfig& lc = lif.config();
-  conv.gemm_context().spike_epilogue(pix, membrane, spikes.data(), shape[0],
-                                     shape[2] * shape[3], shape[1],
-                                     {bn.eval_constants(), lc.tau, lc.vth, lc.hard_reset});
-  return spikes;
+  conv.gemm_context().spike_epilogue(pix, lif.window_membrane(w), y, w.rows,
+                                     conv.step_output_pixels(), conv.out_channels(),
+                                     {bn.step_constants(), lc.tau, lc.vth, lc.hard_reset},
+                                     w.parallel);
+  return y;
 }
 
 /// m += s for a residual sum, rejecting mismatched branch shapes (Tensor::add_
@@ -71,30 +64,59 @@ void Sequential::begin_steps(std::size_t batch) {
   for (auto& l : layers_) l->begin_steps(batch);
 }
 
-Tensor Sequential::step(const Tensor& x) {
-  if (layers_.empty()) return x;
-  Tensor a;
-  const Tensor* in = &x;
-  for (std::size_t i = 0; i < layers_.size(); in = &a) {
-    if (i + 2 < layers_.size()) {
-      auto* conv = dynamic_cast<Conv2d*>(layers_[i].get());
-      auto* bn = dynamic_cast<BatchNorm2d*>(layers_[i + 1].get());
-      auto* lif = dynamic_cast<Lif*>(layers_[i + 2].get());
-      if (conv != nullptr && bn != nullptr && lif != nullptr) {
-        a = fused_spiking_step(*conv, *bn, *lif, *in);
-        i += 3;
-        continue;
-      }
+Shape Sequential::reserve_steps(std::size_t rows, const Shape& sample_shape) {
+  if (stages_.empty()) {
+    for (std::size_t i = 0; i < layers_.size();) {
+      const bool fused = i + 2 < layers_.size() &&
+                         dynamic_cast<Conv2d*>(layers_[i].get()) != nullptr &&
+                         dynamic_cast<BatchNorm2d*>(layers_[i + 1].get()) != nullptr &&
+                         dynamic_cast<Lif*>(layers_[i + 2].get()) != nullptr;
+      stages_.push_back({i, fused});
+      i += fused ? 3 : 1;
     }
-    a = layers_[i]->step(*in);
-    ++i;
   }
-  return a;
+  Shape shape = sample_shape;
+  std::size_t widest = 0;
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    const Stage& stage = stages_[s];
+    for (std::size_t i = 0; i < (stage.fused ? 3u : 1u); ++i) {
+      shape = layers_[stage.first + i]->reserve_steps(rows, shape);
+    }
+    if (s + 1 < stages_.size()) widest = std::max(widest, shape_numel(shape));
+  }
+  widest_ = widest;
+  if (ping_.size() < rows * widest_) {
+    ping_.resize(rows * widest_);
+    pong_.resize(rows * widest_);
+  }
+  return shape;
+}
+
+const float* Sequential::step_window(const StepWindow& w, const float* x, float* y) {
+  float* a = ping_.data() + w.offset * widest_;
+  float* b = pong_.data() + w.offset * widest_;
+  const float* in = x;
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    float* out = s + 1 == stages_.size() ? y : (in == a ? b : a);
+    const Stage& stage = stages_[s];
+    if (stage.fused) {
+      in = fused_spiking_step(static_cast<Conv2d&>(*layers_[stage.first]),
+                              static_cast<const BatchNorm2d&>(*layers_[stage.first + 1]),
+                              static_cast<Lif&>(*layers_[stage.first + 2]), w, in, out);
+    } else {
+      in = layers_[stage.first]->step_window(w, in, out);
+    }
+  }
+  return in;
 }
 
 void Sequential::compact_state(std::span<const std::size_t> keep) {
   Layer::compact_state(keep);
   for (auto& l : layers_) l->compact_state(keep);
+}
+
+void Sequential::compact_window(const StepWindow& w, std::span<const std::size_t> keep) {
+  for (auto& l : layers_) l->compact_window(w, keep);
 }
 
 std::vector<Param*> Sequential::params() {
@@ -164,14 +186,32 @@ void ResidualBlock::begin_steps(std::size_t batch) {
   out_lif_.begin_steps(batch);
 }
 
-Tensor ResidualBlock::step(const Tensor& x) {
-  Tensor m = main_.step(x);
-  if (has_projection()) {
-    add_residual(m, shortcut_.step(x));
-  } else {
-    add_residual(m, x);
+Shape ResidualBlock::reserve_steps(std::size_t rows, const Shape& sample_shape) {
+  const Shape m = main_.reserve_steps(rows, sample_shape);
+  const Shape s =
+      has_projection() ? shortcut_.reserve_steps(rows, sample_shape) : sample_shape;
+  if (m != s) {
+    throw std::invalid_argument("ResidualBlock: main/shortcut shape mismatch " +
+                                shape_to_string(m) + " vs " + shape_to_string(s));
   }
-  return out_lif_.step(m);
+  out_lif_.reserve_steps(rows, m);
+  step_numel_ = shape_numel(m);
+  if (has_projection() && shortcut_out_.size() < rows * step_numel_) {
+    shortcut_out_.resize(rows * step_numel_);
+  }
+  return m;
+}
+
+const float* ResidualBlock::step_window(const StepWindow& w, const float* x, float* y) {
+  const std::size_t numel = w.rows * step_numel_;
+  const float* m = main_.step_window(w, x, y);
+  if (m != y) std::copy(m, m + numel, y);
+  const float* s =
+      has_projection()
+          ? shortcut_.step_window(w, x, shortcut_out_.data() + w.offset * step_numel_)
+          : x;
+  util::for_each_index(w.parallel, numel, [&](std::size_t i) { y[i] += s[i]; });
+  return out_lif_.step_window(w, y, y);
 }
 
 void ResidualBlock::compact_state(std::span<const std::size_t> keep) {
@@ -179,6 +219,12 @@ void ResidualBlock::compact_state(std::span<const std::size_t> keep) {
   main_.compact_state(keep);
   shortcut_.compact_state(keep);
   out_lif_.compact_state(keep);
+}
+
+void ResidualBlock::compact_window(const StepWindow& w, std::span<const std::size_t> keep) {
+  main_.compact_window(w, keep);
+  shortcut_.compact_window(w, keep);
+  out_lif_.compact_window(w, keep);
 }
 
 std::vector<Param*> ResidualBlock::params() {
@@ -214,12 +260,25 @@ Tensor SpikingNetwork::forward(const Tensor& x, std::size_t timesteps, bool trai
 
 void SpikingNetwork::backward(const Tensor& grad_logits) { body_.backward(grad_logits); }
 
-void SpikingNetwork::begin_inference(std::size_t batch) { body_.begin_steps(batch); }
+void SpikingNetwork::begin_inference(std::size_t batch) {
+  body_.begin_steps(batch);
+  reserve_inference(batch);
+}
+
+void SpikingNetwork::reserve_inference(std::size_t rows) {
+  step_out_numel_ = shape_numel(body_.reserve_steps(rows, sample_shape_));
+  if (step_out_.size() < rows * step_out_numel_) step_out_.resize(rows * step_out_numel_);
+}
 
 Tensor SpikingNetwork::step(const Tensor& x_t) { return body_.step(x_t); }
 
 void SpikingNetwork::compact_inference_state(std::span<const std::size_t> keep) {
   body_.compact_state(keep);
+  reserve_inference(keep.size());
+}
+
+const float* SpikingNetwork::step_window(const StepWindow& w, const float* x) {
+  return body_.step_window(w, x, step_out_.data() + w.offset * step_out_numel_);
 }
 
 std::vector<Param*> SpikingNetwork::params() { return body_.params(); }

@@ -18,19 +18,25 @@ namespace dtsnn::snn {
 
 /// Ordered composition of layers; also usable as a sub-module.
 ///
-/// step() is the one place eval stepping composes leaves (ResidualBlock main
-/// paths and shortcuts step through it too). It runs each Conv2d ->
-/// BatchNorm2d -> Lif run as one fused step: the conv's pixels part
-/// (Conv2d::step_pixels) and then the GEMM registry's spike_epilogue op,
-/// which applies the BN affine and the LIF update in one pass and writes
-/// NCHW spikes. The float ops are the unfused layers' own, in their order,
-/// so logits are bitwise those of stepping each leaf alone, and the GEMM
-/// accounting is the same (the epilogue records nothing).
+/// step_window() is the one place eval stepping composes leaves
+/// (ResidualBlock main paths and shortcuts step through it too). Its stages
+/// are planned once, at reserve_steps(): each Conv2d -> BatchNorm2d -> Lif
+/// run is one fused stage, the conv's pixels part (Conv2d::step_pixels) and
+/// then the GEMM registry's spike_epilogue op, which applies the BN affine
+/// and the LIF update in one pass and writes NCHW spikes; every other layer
+/// is a stage of its own. The float ops are the unfused layers' own, in
+/// their order, so logits are bitwise those of stepping each leaf alone,
+/// and the GEMM accounting is the same (the epilogue records nothing).
+/// Stage outputs alternate between two buffers sized at reserve_steps(),
+/// a window using its own rows of them, so a step allocates nothing.
 class Sequential : public Layer {
  public:
   Sequential() = default;
 
-  void append(LayerPtr layer) { layers_.push_back(std::move(layer)); }
+  void append(LayerPtr layer) {
+    layers_.push_back(std::move(layer));
+    stages_.clear();
+  }
   [[nodiscard]] std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
   [[nodiscard]] const Layer& layer(std::size_t i) const { return *layers_.at(i); }
@@ -39,8 +45,10 @@ class Sequential : public Layer {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   void begin_steps(std::size_t batch) override;
-  Tensor step(const Tensor& x) override;
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   void compact_state(std::span<const std::size_t> keep) override;
+  void compact_window(const StepWindow& w, std::span<const std::size_t> keep) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override;
@@ -50,7 +58,17 @@ class Sequential : public Layer {
   void visit(const std::function<void(Layer&)>& fn);
 
  private:
+  /// A stepped stage: layer `first`, or the fused Conv2d -> BatchNorm2d ->
+  /// Lif run it starts.
+  struct Stage {
+    std::size_t first = 0;
+    bool fused = false;
+  };
+
   std::vector<LayerPtr> layers_;
+  std::vector<Stage> stages_;  ///< planned by reserve_steps()
+  std::size_t widest_ = 0;     ///< floats per row of the widest inner stage output
+  std::vector<float> ping_, pong_;  ///< inner stage outputs, widest_ per row
 };
 
 /// Spiking residual block: out = LIF(main(x) + shortcut(x)).
@@ -65,8 +83,10 @@ class ResidualBlock final : public Layer {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   void begin_steps(std::size_t batch) override;
-  Tensor step(const Tensor& x) override;
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   void compact_state(std::span<const std::size_t> keep) override;
+  void compact_window(const StepWindow& w, std::span<const std::size_t> keep) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::string name() const override { return "ResidualBlock"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override;
@@ -82,6 +102,8 @@ class ResidualBlock final : public Layer {
   Sequential main_;
   Sequential shortcut_;
   Lif out_lif_;
+  std::size_t step_numel_ = 0;         ///< floats per step output row
+  std::vector<float> shortcut_out_;  ///< projection outputs, step_numel_ per row
 };
 
 /// Top-level spiking classifier.
@@ -97,17 +119,32 @@ class SpikingNetwork {
   /// Backward for the last training forward; grad is [T*B, K].
   void backward(const Tensor& grad_logits);
 
-  /// Sequential inference: reset temporal state for a batch, then feed one
-  /// timestep at a time. Returns this timestep's raw classifier output y_t.
+  /// Sequential inference: reset temporal state for a batch and size every
+  /// layer's step state for it (Layer::reserve_steps: LIF membranes, conv
+  /// scratch, stage buffers, W^T and BN constants), then feed one timestep
+  /// at a time. step() returns this timestep's raw classifier output y_t.
   void begin_inference(std::size_t batch);
+  /// The window at offset 0 over every row of x_t.
   Tensor step(const Tensor& x_t);
 
   /// Shrink the sequential-inference batch to rows `keep[j]` of the current
-  /// batch (a general gather, in the given order): every layer's temporal
-  /// state (LIF membranes) is gathered accordingly. The batched early-exit
-  /// engine calls this as samples exit so the remaining step()s run on the
-  /// live samples only.
+  /// batch (a general gather, in the given order; it may also grow): every
+  /// layer's temporal state (LIF membranes) is gathered accordingly, and the
+  /// step state is sized for keep.size() rows. The stepping engines call
+  /// this as samples exit so the remaining step()s run on the live samples
+  /// only.
   void compact_inference_state(std::span<const std::size_t> keep);
+
+  /// One timestep of window `w` of the rows begin_inference() sized: x holds
+  /// its w.rows frames. Returns its [w.rows, K] outputs, valid until the
+  /// window's next step. Writes no member, so threads can step disjoint
+  /// windows concurrently, each with w.parallel false.
+  const float* step_window(const snn::StepWindow& w, const float* x);
+  /// compact_inference_state() within window `w`, in place (see
+  /// Layer::compact_window); kFreshRow-only keeps start every row afresh.
+  void compact_window(const snn::StepWindow& w, std::span<const std::size_t> keep) {
+    body_.compact_window(w, keep);
+  }
 
   std::vector<Param*> params();
   Sequential& body() { return body_; }
@@ -136,10 +173,15 @@ class SpikingNetwork {
   [[nodiscard]] std::size_t parameter_count();
 
  private:
+  /// Size every layer's step state for `rows` rows of sample_shape_.
+  void reserve_inference(std::size_t rows);
+
   Sequential body_;
   std::size_t num_classes_;
   Shape sample_shape_;
   util::GemmContext* gemm_context_ = nullptr;  ///< nullptr = global context
+  std::size_t step_out_numel_ = 0;  ///< floats per row of step_window()'s output
+  std::vector<float> step_out_;     ///< step_window() outputs, per reserved row
 };
 
 }  // namespace dtsnn::snn

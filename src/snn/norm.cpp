@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/parallel_for.h"
+
 namespace dtsnn::snn {
 
 namespace {
@@ -11,6 +13,25 @@ namespace {
 /// The one 1 / sqrt(var + eps): of the batch statistics in a training
 /// forward, of the running statistics in eval_constants.
 float inverse_std(float var, float eps) { return 1.0f / std::sqrt(var + eps); }
+
+/// y = gamma * ((x - mean) * inv_std) + beta over x [n, c, hw] with the
+/// per-channel constants `k`, image by image (one OpenMP loop when
+/// `parallel`); with `xhat`, also the normalized values.
+void normalize(const float* x, float* y, float* xhat, std::size_t n, std::size_t c,
+               std::size_t hw, const util::BatchNormEval& k, bool parallel) {
+  util::for_each_index(parallel, n, [&](std::size_t img) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      const std::size_t at = (img * c + ch) * hw;
+      const float m = k.mean[ch], is = k.inv_std[ch];
+      const float g = k.gamma[ch], b = k.beta[ch];
+      for (std::size_t p = 0; p < hw; ++p) {
+        const float h = (x[at + p] - m) * is;
+        if (xhat != nullptr) xhat[at + p] = h;
+        y[at + p] = g * h + b;
+      }
+    }
+  });
+}
 
 }  // namespace
 
@@ -32,6 +53,21 @@ util::BatchNormEval BatchNorm2d::eval_constants() {
   }
   return {running_mean_.data(), eval_inv_std_.data(), gamma_.value.data(),
           beta_.value.data()};
+}
+
+Shape BatchNorm2d::reserve_steps(std::size_t /*rows*/, const Shape& sample_shape) {
+  if (sample_shape.size() != 3 || sample_shape[0] != channels_) {
+    throw std::invalid_argument("BatchNorm2d: bad input shape " +
+                                shape_to_string(sample_shape));
+  }
+  step_pixels_ = sample_shape[1] * sample_shape[2];
+  eval_constants();
+  return sample_shape;
+}
+
+const float* BatchNorm2d::step_window(const StepWindow& w, const float* x, float* y) {
+  normalize(x, y, nullptr, w.rows, channels_, step_pixels_, step_constants(), w.parallel);
+  return y;
 }
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
@@ -74,21 +110,8 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
 
   Tensor xhat;
   if (train) xhat = Tensor(x.shape());
-#pragma omp parallel for schedule(static)
-  for (std::size_t img = 0; img < n; ++img) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* src = x.data() + (img * c + ch) * hw;
-      float* dst = out.data() + (img * c + ch) * hw;
-      float* xh = train ? xhat.data() + (img * c + ch) * hw : nullptr;
-      const float m = k.mean[ch], is = k.inv_std[ch];
-      const float g = k.gamma[ch], b = k.beta[ch];
-      for (std::size_t p = 0; p < hw; ++p) {
-        const float h = (src[p] - m) * is;
-        if (xh) xh[p] = h;
-        dst[p] = g * h + b;
-      }
-    }
-  }
+  normalize(x.data(), out.data(), train ? xhat.data() : nullptr, n, c, hw, k,
+            /*parallel=*/true);
 
   if (train) {
     xhat_cache_ = std::move(xhat);

@@ -21,6 +21,9 @@ class BatchNorm2d final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// Also computes the eval constants the steps read (step_constants()).
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::string name() const override { return "BatchNorm2d"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override {
@@ -34,13 +37,20 @@ class BatchNorm2d final : public Layer {
   Tensor& running_var() { return running_var_; }
 
   /// The per-channel constants of the eval forward: the running mean,
-  /// 1 / sqrt(running_var + eps), gamma and beta. The eval forward and the
-  /// fused spiking epilogue (snn/network.h) both read them here, so the
-  /// eval affine is computed in one place. The statistics and parameters
-  /// are mutable through the accessors above, so inv_std is recomputed on
-  /// every call, into a buffer the layer keeps; the pointers stay valid
-  /// until the next call or a change of those tensors.
+  /// 1 / sqrt(running_var + eps), gamma and beta. The eval forward computes
+  /// them here, and so does reserve_steps() for the steps and the fused
+  /// spiking epilogue (snn/network.h), so the eval affine is computed in one
+  /// place. The statistics and parameters are mutable through the accessors
+  /// above, so inv_std is recomputed on every call, into a buffer the layer
+  /// keeps; the pointers stay valid until the next call or a change of
+  /// those tensors.
   util::BatchNormEval eval_constants();
+  /// The eval constants as the latest eval_constants() or reserve_steps()
+  /// computed them: what steps read, without writing the layer.
+  [[nodiscard]] util::BatchNormEval step_constants() const {
+    return {running_mean_.data(), eval_inv_std_.data(), gamma_.value.data(),
+            beta_.value.data()};
+  }
 
  private:
   std::size_t channels_;
@@ -57,6 +67,7 @@ class BatchNorm2d final : public Layer {
   bool have_cache_ = false;
 
   std::vector<float> eval_inv_std_;  // eval_constants() inv_std, [channels]
+  std::size_t step_pixels_ = 0;      // H*W of the step input (reserve_steps)
 };
 
 }  // namespace dtsnn::snn

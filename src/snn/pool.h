@@ -13,6 +13,8 @@ class AvgPool2d final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   [[nodiscard]] std::string name() const override { return "AvgPool2d"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override;
   [[nodiscard]] std::size_t kernel() const { return kernel_; }
@@ -20,6 +22,7 @@ class AvgPool2d final : public Layer {
  private:
   std::size_t kernel_;
   Shape in_shape_;
+  Shape step_in_;  // the step input's sample shape (reserve_steps)
 };
 
 class MaxPool2d final : public Layer {
@@ -28,6 +31,8 @@ class MaxPool2d final : public Layer {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
+  const float* step_window(const StepWindow& w, const float* x, float* y) override;
   [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
   [[nodiscard]] Shape infer_shape(const Shape& sample_shape) const override;
   [[nodiscard]] std::size_t kernel() const { return kernel_; }
@@ -35,6 +40,7 @@ class MaxPool2d final : public Layer {
  private:
   std::size_t kernel_;
   Shape in_shape_;
+  Shape step_in_;  // the step input's sample shape (reserve_steps)
   std::vector<std::size_t> argmax_;  // flat input index of each pooled max
 };
 

@@ -61,12 +61,17 @@ class QuantizedWeightHolder {
 /// zero-skipping A-stationary product forms. Kept across the steps of one
 /// inference sequence: weights only change between sequences and forward
 /// passes, which the layer marks with invalidate() (set_time, begin_steps,
-/// eval_weight_changed). get() also rebuilds when asked for a different
-/// source than the one it holds, since one layer can ask for its float
-/// weights (training forward) and its dequantized weights (eval forward).
+/// eval_weight_changed). Layer::reserve_steps() rebuilds it if marked, so
+/// steps read it through cached(). get() also rebuilds when asked for a
+/// different source than the one it holds, since one layer can ask for its
+/// float weights (training forward) and its dequantized weights (eval
+/// forward).
 class WeightTranspose {
  public:
   const float* get(const Tensor& w);
+  /// The W^T the latest get() built, for the steps that follow
+  /// Layer::reserve_steps(); concurrent readers never rebuild it.
+  [[nodiscard]] const float* cached() const { return wt_.data(); }
   void invalidate() { dirty_ = true; }
 
  private:

@@ -476,7 +476,7 @@ TEST(Evaluator, BundleDispatch) {
   EXPECT_EQ(dvs.train->native_frames(), 10u);
   auto vision = make_bundle("sync10", 0.05);
   // Static vision presets pre-encode 8 distractor-flicker frames per sample
-  // (DESIGN.md §4.1).
+  // (README, "Substitutions for the paper's setting", item 1).
   EXPECT_EQ(vision.train->native_frames(), 8u);
   EXPECT_EQ(preset_timesteps("syndvs"), 10u);
   EXPECT_EQ(preset_timesteps("sync10"), 4u);

@@ -10,6 +10,7 @@
 // (mid-flight admission, deadlines, drain, validation, overrides) live in
 // test_serve.cpp.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>  // setenv/unsetenv (scheduler knob test)
@@ -133,6 +134,88 @@ TEST(ServingFleet, PolicyFaultFailsOnlyItsOwnRequestInASharedPool) {
   for (const TenantStats& t : stats.tenants) {
     EXPECT_EQ(t.queue_depth, 0u) << t.name;
     EXPECT_EQ(t.in_flight, 0u) << t.name;
+    EXPECT_EQ(t.completed_samples + t.failed_samples + t.cancelled_queued_samples +
+                  t.cancelled_live_samples,
+              t.submitted_samples)
+        << t.name;
+  }
+}
+
+/// Reads `inner`, except that encoding any frame of the poisoned samples
+/// throws, as a corrupt shard would.
+class FaultyFramesDataset final : public data::Dataset {
+ public:
+  FaultyFramesDataset(const data::Dataset& inner, std::vector<std::size_t> poisoned)
+      : inner_(inner), poisoned_(std::move(poisoned)) {}
+  [[nodiscard]] std::size_t size() const override { return inner_.size(); }
+  [[nodiscard]] std::size_t num_classes() const override { return inner_.num_classes(); }
+  [[nodiscard]] snn::Shape frame_shape() const override { return inner_.frame_shape(); }
+  [[nodiscard]] int label(std::size_t sample) const override { return inner_.label(sample); }
+  [[nodiscard]] double difficulty(std::size_t sample) const override {
+    return inner_.difficulty(sample);
+  }
+  [[nodiscard]] std::size_t native_frames() const override { return inner_.native_frames(); }
+  void write_frame(std::size_t sample, std::size_t t, std::span<float> dst) const override {
+    if (std::find(poisoned_.begin(), poisoned_.end(), sample) != poisoned_.end()) {
+      throw std::runtime_error("corrupt frame of sample " + std::to_string(sample));
+    }
+    inner_.write_frame(sample, t, dst);
+  }
+
+ private:
+  const data::Dataset& inner_;
+  std::vector<std::size_t> poisoned_;
+};
+
+/// An encode fault is the request's own too: a request whose frames fail to
+/// encode, sharing one worker's pool with well-behaved requests, fails
+/// alone. Its co-residents keep stepping and match the oracle bitwise, and
+/// every tenant's quota counters settle.
+TEST(ServingFleet, EncodeFaultFailsOnlyItsOwnRequestInASharedPool) {
+  core::Experiment& e = micro_experiment("sync10", 3);
+  const FaultyFramesDataset faulty(*e.bundle.test, {0, 1});
+  const core::EntropyExitPolicy good(0.35);
+  const std::size_t pool = 7;  // 2 poisoned + 5 well-behaved samples
+  ASSERT_GE(faulty.size(), pool);
+  core::SequentialEngine batch1(e.net, good, 3);
+  InferenceRequest all = InferenceRequest::first_n(pool);
+  all.record_logits = true;
+  const auto oracle = batch1.run(*e.bundle.test, all);
+
+  // An idle worker holds its first arrivals until its pool would launch
+  // full, so all `pool` samples share one pool.
+  FleetConfig config;
+  config.admission_window = std::chrono::seconds(2);
+  config.tenants = {TenantSpec{.name = "mixed", .weight = 1.0}};
+  FleetModel model = model_for(e, good, 3, /*workers=*/1, pool);
+  model.dataset = &faulty;
+  ServingFleet fleet({model}, config);
+
+  FleetRequest poisoned = request_for({0, 1}, true);
+  poisoned.tenant = 1;
+  auto poisoned_future = fleet.submit(std::move(poisoned)).results;
+  std::vector<std::future<std::vector<InferenceResult>>> futures;
+  for (std::size_t s = 2; s < pool; ++s) {
+    FleetRequest req = request_for({s}, true);
+    req.tenant = s % 2 == 0 ? kDefaultTenant : TenantId{1};
+    futures.push_back(fleet.submit(std::move(req)).results);
+  }
+  EXPECT_THROW(poisoned_future.get(), std::runtime_error);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const std::vector<InferenceResult> got = futures[i].get();
+    ASSERT_EQ(got.size(), 1u);
+    expect_identical(got[0], oracle[i + 2], "co-resident sample " + std::to_string(i + 2));
+  }
+  fleet.drain();
+
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.failed_samples, 2u);
+  EXPECT_EQ(stats.completed_samples, pool - 2);
+  EXPECT_GE(stats.peak_pool, pool) << "the poisoned request never shared a pool";
+  for (const TenantStats& t : stats.tenants) {
+    EXPECT_EQ(t.queue_depth, 0u) << t.name;
+    EXPECT_EQ(t.in_flight, 0u) << t.name;
+    EXPECT_EQ(t.failed_samples, t.name == "mixed" ? 2u : 0u) << t.name;
     EXPECT_EQ(t.completed_samples + t.failed_samples + t.cancelled_queued_samples +
                   t.cancelled_live_samples,
               t.submitted_samples)

@@ -16,14 +16,15 @@
 #include "core/exit_policy.h"
 #include "core/inference.h"
 #include "core/live_pool.h"
+#include "test_helpers.h"
 
 namespace dtsnn::core {
 namespace {
 
 Experiment micro_experiment(const std::string& dataset, std::size_t timesteps,
-                            std::uint64_t seed = 1) {
+                            std::uint64_t seed = 1, const std::string& model = "vgg_micro") {
   ExperimentSpec spec;
-  spec.model = "vgg_micro";
+  spec.model = model;
   spec.dataset = dataset;
   spec.epochs = 1;
   spec.timesteps = timesteps;
@@ -60,14 +61,23 @@ void expect_identical(const std::vector<InferenceResult>& a,
 /// The core acceptance property: BatchedSequentialEngine is bitwise
 /// identical to batch-1 SequentialEngine — predictions, exit timesteps,
 /// entropies, and the full cumulative-logit trajectories — on every dataset
-/// preset, for both shipped exit-policy families, with a batch size that
-/// does not divide the sample count.
+/// preset and every model preset, for both shipped exit-policy families. It
+/// runs at 1 to 4 OpenMP threads, so the engine steps the pool as 1 to 4
+/// row windows of the one network, each on its own thread, and at batch 5
+/// and 32 over 30 samples: 5 rows split 2/2/1 at 3 threads and 2/1/1/1 at
+/// 4, 30 rows 8/8/7/7 at 4. The uneven windows are on purpose.
 TEST(BatchedEngine, BitwiseIdenticalToBatch1AcrossPresets) {
-  for (const std::string preset : {"sync10", "sync100", "syntin", "syndvs"}) {
+  std::vector<std::pair<std::string, std::string>> cases;  // (model, dataset)
+  for (const std::string dataset : {"sync10", "sync100", "syntin", "syndvs"}) {
+    cases.emplace_back("vgg_micro", dataset);
+  }
+  for (const std::string model : {"vgg_mini", "resnet_micro", "resnet_mini"}) {
+    cases.emplace_back(model, "sync10");
+  }
+  for (const auto& [model, preset] : cases) {
     const std::size_t timesteps = preset == "syndvs" ? 5 : 3;
-    Experiment e = micro_experiment(preset, timesteps);
+    Experiment e = micro_experiment(preset, timesteps, /*seed=*/1, model);
     const auto& ds = *e.bundle.test;
-    // 30 samples with batch 7: four full batches plus a ragged tail of 2.
     const auto request = first_n(std::min<std::size_t>(30, ds.size()), true);
 
     const EntropyExitPolicy entropy(0.35);
@@ -75,10 +85,16 @@ TEST(BatchedEngine, BitwiseIdenticalToBatch1AcrossPresets) {
     for (const ExitPolicy* policy : {static_cast<const ExitPolicy*>(&entropy),
                                      static_cast<const ExitPolicy*>(&maxprob)}) {
       SequentialEngine batch1(e.net, *policy, timesteps);
-      BatchedSequentialEngine batched(e.net, *policy, timesteps, /*batch_size=*/7);
       const auto a = batch1.run(ds, request);
-      const auto b = batched.run(ds, request);
-      expect_identical(a, b, preset + "/" + policy->name());
+      for (const int threads : {1, 2, 3, 4}) {
+        const test::OmpThreads scoped(threads);
+        for (const std::size_t batch : {5u, 32u}) {
+          BatchedSequentialEngine batched(e.net, *policy, timesteps, batch);
+          expect_identical(a, batched.run(ds, request),
+                           model + "/" + preset + "/" + policy->name() + " threads " +
+                               std::to_string(threads) + " batch " + std::to_string(batch));
+        }
+      }
     }
   }
 }

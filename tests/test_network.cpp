@@ -3,6 +3,7 @@
 // and of the fused eval spiking block and leaf-by-leaf stepping.
 
 #include <filesystem>
+#include <functional>
 #include <span>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "snn/norm.h"
 #include "snn/serialize.h"
 #include "util/rng.h"
+#include "util/thread.h"
 
 namespace dtsnn::snn {
 namespace {
@@ -263,6 +265,62 @@ TEST(FusedStep, BitwiseEqualToLeafByLeaf) {
     SpikingNetwork net(std::move(body), 4, {3, 8, 8});
     util::GemmContext context;
     fused_test::expect_fused_equals_leaf_by_leaf(net, context, 63);
+  }
+}
+
+/// Two row windows of one network stepped at once, each by its own thread
+/// with no OpenMP region, give bitwise the outputs of stepping them one
+/// after the other: a window step and a window compaction write only the
+/// window's rows of the state and no layer member. Each window compacts in
+/// place between steps (survivors in order, then fresh rows). Both model
+/// families, so ResidualBlock steps by window too.
+TEST(SpikingNetwork, ConcurrentWindowsEqualSerialWindows) {
+  constexpr std::size_t kFresh = Layer::kFreshRow;
+  struct Window {
+    std::size_t offset;
+    std::size_t rows;
+    std::vector<std::vector<std::size_t>> keeps;  ///< before steps 1, 2, ...
+  };
+  const std::vector<Window> windows = {{0, 3, {{0, 2, kFresh}, {1, kFresh, kFresh}}},
+                                       {3, 2, {{1, kFresh}, {0, 1}}}};
+  for (const std::string preset : {"vgg_micro", "resnet_micro"}) {
+    SCOPED_TRACE(preset);
+    SpikingNetwork net = make_model(preset, tiny_config());
+    util::Rng rng(64);
+    fused_test::randomize_batch_norms(net, rng);
+    std::vector<std::vector<Tensor>> frames(windows.size());
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      for (std::size_t t = 0; t <= windows[w].keeps.size(); ++t) {
+        Shape shape = net.sample_shape();
+        shape.insert(shape.begin(), windows[w].rows);
+        frames[w].push_back(Tensor::randn(shape, rng, 0.5f, 1.0f));
+      }
+    }
+
+    using Outputs = std::vector<std::vector<float>>;  // per step
+    const auto step_window = [&](std::size_t w, Outputs& out) {
+      const Window& win = windows[w];
+      for (std::size_t t = 0; t < frames[w].size(); ++t) {
+        if (t > 0) net.compact_window({win.offset, win.rows, false}, win.keeps[t - 1]);
+        const float* y =
+            net.step_window({win.offset, win.rows, false}, frames[w][t].data());
+        out.emplace_back(y, y + win.rows * net.num_classes());
+      }
+    };
+    std::vector<Outputs> serial(windows.size()), concurrent(windows.size());
+    net.begin_inference(5);
+    for (std::size_t w = 0; w < windows.size(); ++w) step_window(w, serial[w]);
+    net.begin_inference(5);
+    {
+      util::Thread first(step_window, 0, std::ref(concurrent[0]));
+      util::Thread second(step_window, 1, std::ref(concurrent[1]));
+    }
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      ASSERT_EQ(serial[w].size(), concurrent[w].size());
+      for (std::size_t t = 0; t < serial[w].size(); ++t) {
+        ASSERT_EQ(serial[w][t], concurrent[w][t]) << "window " << w << " t=" << t;
+      }
+    }
   }
 }
 

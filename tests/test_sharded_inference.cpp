@@ -229,10 +229,11 @@ TEST(ShardedInference, EvaluateEngineIdenticalAcrossBackends) {
   EXPECT_EQ(a.avg_timesteps, b.avg_timesteps);
 }
 
-/// The live pool encodes its rows' frames as one OpenMP loop, and the
-/// network step runs parallel over images: neither may let the thread count
-/// reach the results. Exits and recorded logits are bitwise identical at 1
-/// and 4 threads, from memory and from a 1-slot shard cache that four
+/// At 1 thread the engine steps one pool whose ops each run parallel over
+/// images; at 4 it steps four row windows of the network, one thread each,
+/// every window encoding its own rows' frames. Neither may let the thread
+/// count reach the results. Exits and recorded logits are bitwise identical
+/// at 1 and 4 threads, from memory and from a 1-slot shard cache that four
 /// concurrent encodes contend for.
 TEST(ShardedInference, BatchedEngineIdenticalAtOneAndFourThreads) {
   Experiment e = micro_experiment("sync10", 3);
@@ -262,9 +263,9 @@ TEST(ShardedInference, BatchedEngineIdenticalAtOneAndFourThreads) {
 }
 
 /// Exits every second row it is asked about, in call order. The engine's
-/// pool then never drains between steps: half of it is refilled while the
-/// other half keeps stepping, so the refills encode in a step that continues
-/// an inference sequence.
+/// pools then never drain between steps: half of a pool is refilled while
+/// the other half keeps stepping, so the refills encode in a step that
+/// continues an inference sequence.
 class AlternatingExitPolicy final : public ExitPolicy {
  public:
   [[nodiscard]] bool should_exit(std::span<const float> /*cum_logits*/) const override {
@@ -276,12 +277,32 @@ class AlternatingExitPolicy final : public ExitPolicy {
   mutable std::atomic<std::size_t> calls_{0};
 };
 
+/// After a failed run the same engine serves a clean request bitwise
+/// identical to the in-memory dataset at 4 threads.
+void expect_clean_run_after_failure(BatchedSequentialEngine& engine,
+                                    const data::Dataset& stored,
+                                    const data::ArrayDataset& array) {
+  const EntropyExitPolicy entropy(0.35);
+  InferenceRequest clean;
+  clean.policy = &entropy;
+  clean.record_logits = true;
+  for (std::size_t s = 0; s < 24; ++s) {
+    if (s < 8 || s >= 16) clean.samples.push_back(s);
+  }
+  const OmpThreads threads(4);
+  expect_identical(engine.run(stored, clean), engine.run(array, clean),
+                   "clean after failure");
+}
+
 /// A shard truncated after the dataset opened it fails the frame encode of
-/// every row reading it. Under the parallel encode, run() surfaces the typed
-/// ShardError of the lowest failing row — never std::terminate from an
-/// exception leaving the OpenMP region — and the same engine then serves a
-/// clean request bitwise identical to the in-memory dataset.
-TEST(ShardedInference, TruncatedShardFailsTheRunWithTheLowestRowsTypedError) {
+/// every row reading it: that row fails, its neighbours step on, and no new
+/// request position is admitted. run() then surfaces the typed ShardError of
+/// the lowest failing request position — never std::terminate from an
+/// exception leaving the OpenMP region. Positions are admitted in order, so
+/// that position is the same at 1 thread and at 4, whichever windows its
+/// rows land in: positions 8 (sample 13, shard 3) and 9 (sample 9, shard 2)
+/// fail, and shard 3 names the error.
+TEST(ShardedInference, TruncatedShardFailsTheRunWithTheLowestPositionsTypedError) {
   Experiment e = micro_experiment("sync10", 3);
   const data::ArrayDataset& array = *e.bundle.test;
   ASSERT_GE(array.size(), 24u);
@@ -294,32 +315,77 @@ TEST(ShardedInference, TruncatedShardFailsTheRunWithTheLowestRowsTypedError) {
 
   const AlternatingExitPolicy alternating;
   BatchedSequentialEngine engine(e.net, alternating, 3, /*batch_size=*/8);
-  // Step 1 runs samples 0-7; rows 1, 3, 5, 7 exit and are refilled with 13
-  // (shard 3) then 9 (shard 2), which the next step encodes next to the four
-  // survivors. Both fail; the lower row, sample 13's, names the error.
   InferenceRequest failing;
   failing.samples = {0, 1, 2, 3, 4, 5, 6, 7, 13, 9};
-  try {
-    const OmpThreads threads(4);
-    (void)engine.run(copy.dataset(), failing);
-    FAIL() << "expected a ShardError";
-  } catch (const data::ShardError& err) {
-    EXPECT_EQ(err.kind(), data::ShardError::Kind::kTruncated) << err.what();
-    const std::string what = err.what();
-    EXPECT_NE(what.find(shards[3].filename().string()), std::string::npos) << what;
-    EXPECT_EQ(what.find(shards[2].filename().string()), std::string::npos) << what;
+  for (const int thread_count : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(thread_count));
+    try {
+      const OmpThreads threads(thread_count);
+      (void)engine.run(copy.dataset(), failing);
+      ADD_FAILURE() << "expected a ShardError";
+    } catch (const data::ShardError& err) {
+      EXPECT_EQ(err.kind(), data::ShardError::Kind::kTruncated) << err.what();
+      const std::string what = err.what();
+      EXPECT_NE(what.find(shards[3].filename().string()), std::string::npos) << what;
+      EXPECT_EQ(what.find(shards[2].filename().string()), std::string::npos) << what;
+    }
   }
+  expect_clean_run_after_failure(engine, copy.dataset(), array);
+}
 
-  const EntropyExitPolicy entropy(0.35);
-  InferenceRequest clean;
-  clean.policy = &entropy;
-  clean.record_logits = true;
-  for (std::size_t s = 0; s < 24; ++s) {
-    if (s < 8 || s >= 16) clean.samples.push_back(s);
+/// Throws at the first decision of the listed samples, which it knows by
+/// their first-timestep cumulative logits, bitwise; never exits otherwise.
+class PoisonedSamplesPolicy final : public ExitPolicy {
+ public:
+  explicit PoisonedSamplesPolicy(std::vector<InferenceResult> first_steps)
+      : first_steps_(std::move(first_steps)) {}
+  [[nodiscard]] bool should_exit(std::span<const float> cum_logits) const override {
+    for (const InferenceResult& r : first_steps_) {
+      const auto logits = r.timestep_logits.span();
+      if (std::equal(cum_logits.begin(), cum_logits.end(), logits.begin(), logits.end())) {
+        throw std::runtime_error("poisoned sample " + std::to_string(r.sample));
+      }
+    }
+    return false;
   }
-  const OmpThreads threads(4);
-  expect_identical(engine.run(copy.dataset(), clean), engine.run(array, clean),
-                   "clean after failure");
+  [[nodiscard]] std::string name() const override { return "poisoned"; }
+
+ private:
+  std::vector<InferenceResult> first_steps_;
+};
+
+/// The same rule for exit policies that throw: samples 21 (position 1) and
+/// 17 (position 6) fail at their first decision. Both are admitted before
+/// either fails; at 4 threads and batch 8 the pool is four windows of two
+/// rows, so the two usually fail in different windows. Position 1's error
+/// surfaces either way, and at 1 thread too.
+TEST(ShardedInference, ThrowingPolicyFailsTheRunWithTheLowestPositionsError) {
+  Experiment e = micro_experiment("sync10", 3);
+  const data::ArrayDataset& array = *e.bundle.test;
+  ASSERT_GE(array.size(), 24u);
+  const ShardedCopy copy(array, "poisoned", 4, /*cache_slots=*/2);
+
+  const NeverExitPolicy never;
+  SequentialEngine first_step(e.net, never, 1);
+  InferenceRequest poisoned;
+  poisoned.samples = {17, 21};
+  poisoned.record_logits = true;
+  const PoisonedSamplesPolicy policy(first_step.run(array, poisoned));
+
+  BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/8);
+  InferenceRequest failing;
+  failing.samples = {0, 21, 2, 3, 4, 5, 17, 7, 8, 9, 10, 11};
+  for (const int thread_count : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(thread_count));
+    try {
+      const OmpThreads threads(thread_count);
+      (void)engine.run(copy.dataset(), failing);
+      ADD_FAILURE() << "expected the policy's error";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "poisoned sample 21");
+    }
+  }
+  expect_clean_run_after_failure(engine, copy.dataset(), array);
 }
 
 }  // namespace
