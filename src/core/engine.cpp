@@ -5,6 +5,7 @@
 #include <cassert>
 #include <exception>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -117,6 +118,75 @@ class Outbox {
   util::CondVar cv_;
   std::vector<InferenceResult> ready_ DTSNN_GUARDED_BY(mu_);
   std::size_t closed_ DTSNN_GUARDED_BY(mu_) = 0;
+};
+
+/// Puts exits that arrive in any order into the order one live pool of
+/// `capacity` rows emits them: (exit step, batch position), where each
+/// step's survivors keep their order and the next request positions fill
+/// the freed rows. That order is a function of the positions' exit
+/// timesteps alone, so it does not depend on which thread stepped a row or
+/// when. A step is released once every row live in it has arrived.
+class PoolOrder {
+ public:
+  PoolOrder(std::size_t capacity, std::size_t positions)
+      : capacity_(capacity), positions_(positions) {
+    live_.reserve(capacity);
+  }
+
+  /// Holds `result` (request_index set) until its turn.
+  void arrive(InferenceResult& result) {
+    const std::size_t position = result.request_index;
+    held_.emplace(position, std::move(result));
+  }
+
+  /// Hands every held result whose turn has come to `emit`, in order.
+  template <typename Emit>
+  void release(const Emit& emit) {
+    for (;;) {
+      while (live_.size() < capacity_ && next_ < positions_) {
+        live_.push_back({next_++, 0, held_.end()});
+      }
+      if (live_.empty()) return;
+      for (Row& row : live_) {
+        if (row.result != held_.end()) continue;
+        row.result = held_.find(row.position);
+        if (row.result == held_.end()) return;
+      }
+      std::size_t kept = 0;
+      for (Row& row : live_) {
+        if (++row.steps < row.result->second.exit_timestep) {
+          live_[kept++] = row;
+          continue;
+        }
+        emit(row.result->second);
+        held_.erase(row.result);
+      }
+      live_.resize(kept);
+    }
+  }
+
+  /// Hands the results still held to `emit` in request-position order. Only
+  /// a failed run leaves any: a position that failed or was never admitted
+  /// never arrives and holds back its step.
+  template <typename Emit>
+  void flush(const Emit& emit) {
+    for (auto& [position, result] : held_) emit(result);
+    held_.clear();
+  }
+
+ private:
+  using Held = std::map<std::size_t, InferenceResult>;
+  struct Row {
+    std::size_t position;
+    std::size_t steps;      ///< steps the row has run in this order
+    Held::iterator result;  ///< held_.end() until it arrives
+  };
+
+  std::size_t capacity_;
+  std::size_t positions_;
+  std::size_t next_ = 0;  ///< the next request position to admit
+  Held held_;
+  std::vector<Row> live_;
 };
 
 /// Runs one encoded chunk through `net` and scatters cumulative-mean logits
@@ -463,8 +533,10 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
     // One OpenMP region per request: thread w steps its own pool over a row
     // window of the one network, with no barrier against the others. The
     // step state of every window is sized here, on the calling thread. The
-    // calling thread, thread 0, also delivers the other windows' exits
-    // between its own steps, so the sink runs on it alone, as at W = 1.
+    // calling thread, thread 0, also collects the other windows' exits
+    // between its own steps and delivers every exit in the order the one
+    // pool at W = 1 emits them (PoolOrder), so the sink runs on it alone and
+    // sees the same sequence at every W.
     net_.begin_inference(rows);
     std::vector<LivePool<std::size_t>> pools;
     std::vector<std::size_t> capacity;
@@ -475,6 +547,8 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
       offset += capacity.back();
     }
     Outbox outbox;
+    PoolOrder order(rows, n_samples);
+    const auto arrive = [&](InferenceResult& result) { order.arrive(result); };
 #pragma omp parallel num_threads(static_cast<int>(windows))
     {
       const std::size_t w = worker_index();
@@ -482,10 +556,11 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
         std::vector<InferenceResult> posted;
         const auto deliver_posted = [&](bool wait) {
           const bool open = outbox.take(posted, wait, team_size() - 1);
-          for (InferenceResult& result : posted) deliver(result);
+          for (InferenceResult& result : posted) order.arrive(result);
+          order.release(deliver);
           return open;
         };
-        drive(pools[0], capacity[0], deliver, [&] { deliver_posted(false); });
+        drive(pools[0], capacity[0], arrive, [&] { deliver_posted(false); });
         while (deliver_posted(true)) {
         }
       } else {
@@ -494,6 +569,7 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
         outbox.close();
       }
     }
+    order.flush(deliver);
   }
   error.rethrow();
 }

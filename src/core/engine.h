@@ -138,9 +138,12 @@ class SequentialEngine final : public InferenceEngine {
 /// window w of the network's step state (sized once, before the region),
 /// admitting the next waiting position from a shared cursor, with no
 /// barrier against the other threads. The sink runs on the calling thread
-/// alone, which delivers the other windows' exits between its own steps.
-/// Within a window exits reach the sink in (exit step, batch position)
-/// order; across windows the order depends on timing (run() reorders).
+/// alone, which collects the other windows' exits between its own steps.
+/// At every W exits reach the sink in the order one pool of batch_size rows
+/// emits them — (exit step, batch position), survivors keeping their order
+/// and waiting positions refilling freed rows in request order — which
+/// depends only on each sample's exit timestep, not on timing. A window's
+/// exit is held until every exit ahead of it in that order has arrived.
 ///
 /// Decisions, predictions and entropies are bitwise identical to
 /// SequentialEngine at every W: a row's trajectory never depends on its
@@ -150,6 +153,8 @@ class SequentialEngine final : public InferenceEngine {
 /// the error of the lowest failing request position. Positions are admitted
 /// in order, so when each failure belongs to its sample (a bad frame, a
 /// policy error on its logits) that position does not depend on timing.
+/// Exits a failed run still holds for their turn reach the sink in request
+/// position order before the rethrow.
 class BatchedSequentialEngine final : public InferenceEngine {
  public:
   /// Throws std::invalid_argument when max_timesteps == 0 or batch_size == 0.

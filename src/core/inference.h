@@ -95,10 +95,10 @@ class InferenceEngine {
  public:
   virtual ~InferenceEngine() = default;
 
-  /// Run the request, emitting each sample's result as it finishes, not in
-  /// request order. A batched early-exit engine emits each of its pools'
-  /// exits in (exit time, batch position) order; across pools stepped by
-  /// different threads the order depends on timing. run() reorders.
+  /// Run the request, emitting each sample's result as it finishes. Engines
+  /// with batched early exit emit in (exit time, batch position) order of
+  /// one pool of their batch size, not request order, however many threads
+  /// step it. run() reorders.
   virtual void run_streaming(const data::Dataset& dataset, const InferenceRequest& request,
                              const ResultSink& sink) = 0;
 

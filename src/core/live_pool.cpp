@@ -6,7 +6,6 @@
 
 #include "snn/layer.h"
 #include "snn/loss.h"
-#include "util/parallel_for.h"
 
 namespace dtsnn::core::detail {
 
@@ -57,7 +56,7 @@ const float* LivePoolRows::forward(const data::Dataset& dataset) {
   const std::size_t rows = rows_.size();
   [[maybe_unused]] const bool resumed = active_;
   if (windowed()) {
-    if (!reconciled_) net_.compact_window({offset_, held_, false}, keep_);
+    if (!reconciled_) net_.compact_window({offset_, held_}, keep_);
   } else if (!active_) {
     net_.begin_inference(rows);
   } else if (!reconciled_) {
@@ -78,7 +77,8 @@ const float* LivePoolRows::forward(const data::Dataset& dataset) {
   // encode is rare.
   if (frames_.size() < rows * frame_numel_) frames_.resize(rows * frame_numel_);
   encode_errors_.assign(rows, nullptr);
-  util::for_each_index(!windowed() && resumed, rows, [&](std::size_t j) {
+#pragma omp parallel for schedule(static) if (resumed)
+  for (std::size_t j = 0; j < rows; ++j) {
     float* frame = frames_.data() + j * frame_numel_;
     try {
       dataset.write_frame(rows_[j].rule.sample, rows_[j].t, {frame, frame_numel_});
@@ -87,8 +87,8 @@ const float* LivePoolRows::forward(const data::Dataset& dataset) {
       encode_errors_[j] = std::current_exception();
       std::fill(frame, frame + frame_numel_, 0.0f);
     }
-  });
-  return net_.step_window({offset_, rows, !windowed()}, frames_.data());
+  }
+  return net_.step_window({offset_, rows}, frames_.data());
 }
 
 std::optional<ExitReason> LivePoolRows::decide(std::size_t j, const float* logits,

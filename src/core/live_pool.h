@@ -37,16 +37,17 @@
 //                                    rows, and each op one OpenMP loop.
 //   LivePool(net, offset, capacity)  rows [offset, offset + capacity) of the
 //                                    state begin_inference already sized.
-//                                    It opens no OpenMP region and writes no
-//                                    member of the network, so pools over
-//                                    disjoint windows of one network step
-//                                    concurrently, one thread each
+//                                    It writes no member of the network, so
+//                                    pools over disjoint windows of one
+//                                    network step concurrently, one thread
+//                                    each, inside one OpenMP region whose
+//                                    nested op loops run on one thread
 //                                    (BatchedSequentialEngine).
 //
-// The whole-network pool encodes its rows' frames in parallel, as one
-// OpenMP loop over rows (Dataset::write_frame is thread-safe under const
-// access), except on the step that begins an inference sequence, which
-// encodes serially; a window pool encodes serially. Each row writes only
+// A pool encodes its rows' frames as one OpenMP loop over rows
+// (Dataset::write_frame is thread-safe under const access), except on the
+// step that begins an inference sequence, which encodes serially. Each row
+// writes only
 // its own frame, into a buffer the pool keeps, so the step input does not
 // depend on the thread count.
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/logging.h"
-#include "util/parallel_for.h"
 
 namespace dtsnn::snn {
 
@@ -17,16 +16,17 @@ namespace {
 // pick the op form, the GEMM registry only the ISA.
 
 /// [N*HW, C] row-per-pixel layout -> NCHW [N, C, HW], image by image (one
-/// OpenMP loop when `parallel`).
+/// OpenMP loop).
 void pixels_to_nchw(const float* pix, float* out, std::size_t n, std::size_t c,
-                    std::size_t hw, bool parallel) {
-  util::for_each_index(parallel, n, [&](std::size_t img) {
+                    std::size_t hw) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t img = 0; img < n; ++img) {
     const float* src = pix + img * hw * c;
     float* dst = out + img * c * hw;
     for (std::size_t p = 0; p < hw; ++p) {
       for (std::size_t ch = 0; ch < c; ++ch) dst[ch * hw + p] = src[p * c + ch];
     }
-  });
+  }
 }
 
 /// The output extent (in + 2*pad - kernel) / stride + 1 underflows when the
@@ -107,16 +107,17 @@ void Conv2d::eval_pixels(const Tensor& x, float* pix) {
   // kernel's own nonzero count.
   gemm_context().conv_scatter(x.data(), wt_.get(eval_weight()), pix, n, geom_,
                               out_channels_);
-  add_bias(pix, rows, /*parallel=*/true);
+  add_bias(pix, rows);
 }
 
-void Conv2d::add_bias(float* pix, std::size_t rows, bool parallel) const {
+void Conv2d::add_bias(float* pix, std::size_t rows) const {
   if (!has_bias_) return;
   const float* b = bias_.value.data();
-  util::for_each_index(parallel, rows, [&](std::size_t r) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t r = 0; r < rows; ++r) {
     float* row = pix + r * out_channels_;
     for (std::size_t c = 0; c < out_channels_; ++c) row[c] += b[c];
-  });
+  }
 }
 
 Shape Conv2d::reserve_steps(std::size_t rows, const Shape& sample_shape) {
@@ -138,20 +139,20 @@ float* Conv2d::step_pixels(const StepWindow& w, const float* x) {
   // One op at every input density, as in eval_pixels, on the W^T that
   // reserve_steps() built.
   float* pix = step_pix_.data() + w.offset * step_row_numel();
-  gemm_context().conv_scatter(x, wt_.cached(), pix, w.rows, step_geom_, out_channels_,
-                              w.parallel);
-  add_bias(pix, w.rows * step_geom_.out_h() * step_geom_.out_w(), w.parallel);
+  gemm_context().conv_scatter(x, wt_.cached(), pix, w.rows, step_geom_, out_channels_);
+  add_bias(pix, w.rows * step_geom_.out_h() * step_geom_.out_w());
   return pix;
 }
 
 const float* Conv2d::step_window(const StepWindow& w, const float* x, float* y) {
   float* pix = step_pixels(w, x);
-  pixels_to_nchw(pix, y, w.rows, out_channels_, step_output_pixels(), w.parallel);
+  pixels_to_nchw(pix, y, w.rows, out_channels_, step_output_pixels());
   // The scratch goes back to zero, image by image as the transpose read it.
   const std::size_t image = step_row_numel();
-  util::for_each_index(w.parallel, w.rows, [&](std::size_t img) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t img = 0; img < w.rows; ++img) {
     std::fill(pix + img * image, pix + (img + 1) * image, 0.0f);
-  });
+  }
   return y;
 }
 
@@ -182,13 +183,13 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
       gemm.gemm_bt(col.data(), weight_.value.data(), pix.data(), n * oh * ow, patch,
                    out_channels_);
     }
-    add_bias(pix.data(), n * oh * ow, /*parallel=*/true);
+    add_bias(pix.data(), n * oh * ow);
   } else {
     eval_pixels(x, pix.data());
   }
 
   Tensor out({n, out_channels_, oh, ow});
-  pixels_to_nchw(pix.data(), out.data(), n, out_channels_, oh * ow, /*parallel=*/true);
+  pixels_to_nchw(pix.data(), out.data(), n, out_channels_, oh * ow);
 
   if (train) {
     col_cache_ = std::move(col);

@@ -74,7 +74,7 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
   /// input whose geometry set_geometry recorded.
   void eval_pixels(const Tensor& x, float* pix);
   /// pix[r, c] += bias[c] over `rows` pixel rows (no-op without a bias).
-  void add_bias(float* pix, std::size_t rows, bool parallel) const;
+  void add_bias(float* pix, std::size_t rows) const;
   /// Floats of one step row's pixels part, OH*OW*Cout.
   [[nodiscard]] std::size_t step_row_numel() const {
     return step_output_pixels() * out_channels_;

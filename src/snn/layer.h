@@ -44,14 +44,12 @@ inline constexpr double kSparseDensityThreshold = 0.35;
 
 /// Rows [offset, offset + rows) of the single-step state reserve_steps()
 /// sized: the part of a batch one thread steps. The whole batch is the
-/// window at offset 0.
+/// window at offset 0. Each op of a window step is one OpenMP loop over the
+/// window's rows; a thread already inside a parallel region (one of the
+/// engine's window threads) runs it as a nested region of one thread.
 struct StepWindow {
   std::size_t offset = 0;
   std::size_t rows = 0;  ///< rows the window holds
-  /// Ops may open OpenMP regions. False when the caller is one of several
-  /// threads stepping their own windows: every op then runs on the calling
-  /// thread.
-  bool parallel = true;
 };
 
 /// A learnable parameter with its gradient accumulator.
@@ -168,7 +166,7 @@ inline Tensor Layer::step(const Tensor& x) {
   Shape shape = reserve_steps(x.dim(0), sample);
   shape.insert(shape.begin(), x.dim(0));
   Tensor y(shape);
-  const float* out = step_window({0, x.dim(0), true}, x.data(), y.data());
+  const float* out = step_window({0, x.dim(0)}, x.data(), y.data());
   if (out != y.data()) std::copy(out, out + y.numel(), y.data());
   return y;
 }

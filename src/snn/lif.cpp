@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/parallel_for.h"
-
 namespace dtsnn::snn {
 
 void Lif::set_time(std::size_t timesteps, std::size_t batch) {
@@ -129,12 +127,13 @@ const float* Lif::step_window(const StepWindow& w, const float* x, float* y) {
   const bool hard = config_.hard_reset;
   // Element-wise (and in place when y == x), so the threads' chunking cannot
   // change a bit.
-  util::for_each_index(w.parallel, w.rows * row_numel_, [&](std::size_t i) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < w.rows * row_numel_; ++i) {
     const float pre = tau * u[i] + x[i];
     const float s = pre > vth ? 1.0f : 0.0f;
     y[i] = s;
     u[i] = hard ? pre * (1.0f - s) : pre - vth * s;
-  });
+  }
   return y;
 }
 
@@ -177,29 +176,24 @@ void move_rows(float* rows, std::size_t row_numel, std::span<const std::size_t> 
 void Lif::compact_state(std::span<const std::size_t> keep) {
   if (stepping_ && !row_shape_.empty()) {
     check_keep(keep, batch_);
-    if (in_place(keep)) {
-      if (membrane_.size() < keep.size() * row_numel_) {
-        membrane_.resize(keep.size() * row_numel_, 0.0f);
+    // Gather into the spare membrane and swap it in, so a pool that keeps
+    // its batch size reuses both buffers instead of allocating one per
+    // compaction. Only kFreshRow rows need zeroing; every other row is
+    // overwritten.
+    spare_.resize(std::max(spare_.size(), keep.size() * row_numel_));
+    const float* src = membrane_.data();
+    float* dst = spare_.data();
+    const std::size_t numel = row_numel_;
+#pragma omp parallel for schedule(static)
+    for (std::size_t j = 0; j < keep.size(); ++j) {
+      float* out = dst + j * numel;
+      if (keep[j] == kFreshRow) {
+        std::fill(out, out + numel, 0.0f);
+      } else {
+        std::copy(src + keep[j] * numel, src + (keep[j] + 1) * numel, out);
       }
-      compact_window({0, batch_, true}, keep);
-    } else {
-      // A general gather goes through the spare membrane, swapped in, so a
-      // pool that keeps its batch size reuses both buffers. Only kFreshRow
-      // rows need zeroing; every other row is overwritten.
-      spare_.resize(std::max(spare_.size(), keep.size() * row_numel_));
-      const float* src = membrane_.data();
-      float* dst = spare_.data();
-      const std::size_t numel = row_numel_;
-      util::for_each_index(true, keep.size(), [&](std::size_t j) {
-        float* out = dst + j * numel;
-        if (keep[j] == kFreshRow) {
-          std::fill(out, out + numel, 0.0f);
-        } else {
-          std::copy(src + keep[j] * numel, src + (keep[j] + 1) * numel, out);
-        }
-      });
-      std::swap(membrane_, spare_);
     }
+    std::swap(membrane_, spare_);
   }
   Layer::compact_state(keep);
 }

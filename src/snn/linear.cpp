@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/gemm.h"
-#include "util/parallel_for.h"
 
 namespace dtsnn::snn {
 
@@ -54,7 +53,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
     // out = x * W^T
     gemm.gemm_bt(x.data(), w.data(), out.data(), n, in_features_, out_features_);
   }
-  add_bias(out.data(), n, /*parallel=*/true);
+  add_bias(out.data(), n);
   if (train) {
     input_cache_ = x;
     have_cache_ = true;
@@ -65,13 +64,14 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   return out;
 }
 
-void Linear::add_bias(float* out, std::size_t rows, bool parallel) const {
+void Linear::add_bias(float* out, std::size_t rows) const {
   if (!has_bias_) return;
   const float* b = bias_.value.data();
-  util::for_each_index(parallel, rows, [&](std::size_t r) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t r = 0; r < rows; ++r) {
     float* row = out + r * out_features_;
     for (std::size_t c = 0; c < out_features_; ++c) row[c] += b[c];
-  });
+  }
 }
 
 Shape Linear::reserve_steps(std::size_t /*rows*/, const Shape& sample_shape) {
@@ -84,9 +84,8 @@ Shape Linear::reserve_steps(std::size_t /*rows*/, const Shape& sample_shape) {
 
 const float* Linear::step_window(const StepWindow& w, const float* x, float* y) {
   // Bitwise the eval forward's either form (see forward()).
-  gemm_context().gemm(x, wt_.cached(), y, w.rows, in_features_, out_features_,
-                      /*accumulate=*/false, w.parallel);
-  add_bias(y, w.rows, w.parallel);
+  gemm_context().gemm(x, wt_.cached(), y, w.rows, in_features_, out_features_);
+  add_bias(y, w.rows);
   return y;
 }
 

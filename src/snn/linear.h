@@ -44,7 +44,7 @@ class Linear final : public Layer, public QuantizedWeightHolder {
  private:
   void eval_weight_changed() override { wt_.invalidate(); }
   /// out[r, c] += bias[c] over `rows` rows (no-op without a bias).
-  void add_bias(float* out, std::size_t rows, bool parallel) const;
+  void add_bias(float* out, std::size_t rows) const;
 
   std::size_t in_features_, out_features_;
   bool has_bias_;

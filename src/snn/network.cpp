@@ -5,7 +5,6 @@
 
 #include "snn/conv.h"
 #include "snn/norm.h"
-#include "util/parallel_for.h"
 
 namespace dtsnn::snn {
 
@@ -22,8 +21,7 @@ const float* fused_spiking_step(Conv2d& conv, const BatchNorm2d& bn, Lif& lif,
   const LifConfig& lc = lif.config();
   conv.gemm_context().spike_epilogue(pix, lif.window_membrane(w), y, w.rows,
                                      conv.step_output_pixels(), conv.out_channels(),
-                                     {bn.step_constants(), lc.tau, lc.vth, lc.hard_reset},
-                                     w.parallel);
+                                     {bn.step_constants(), lc.tau, lc.vth, lc.hard_reset});
   return y;
 }
 
@@ -210,7 +208,8 @@ const float* ResidualBlock::step_window(const StepWindow& w, const float* x, flo
       has_projection()
           ? shortcut_.step_window(w, x, shortcut_out_.data() + w.offset * step_numel_)
           : x;
-  util::for_each_index(w.parallel, numel, [&](std::size_t i) { y[i] += s[i]; });
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < numel; ++i) y[i] += s[i];
   return out_lif_.step_window(w, y, y);
 }
 

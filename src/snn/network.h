@@ -138,7 +138,7 @@ class SpikingNetwork {
   /// One timestep of window `w` of the rows begin_inference() sized: x holds
   /// its w.rows frames. Returns its [w.rows, K] outputs, valid until the
   /// window's next step. Writes no member, so threads can step disjoint
-  /// windows concurrently, each with w.parallel false.
+  /// windows concurrently.
   const float* step_window(const snn::StepWindow& w, const float* x);
   /// compact_inference_state() within window `w`, in place (see
   /// Layer::compact_window); kFreshRow-only keeps start every row afresh.

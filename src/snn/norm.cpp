@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/parallel_for.h"
-
 namespace dtsnn::snn {
 
 namespace {
@@ -15,11 +13,12 @@ namespace {
 float inverse_std(float var, float eps) { return 1.0f / std::sqrt(var + eps); }
 
 /// y = gamma * ((x - mean) * inv_std) + beta over x [n, c, hw] with the
-/// per-channel constants `k`, image by image (one OpenMP loop when
-/// `parallel`); with `xhat`, also the normalized values.
+/// per-channel constants `k`, image by image as one OpenMP loop; with
+/// `xhat`, also the normalized values.
 void normalize(const float* x, float* y, float* xhat, std::size_t n, std::size_t c,
-               std::size_t hw, const util::BatchNormEval& k, bool parallel) {
-  util::for_each_index(parallel, n, [&](std::size_t img) {
+               std::size_t hw, const util::BatchNormEval& k) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t img = 0; img < n; ++img) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       const std::size_t at = (img * c + ch) * hw;
       const float m = k.mean[ch], is = k.inv_std[ch];
@@ -30,7 +29,7 @@ void normalize(const float* x, float* y, float* xhat, std::size_t n, std::size_t
         y[at + p] = g * h + b;
       }
     }
-  });
+  }
 }
 
 }  // namespace
@@ -66,7 +65,7 @@ Shape BatchNorm2d::reserve_steps(std::size_t /*rows*/, const Shape& sample_shape
 }
 
 const float* BatchNorm2d::step_window(const StepWindow& w, const float* x, float* y) {
-  normalize(x, y, nullptr, w.rows, channels_, step_pixels_, step_constants(), w.parallel);
+  normalize(x, y, nullptr, w.rows, channels_, step_pixels_, step_constants());
   return y;
 }
 
@@ -110,8 +109,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
 
   Tensor xhat;
   if (train) xhat = Tensor(x.shape());
-  normalize(x.data(), out.data(), train ? xhat.data() : nullptr, n, c, hw, k,
-            /*parallel=*/true);
+  normalize(x.data(), out.data(), train ? xhat.data() : nullptr, n, c, hw, k);
 
   if (train) {
     xhat_cache_ = std::move(xhat);

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/parallel_for.h"
-
 namespace dtsnn::snn {
 
 namespace {
@@ -16,12 +14,13 @@ void check_divisible(const Tensor& x, std::size_t k, const char* who) {
 }
 
 /// Average pooling of the n*c planes of x [n, c, h, w] into y, as one
-/// OpenMP loop over planes when `parallel`.
+/// OpenMP loop over planes.
 void avg_pool(const float* x, float* y, std::size_t planes, std::size_t h, std::size_t w,
-              std::size_t kernel, bool parallel) {
+              std::size_t kernel) {
   const std::size_t oh = h / kernel, ow = w / kernel;
   const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  util::for_each_index(parallel, planes, [&](std::size_t nc) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t nc = 0; nc < planes; ++nc) {
     const float* src = x + nc * h * w;
     float* dst = y + nc * oh * ow;
     for (std::size_t oy = 0; oy < oh; ++oy) {
@@ -34,15 +33,16 @@ void avg_pool(const float* x, float* y, std::size_t planes, std::size_t h, std::
         dst[oy * ow + ox] = acc * inv;
       }
     }
-  });
+  }
 }
 
 /// Max pooling of the planes of x into y; with `argmax`, also each pooled
 /// maximum's flat input index.
 void max_pool(const float* x, float* y, std::size_t planes, std::size_t h, std::size_t w,
-              std::size_t kernel, std::size_t* argmax, bool parallel) {
+              std::size_t kernel, std::size_t* argmax) {
   const std::size_t oh = h / kernel, ow = w / kernel;
-  util::for_each_index(parallel, planes, [&](std::size_t nc) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t nc = 0; nc < planes; ++nc) {
     const float* src = x + nc * h * w;
     float* dst = y + nc * oh * ow;
     for (std::size_t oy = 0; oy < oh; ++oy) {
@@ -62,7 +62,7 @@ void max_pool(const float* x, float* y, std::size_t planes, std::size_t h, std::
         if (argmax != nullptr) argmax[nc * oh * ow + oy * ow + ox] = nc * h * w + best_idx;
       }
     }
-  });
+  }
 }
 
 /// The sample shape of a pool's step input, checked like check_divisible.
@@ -80,7 +80,7 @@ Tensor AvgPool2d::forward(const Tensor& x, bool /*train*/) {
   in_shape_ = x.shape();
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor out({n, c, h / kernel_, w / kernel_});
-  avg_pool(x.data(), out.data(), n * c, h, w, kernel_, /*parallel=*/true);
+  avg_pool(x.data(), out.data(), n * c, h, w, kernel_);
   return out;
 }
 
@@ -90,7 +90,7 @@ Shape AvgPool2d::reserve_steps(std::size_t /*rows*/, const Shape& sample_shape) 
 }
 
 const float* AvgPool2d::step_window(const StepWindow& w, const float* x, float* y) {
-  avg_pool(x, y, w.rows * step_in_[0], step_in_[1], step_in_[2], kernel_, w.parallel);
+  avg_pool(x, y, w.rows * step_in_[0], step_in_[1], step_in_[2], kernel_);
   return y;
 }
 
@@ -131,8 +131,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   const std::size_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor out({n, c, h / kernel_, w / kernel_});
   if (train) argmax_.assign(out.numel(), 0);
-  max_pool(x.data(), out.data(), n * c, h, w, kernel_, train ? argmax_.data() : nullptr,
-           /*parallel=*/true);
+  max_pool(x.data(), out.data(), n * c, h, w, kernel_, train ? argmax_.data() : nullptr);
   return out;
 }
 
@@ -142,8 +141,7 @@ Shape MaxPool2d::reserve_steps(std::size_t /*rows*/, const Shape& sample_shape) 
 }
 
 const float* MaxPool2d::step_window(const StepWindow& w, const float* x, float* y) {
-  max_pool(x, y, w.rows * step_in_[0], step_in_[1], step_in_[2], kernel_, nullptr,
-           w.parallel);
+  max_pool(x, y, w.rows * step_in_[0], step_in_[1], step_in_[2], kernel_, nullptr);
   return y;
 }
 

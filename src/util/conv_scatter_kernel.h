@@ -111,11 +111,11 @@ ScatterImageFn scatter_image_at_width(std::size_t cout) {
 }
 
 /// The scatter over a batch x [N, Cin, H, W] into pix [N*OHW, Cout]. Images
-/// are independent, so `parallel` runs them as one OpenMP loop, and without
-/// it they run on the calling thread with no OpenMP region; the result does
-/// not depend on it. Returns the nonzero count of x.
+/// are independent, so `parallel` runs them as one OpenMP loop; the result
+/// does not depend on it. Returns the nonzero count of x.
 std::size_t scatter_batch(const float* x, const float* wt, float* pix, std::size_t batch,
-                          const ConvGeometry& g, std::size_t cout, bool parallel) {
+                          const ConvGeometry& g, std::size_t cout,
+                          [[maybe_unused]] bool parallel) {
   ScatterImageFn scatter = nullptr;
   switch (g.stride) {
     case 1: scatter = scatter_image_at_width<1>(cout); break;
@@ -125,15 +125,9 @@ std::size_t scatter_batch(const float* x, const float* wt, float* pix, std::size
   const std::size_t in_size = g.in_channels * g.in_h * g.in_w;
   const std::size_t out_size = g.out_h() * g.out_w() * cout;
   std::size_t nonzeros = 0;
-  if (parallel) {
-#pragma omp parallel for schedule(static) reduction(+ : nonzeros)
-    for (std::size_t img = 0; img < batch; ++img) {
-      nonzeros += scatter(x + img * in_size, wt, g, cout, pix + img * out_size);
-    }
-  } else {
-    for (std::size_t img = 0; img < batch; ++img) {
-      nonzeros += scatter(x + img * in_size, wt, g, cout, pix + img * out_size);
-    }
+#pragma omp parallel for schedule(static) if (parallel) reduction(+ : nonzeros)
+  for (std::size_t img = 0; img < batch; ++img) {
+    nonzeros += scatter(x + img * in_size, wt, g, cout, pix + img * out_size);
   }
   return nonzeros;
 }

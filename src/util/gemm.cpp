@@ -31,8 +31,8 @@ bool prepare_output(float* c, std::size_t m, std::size_t k, std::size_t n,
 }  // namespace
 
 void GemmBackend::gemm(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t k, std::size_t n, bool accumulate, bool parallel) const {
-  if (prepare_output(c, m, k, n, accumulate)) do_gemm(a, b, c, m, k, n, parallel);
+                       std::size_t k, std::size_t n, bool accumulate) const {
+  if (prepare_output(c, m, k, n, accumulate)) do_gemm(a, b, c, m, k, n);
 }
 
 void GemmBackend::gemm_at(const float* a, const float* b, float* c, std::size_t m,
@@ -47,14 +47,14 @@ void GemmBackend::gemm_bt(const float* a, const float* b, float* c, std::size_t 
 
 std::size_t GemmBackend::conv_scatter(const float* x, const float* wt, float* pix,
                                       std::size_t batch, const ConvGeometry& g,
-                                      std::size_t cout, bool parallel) const {
-  return batch == 0 ? 0 : do_conv_scatter(x, wt, pix, batch, g, cout, parallel);
+                                      std::size_t cout) const {
+  return batch == 0 ? 0 : do_conv_scatter(x, wt, pix, batch, g, cout);
 }
 
 void GemmBackend::spike_epilogue(float* pix, float* membrane, float* spikes,
                                  std::size_t batch, std::size_t pixels, std::size_t cout,
-                                 const SpikeEpilogue& e, bool parallel) const {
-  if (batch != 0) do_spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e, parallel);
+                                 const SpikeEpilogue& e) const {
+  if (batch != 0) do_spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e);
 }
 
 // ------------------------------------------------------------------ kernels
@@ -118,35 +118,27 @@ constexpr std::size_t kBlockM = 64;
 constexpr std::size_t kBlockK = 256;
 constexpr std::size_t kBlockN = 256;
 
-/// Row block [i0, min(i0 + kBlockM, m)) of blocked_gemm.
-void blocked_gemm_rows(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t k, std::size_t n, std::size_t i0) {
-  const std::size_t i1 = std::min(i0 + kBlockM, m);
-  for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
-    const std::size_t k1 = std::min(k0 + kBlockK, k);
-    for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
-      const std::size_t j1 = std::min(j0 + kBlockN, n);
-      for (std::size_t i = i0; i < i1; ++i) {
-        float* crow = c + i * n;
-        for (std::size_t kk = k0; kk < k1; ++kk) {
-          const float aval = a[i * k + kk];
-          if (aval == 0.0f) continue;
-          const float* brow = b + kk * n;
+void blocked_gemm(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n) {
+#pragma omp parallel for schedule(static)
+  for (std::size_t i0 = 0; i0 < m; i0 += kBlockM) {
+    const std::size_t i1 = std::min(i0 + kBlockM, m);
+    for (std::size_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const std::size_t k1 = std::min(k0 + kBlockK, k);
+      for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
+        const std::size_t j1 = std::min(j0 + kBlockN, n);
+        for (std::size_t i = i0; i < i1; ++i) {
+          float* crow = c + i * n;
+          for (std::size_t kk = k0; kk < k1; ++kk) {
+            const float aval = a[i * k + kk];
+            if (aval == 0.0f) continue;
+            const float* brow = b + kk * n;
 #pragma omp simd
-          for (std::size_t j = j0; j < j1; ++j) crow[j] += aval * brow[j];
+            for (std::size_t j = j0; j < j1; ++j) crow[j] += aval * brow[j];
+          }
         }
       }
     }
-  }
-}
-
-void blocked_gemm(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n, bool parallel) {
-  if (parallel) {
-#pragma omp parallel for schedule(static)
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlockM) blocked_gemm_rows(a, b, c, m, k, n, i0);
-  } else {
-    for (std::size_t i0 = 0; i0 < m; i0 += kBlockM) blocked_gemm_rows(a, b, c, m, k, n, i0);
   }
 }
 
@@ -208,7 +200,7 @@ class ScalarRefBackend final : public GemmBackend {
 
  protected:
   void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n, bool /*parallel*/) const override {
+               std::size_t n) const override {
     scalar_gemm(a, b, c, m, k, n);
   }
   void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
@@ -220,13 +212,13 @@ class ScalarRefBackend final : public GemmBackend {
     scalar_gemm_bt(a, b, c, m, k, n);
   }
   std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
-                              std::size_t batch, const ConvGeometry& g, std::size_t cout,
-                              bool /*parallel*/) const override {
+                              std::size_t batch, const ConvGeometry& g,
+                              std::size_t cout) const override {
     return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/false);
   }
   void do_spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
-                         std::size_t pixels, std::size_t cout, const SpikeEpilogue& e,
-                         bool /*parallel*/) const override {
+                         std::size_t pixels, std::size_t cout,
+                         const SpikeEpilogue& e) const override {
     spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, /*parallel=*/false);
   }
 };
@@ -237,8 +229,8 @@ class BlockedOmpBackend final : public GemmBackend {
 
  protected:
   void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n, bool parallel) const override {
-    blocked_gemm(a, b, c, m, k, n, parallel);
+               std::size_t n) const override {
+    blocked_gemm(a, b, c, m, k, n);
   }
   void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
                   std::size_t k, std::size_t n) const override {
@@ -249,14 +241,14 @@ class BlockedOmpBackend final : public GemmBackend {
     blocked_gemm_bt(a, b, c, m, k, n);
   }
   std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
-                              std::size_t batch, const ConvGeometry& g, std::size_t cout,
-                              bool parallel) const override {
-    return scatter_batch(x, wt, pix, batch, g, cout, parallel);
+                              std::size_t batch, const ConvGeometry& g,
+                              std::size_t cout) const override {
+    return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/true);
   }
   void do_spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
-                         std::size_t pixels, std::size_t cout, const SpikeEpilogue& e,
-                         bool parallel) const override {
-    spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, parallel);
+                         std::size_t pixels, std::size_t cout,
+                         const SpikeEpilogue& e) const override {
+    spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, /*parallel=*/true);
   }
 };
 
@@ -416,10 +408,10 @@ void GemmContext::record(GemmCallStats GemmStats::* op, std::size_t m, std::size
 }
 
 void GemmContext::gemm(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t k, std::size_t n, bool accumulate, bool parallel) {
+                       std::size_t k, std::size_t n, bool accumulate) {
   record(&GemmStats::nn, m, k, n, static_cast<double>(m * k),
          static_cast<double>(count_nonzeros(a, m * k)));
-  backend_->gemm(a, b, c, m, k, n, accumulate, parallel);
+  backend_->gemm(a, b, c, m, k, n, accumulate);
 }
 
 void GemmContext::gemm_at(const float* a, const float* b, float* c, std::size_t m,
@@ -439,8 +431,8 @@ void GemmContext::gemm_bt(const float* a, const float* b, float* c, std::size_t 
 
 void GemmContext::conv_scatter(const float* x, const float* wt, float* pix,
                                std::size_t batch, const ConvGeometry& g,
-                               std::size_t cout, bool parallel) {
-  const std::size_t nonzeros = backend_->conv_scatter(x, wt, pix, batch, g, cout, parallel);
+                               std::size_t cout) {
+  const std::size_t nonzeros = backend_->conv_scatter(x, wt, pix, batch, g, cout);
   record(&GemmStats::nn, batch * g.out_h() * g.out_w(), g.patch_size(), cout,
          static_cast<double>(batch * g.in_channels * g.in_h * g.in_w),
          static_cast<double>(nonzeros));

@@ -48,12 +48,7 @@
 // Every backend runs the one conv_scatter kernel (util/conv_scatter_kernel.h)
 // and the one spike_epilogue kernel (util/spike_epilogue_kernel.h), each
 // compiled once per backend TU at that TU's ISA flags: scalar_ref serially,
-// blocked_omp, avx2 and avx512 parallel over images. gemm, conv_scatter and
-// spike_epilogue take a `parallel` flag: false runs the op serially on the
-// calling thread and opens no OpenMP region, for a caller that is already
-// one of several threads stepping disjoint rows (the row windows of
-// core::BatchedSequentialEngine). Rows are independent, so the flag never
-// changes a bit. The scatter is also
+// blocked_omp, avx2 and avx512 parallel over images. The scatter is also
 // compiled at the output widths the model presets build (Cout 8, 16, 32, 64,
 // 128), where each tap's row add becomes straight-line vector code; any other
 // width runs the generic kernel. The width changes no per-element order, so
@@ -155,9 +150,8 @@ class GemmBackend {
   /// C is overwritten. Degenerate shapes (m, k, or n == 0) are handled
   /// deterministically here: C is zeroed when not accumulating and the
   /// kernel is never entered.
-  /// `parallel` false keeps the kernel on the calling thread.
   void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-            std::size_t n, bool accumulate = false, bool parallel = true) const;
+            std::size_t n, bool accumulate = false) const;
 
   /// C[m,n] (+)= A^T * B where A is stored row-major as [k,m].
   void gemm_at(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
@@ -174,10 +168,9 @@ class GemmBackend {
   /// NN product of the im2col matrix and W^T. Always accumulates; `g` must
   /// be valid(). Returns the number of nonzero elements of x. batch == 0
   /// never enters the kernel (null pointers are fine) and returns 0.
-  /// `parallel` false keeps the kernel on the calling thread.
   std::size_t conv_scatter(const float* x, const float* wt, float* pix,
-                           std::size_t batch, const ConvGeometry& g, std::size_t cout,
-                           bool parallel = true) const;
+                           std::size_t batch, const ConvGeometry& g,
+                           std::size_t cout) const;
 
   /// The fused eval spiking epilogue over pix [batch*pixels, cout] (one row
   /// per output pixel, as conv_scatter writes it). For every element, with
@@ -187,17 +180,14 @@ class GemmBackend {
   /// where u is membrane[img, c, p] (updated in place) and s is written to
   /// spikes[img, c, p] as 0 or 1. Each pix element is set to 0 after it is
   /// read, so pix leaves all zero. batch == 0 never enters the kernel.
-  /// `parallel` false keeps the kernel on the calling thread.
   void spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
-                      std::size_t pixels, std::size_t cout, const SpikeEpilogue& e,
-                      bool parallel = true) const;
+                      std::size_t pixels, std::size_t cout, const SpikeEpilogue& e) const;
 
  protected:
   /// Kernels always accumulate into C (the public wrappers zero C first when
   /// not accumulating) and are only entered with m, k, n all nonzero.
-  /// `parallel` false: no OpenMP region (see the public ops).
   virtual void do_gemm(const float* a, const float* b, float* c, std::size_t m,
-                       std::size_t k, std::size_t n, bool parallel) const = 0;
+                       std::size_t k, std::size_t n) const = 0;
   virtual void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
                           std::size_t k, std::size_t n) const = 0;
   virtual void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
@@ -205,11 +195,11 @@ class GemmBackend {
   /// Entered only with batch nonzero.
   virtual std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
                                       std::size_t batch, const ConvGeometry& g,
-                                      std::size_t cout, bool parallel) const = 0;
+                                      std::size_t cout) const = 0;
   /// Entered only with batch nonzero.
   virtual void do_spike_epilogue(float* pix, float* membrane, float* spikes,
                                  std::size_t batch, std::size_t pixels, std::size_t cout,
-                                 const SpikeEpilogue& e, bool parallel) const = 0;
+                                 const SpikeEpilogue& e) const = 0;
 };
 
 // ----------------------------------------------------------------- registry
@@ -297,7 +287,7 @@ class GemmContext {
   void set_backend(const GemmBackend& backend) { backend_ = &backend; }
 
   void gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-            std::size_t n, bool accumulate = false, bool parallel = true);
+            std::size_t n, bool accumulate = false);
   void gemm_at(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
                std::size_t n, bool accumulate = false);
   void gemm_bt(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
@@ -308,14 +298,13 @@ class GemmContext {
   /// equivalent flops, and x as the operand read, with the nonzero count the
   /// kernel returns (no separate pass over x).
   void conv_scatter(const float* x, const float* wt, float* pix, std::size_t batch,
-                    const ConvGeometry& g, std::size_t cout, bool parallel = true);
+                    const ConvGeometry& g, std::size_t cout);
 
   /// The fused eval spiking epilogue (GemmBackend::spike_epilogue) at the
   /// selected backend's ISA. Not a product, so it records nothing.
   void spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
-                      std::size_t pixels, std::size_t cout, const SpikeEpilogue& e,
-                      bool parallel = true) const {
-    backend_->spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e, parallel);
+                      std::size_t pixels, std::size_t cout, const SpikeEpilogue& e) const {
+    backend_->spike_epilogue(pix, membrane, spikes, batch, pixels, cout, e);
   }
 
   [[nodiscard]] GemmStats stats() const DTSNN_EXCLUDES(mutex_);

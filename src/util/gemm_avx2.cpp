@@ -36,17 +36,6 @@ inline void axpy_row(float aval, const float* brow, float* crow, std::size_t n) 
   for (; j < n; ++j) crow[j] += aval * brow[j];
 }
 
-/// crow[0..n) += arow[0..k) * B[k, n] in ascending k, zero terms skipped (the
-/// scalar_ref rule): one row of the NN product.
-inline void gemm_row(const float* arow, const float* b, float* crow, std::size_t k,
-                     std::size_t n) {
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float aval = arow[kk];
-    if (aval == 0.0f) continue;  // same zero-skip rule as scalar_ref
-    axpy_row(aval, b + kk * n, crow, n);
-  }
-}
-
 class Avx2Backend final : public GemmBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "avx2"; }
@@ -54,12 +43,16 @@ class Avx2Backend final : public GemmBackend {
 
  protected:
   void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n, bool parallel) const override {
-    if (parallel) {
+               std::size_t n) const override {
 #pragma omp parallel for schedule(static)
-      for (std::size_t i = 0; i < m; ++i) gemm_row(a + i * k, b, c + i * n, k, n);
-    } else {
-      for (std::size_t i = 0; i < m; ++i) gemm_row(a + i * k, b, c + i * n, k, n);
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* arow = a + i * k;
+      float* crow = c + i * n;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float aval = arow[kk];
+        if (aval == 0.0f) continue;  // same zero-skip rule as scalar_ref
+        axpy_row(aval, b + kk * n, crow, n);
+      }
     }
   }
 
@@ -106,16 +99,16 @@ class Avx2Backend final : public GemmBackend {
   // The shared scatter kernel, compiled here at this TU's ISA flags: its
   // per-output-column inner loop vectorizes with no FMA contraction.
   std::size_t do_conv_scatter(const float* x, const float* wt, float* pix,
-                              std::size_t batch, const ConvGeometry& g, std::size_t cout,
-                              bool parallel) const override {
-    return scatter_batch(x, wt, pix, batch, g, cout, parallel);
+                              std::size_t batch, const ConvGeometry& g,
+                              std::size_t cout) const override {
+    return scatter_batch(x, wt, pix, batch, g, cout, /*parallel=*/true);
   }
 
   // The shared epilogue kernel, likewise compiled at this TU's ISA flags.
   void do_spike_epilogue(float* pix, float* membrane, float* spikes, std::size_t batch,
-                         std::size_t pixels, std::size_t cout, const SpikeEpilogue& e,
-                         bool parallel) const override {
-    spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, parallel);
+                         std::size_t pixels, std::size_t cout,
+                         const SpikeEpilogue& e) const override {
+    spike_epilogue_batch(pix, membrane, spikes, batch, pixels, cout, e, /*parallel=*/true);
   }
 };
 

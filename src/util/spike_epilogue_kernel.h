@@ -62,35 +62,22 @@ template <bool kHardReset>
   std::memset(pp, 0, pixels * cout * sizeof(float));
 }
 
-/// The epilogue over image `img` of a batch laid out as below.
-void epilogue_batch_image(float* pix, float* membrane, float* spikes, std::size_t img,
-                          std::size_t pixels, std::size_t cout, const SpikeEpilogue& e) {
-  const std::size_t image = pixels * cout;
-  float* pp = pix + img * image;
-  float* u = membrane + img * image;
-  float* s = spikes + img * image;
-  if (e.hard_reset) {
-    epilogue_image<true>(pp, u, s, pixels, cout, e);
-  } else {
-    epilogue_image<false>(pp, u, s, pixels, cout, e);
-  }
-}
-
 /// The epilogue over a batch: pix [batch*pixels, cout], membrane and spikes
 /// [batch, cout, pixels]. Images are independent, so `parallel` runs them as
-/// one OpenMP loop, and without it they run on the calling thread with no
-/// OpenMP region; the result does not depend on it.
+/// one OpenMP loop; the result does not depend on it.
 void spike_epilogue_batch(float* pix, float* membrane, float* spikes, std::size_t batch,
                           std::size_t pixels, std::size_t cout, const SpikeEpilogue& e,
-                          bool parallel) {
-  if (parallel) {
-#pragma omp parallel for schedule(static)
-    for (std::size_t img = 0; img < batch; ++img) {
-      epilogue_batch_image(pix, membrane, spikes, img, pixels, cout, e);
-    }
-  } else {
-    for (std::size_t img = 0; img < batch; ++img) {
-      epilogue_batch_image(pix, membrane, spikes, img, pixels, cout, e);
+                          [[maybe_unused]] bool parallel) {
+  const std::size_t image = pixels * cout;
+#pragma omp parallel for schedule(static) if (parallel)
+  for (std::size_t img = 0; img < batch; ++img) {
+    float* pp = pix + img * image;
+    float* u = membrane + img * image;
+    float* s = spikes + img * image;
+    if (e.hard_reset) {
+      epilogue_image<true>(pp, u, s, pixels, cout, e);
+    } else {
+      epilogue_image<false>(pp, u, s, pixels, cout, e);
     }
   }
 }

@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -294,18 +293,17 @@ TEST_P(GemmBackendIdentity, BitwiseEqualToScalarRef) {
   const util::GemmBackend& ref = *util::find_gemm_backend("scalar_ref");
 
   for (const bool accumulate : {false, true}) {
-    // NN: A [m,k] carries the (possibly sparse) activations; in parallel
-    // and on the calling thread alone.
-    for (const bool parallel : {true, false}) {
+    // NN: A [m,k] carries the (possibly sparse) activations.
+    {
       const auto a = make_matrix(c.m, c.k, c.fill, 11);
       const auto b = make_matrix(c.k, c.n, Fill::kDense, 12);
       auto out = make_matrix(c.m, c.n, Fill::kDense, 13);  // accumulate seed
       auto expected = out;
-      backend->gemm(a.data(), b.data(), out.data(), c.m, c.k, c.n, accumulate, parallel);
+      backend->gemm(a.data(), b.data(), out.data(), c.m, c.k, c.n, accumulate);
       ref.gemm(a.data(), b.data(), expected.data(), c.m, c.k, c.n, accumulate);
       for (std::size_t i = 0; i < out.size(); ++i) {
-        ASSERT_EQ(out[i], expected[i]) << backend->name() << " gemm acc=" << accumulate
-                                       << " parallel=" << parallel << " elem " << i;
+        ASSERT_EQ(out[i], expected[i])
+            << backend->name() << " gemm acc=" << accumulate << " elem " << i;
       }
     }
     // A^T: A stored [k,m].
@@ -404,9 +402,8 @@ class ConvScatterIdentity
 /// {1, 2, 3} (both compile-time specializations and the generic stride),
 /// padding {0, 1}, kernels {1, 3}, densities from all-zero to dense graded,
 /// and Cout values that cross the 8- and 16-lane vector tails plus every
-/// width the kernel compiles as a constant (8, 16, 32, 64, 128), with the
-/// backend's `parallel` flag on and off. pix starts from dense values, so
-/// the accumulate semantics are checked too.
+/// width the kernel compiles as a constant (8, 16, 32, 64, 128). pix starts
+/// from dense values, so the accumulate semantics are checked too.
 TEST_P(ConvScatterIdentity, BitwiseEqualToScalarRef) {
   const auto& [backend, c] = GetParam();
   if (!backend->available()) GTEST_SKIP() << backend->name() << " unavailable here";
@@ -421,20 +418,17 @@ TEST_P(ConvScatterIdentity, BitwiseEqualToScalarRef) {
                                  22 + static_cast<std::uint64_t>(fill));
     const std::size_t nonzeros = static_cast<std::size_t>(
         std::count_if(x.begin(), x.end(), [](float v) { return v != 0.0f; }));
-    const auto start = make_matrix(c.batch * g.out_h() * g.out_w(), c.cout, Fill::kDense, 23);
-    auto expected = start;
+    auto out = make_matrix(c.batch * g.out_h() * g.out_w(), c.cout, Fill::kDense, 23);
+    auto expected = out;
+    const std::size_t got_nz =
+        backend->conv_scatter(x.data(), wt.data(), out.data(), c.batch, g, c.cout);
     const std::size_t ref_nz =
         ref.conv_scatter(x.data(), wt.data(), expected.data(), c.batch, g, c.cout);
+    ASSERT_EQ(got_nz, nonzeros) << backend->name();
     ASSERT_EQ(ref_nz, nonzeros);
-    for (const bool parallel : {true, false}) {
-      auto out = start;
-      const std::size_t got_nz = backend->conv_scatter(x.data(), wt.data(), out.data(),
-                                                       c.batch, g, c.cout, parallel);
-      ASSERT_EQ(got_nz, nonzeros) << backend->name() << " parallel=" << parallel;
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        ASSERT_EQ(out[i], expected[i]) << backend->name() << " parallel=" << parallel
-                                       << " fill " << static_cast<int>(fill) << " elem " << i;
-      }
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], expected[i])
+          << backend->name() << " fill " << static_cast<int>(fill) << " elem " << i;
     }
   }
 }
@@ -552,8 +546,7 @@ class SpikeEpilogueIdentity
 /// Every backend's spike_epilogue must equal scalar_ref's bit for bit
 /// (ASSERT_EQ on spikes and membranes) and leave pix all zero, over Cout
 /// values that cross the 8- and 16-lane tails, pixel counts from 1 up, empty
-/// batches, both reset rules, and with the backend's `parallel` flag on and
-/// off. scalar_ref itself must compute the
+/// batches, and both reset rules. scalar_ref itself must compute the
 /// unfused layers' float ops: BatchNorm2d's eval affine, then Lif's step.
 /// Channel 0 carries an identity affine, and every third of its pixels
 /// starts from a zero membrane with v == vth, so pre == vth exactly there,
@@ -573,9 +566,7 @@ TEST_P(SpikeEpilogueIdentity, BitwiseEqualToScalarRef) {
   beta[0] = 0.0f;
   const util::BatchNormEval bn{mean.data(), inv_std.data(), gamma.data(), beta.data()};
 
-  // Both reset rules, with the backend parallel and on the calling thread.
-  for (const auto& [hard_reset, parallel] : {std::pair{true, true}, std::pair{true, false},
-                                             std::pair{false, true}, std::pair{false, false}}) {
+  for (const bool hard_reset : {true, false}) {
     const util::SpikeEpilogue e{bn, 0.75f, 0.5f, hard_reset};
     auto pix = make_matrix(c.batch * c.pixels, c.cout, Fill::kDense, 35);
     auto membrane = make_matrix(1, numel, Fill::kDense, 36);
@@ -611,9 +602,9 @@ TEST_P(SpikeEpilogueIdentity, BitwiseEqualToScalarRef) {
     ref.spike_epilogue(ref_pix.data(), ref_membrane.data(), ref_spikes.data(), c.batch,
                        c.pixels, c.cout, e);
     backend->spike_epilogue(pix.data(), membrane.data(), spikes.data(), c.batch, c.pixels,
-                            c.cout, e, parallel);
-    const std::string where = std::string(backend->name()) + (hard_reset ? " hard" : " soft") +
-                              (parallel ? " parallel" : " serial") + " elem ";
+                            c.cout, e);
+    const std::string where =
+        std::string(backend->name()) + (hard_reset ? " hard" : " soft") + " elem ";
     for (std::size_t i = 0; i < numel; ++i) {
       ASSERT_EQ(ref_spikes[i], want_spikes[i]) << "scalar_ref" << where << i;
       ASSERT_EQ(ref_membrane[i], want_membrane[i]) << "scalar_ref" << where << i;

@@ -63,9 +63,11 @@ void expect_identical(const std::vector<InferenceResult>& a,
 /// entropies, and the full cumulative-logit trajectories — on every dataset
 /// preset and every model preset, for both shipped exit-policy families. It
 /// runs at 1 to 4 OpenMP threads, so the engine steps the pool as 1 to 4
-/// row windows of the one network, each on its own thread, and at batch 5
-/// and 32 over 30 samples: 5 rows split 2/2/1 at 3 threads and 2/1/1/1 at
-/// 4, 30 rows 8/8/7/7 at 4. The uneven windows are on purpose.
+/// row windows of the one network, each on its own thread, and at batch 5,
+/// 7 and 32 over 30 samples: 7 does not divide 30, 5 rows split 2/2/1 at 3
+/// threads and 2/1/1/1 at 4, 30 rows 8/8/7/7 at 4. The uneven windows are
+/// on purpose. The streamed order of every windowed run must also equal the
+/// one-pool order of the 1-thread run.
 TEST(BatchedEngine, BitwiseIdenticalToBatch1AcrossPresets) {
   std::vector<std::pair<std::string, std::string>> cases;  // (model, dataset)
   for (const std::string dataset : {"sync10", "sync100", "syntin", "syndvs"}) {
@@ -86,13 +88,25 @@ TEST(BatchedEngine, BitwiseIdenticalToBatch1AcrossPresets) {
                                      static_cast<const ExitPolicy*>(&maxprob)}) {
       SequentialEngine batch1(e.net, *policy, timesteps);
       const auto a = batch1.run(ds, request);
+      std::map<std::size_t, std::vector<std::size_t>> one_pool_order;  // by batch
       for (const int threads : {1, 2, 3, 4}) {
         const test::OmpThreads scoped(threads);
-        for (const std::size_t batch : {5u, 32u}) {
+        for (const std::size_t batch : {5u, 7u, 32u}) {
+          const std::string context = model + "/" + preset + "/" + policy->name() +
+                                      " threads " + std::to_string(threads) + " batch " +
+                                      std::to_string(batch);
           BatchedSequentialEngine batched(e.net, *policy, timesteps, batch);
-          expect_identical(a, batched.run(ds, request),
-                           model + "/" + preset + "/" + policy->name() + " threads " +
-                               std::to_string(threads) + " batch " + std::to_string(batch));
+          std::vector<std::size_t> order;
+          std::vector<InferenceResult> b(a.size());
+          batched.run_streaming(ds, request, [&](const InferenceResult& r) {
+            order.push_back(r.request_index);
+            b.at(r.request_index) = r;
+          });
+          expect_identical(a, b, context);
+          const auto [first, fresh] = one_pool_order.try_emplace(batch, order);
+          if (!fresh) {
+            EXPECT_EQ(order, first->second) << context;
+          }
         }
       }
     }

@@ -301,9 +301,9 @@ TEST(SpikingNetwork, ConcurrentWindowsEqualSerialWindows) {
     const auto step_window = [&](std::size_t w, Outputs& out) {
       const Window& win = windows[w];
       for (std::size_t t = 0; t < frames[w].size(); ++t) {
-        if (t > 0) net.compact_window({win.offset, win.rows, false}, win.keeps[t - 1]);
+        if (t > 0) net.compact_window({win.offset, win.rows}, win.keeps[t - 1]);
         const float* y =
-            net.step_window({win.offset, win.rows, false}, frames[w][t].data());
+            net.step_window({win.offset, win.rows}, frames[w][t].data());
         out.emplace_back(y, y + win.rows * net.num_classes());
       }
     };
