@@ -76,16 +76,6 @@ class LoopError {
   std::atomic<bool> failed_{false};
 };
 
-/// Size of the enclosing OpenMP team (1 outside a parallel region and
-/// without OpenMP).
-std::size_t team_size() {
-#ifdef _OPENMP
-  return static_cast<std::size_t>(omp_get_num_threads());
-#else
-  return 1;
-#endif
-}
-
 /// Hands results from producer threads to one consumer thread.
 class Outbox {
  public:
@@ -495,10 +485,10 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
   };
   // Steps `pool` until it drains and no position is left to admit, handing
   // each exit to `emit` and calling `between_steps` after every step.
-  const auto drive = [&](LivePool<std::size_t>& pool, std::size_t capacity,
-                         const auto& emit, const auto& between_steps) {
+  const auto drive = [&](LivePool<std::size_t>& pool, const auto& emit,
+                         const auto& between_steps) {
     for (;;) {
-      while (pool.size() < capacity && !error.failed()) {
+      while (pool.size() < pool.capacity() && !error.failed()) {
         const std::size_t position = next.fetch_add(1, std::memory_order_relaxed);
         if (position >= n_samples) break;
         PoolAdmission admission = rule;
@@ -526,26 +516,24 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
     }
   };
 
+  // Pool w steps row window w of the one network, whose step state is sized
+  // here, on the calling thread.
+  net_.begin_inference(rows);
+  std::vector<LivePool<std::size_t>> pools;
+  pools.reserve(windows);
+  for (std::size_t w = 0, offset = 0; w < windows; ++w) {
+    const std::size_t capacity = rows / windows + (w < rows % windows ? 1 : 0);
+    pools.emplace_back(net_, offset, capacity);
+    offset += capacity;
+  }
   if (windows == 1) {
-    LivePool<std::size_t> pool(net_);
-    drive(pool, batch_size_, deliver, [] {});
+    drive(pools[0], deliver, [] {});
   } else {
-    // One OpenMP region per request: thread w steps its own pool over a row
-    // window of the one network, with no barrier against the others. The
-    // step state of every window is sized here, on the calling thread. The
-    // calling thread, thread 0, also collects the other windows' exits
-    // between its own steps and delivers every exit in the order the one
-    // pool at W = 1 emits them (PoolOrder), so the sink runs on it alone and
-    // sees the same sequence at every W.
-    net_.begin_inference(rows);
-    std::vector<LivePool<std::size_t>> pools;
-    std::vector<std::size_t> capacity;
-    pools.reserve(windows);
-    for (std::size_t w = 0, offset = 0; w < windows; ++w) {
-      capacity.push_back(rows / windows + (w < rows % windows ? 1 : 0));
-      pools.emplace_back(net_, offset, capacity.back());
-      offset += capacity.back();
-    }
+    // One OpenMP region per request: thread w steps its own pool, with no
+    // barrier against the others. The calling thread, thread 0, also collects
+    // the other windows' exits between its own steps and delivers every exit
+    // in the order one pool of `rows` rows emits them (PoolOrder), so the
+    // sink runs on it alone and sees the same sequence at every W.
     Outbox outbox;
     PoolOrder order(rows, n_samples);
     const auto arrive = [&](InferenceResult& result) { order.arrive(result); };
@@ -555,17 +543,16 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
       if (w == 0) {
         std::vector<InferenceResult> posted;
         const auto deliver_posted = [&](bool wait) {
-          const bool open = outbox.take(posted, wait, team_size() - 1);
+          const bool open = outbox.take(posted, wait, windows - 1);
           for (InferenceResult& result : posted) order.arrive(result);
           order.release(deliver);
           return open;
         };
-        drive(pools[0], capacity[0], arrive, [&] { deliver_posted(false); });
+        drive(pools[0], arrive, [&] { deliver_posted(false); });
         while (deliver_posted(true)) {
         }
       } else {
-        drive(pools[w], capacity[w], [&](InferenceResult& result) { outbox.post(result); },
-              [] {});
+        drive(pools[w], [&](InferenceResult& result) { outbox.post(result); }, [] {});
         outbox.close();
       }
     }

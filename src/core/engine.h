@@ -131,12 +131,12 @@ class SequentialEngine final : public InferenceEngine {
 ///
 /// The rows are split into W = min(OpenMP threads, batch_size, request
 /// size) windows of about batch_size / W rows (W = 1 when called inside an
-/// active OpenMP region, whose nested regions get one thread). At W = 1 one
-/// core::LivePool steps the whole network and each op is its own OpenMP
-/// loop; no region is opened around it. At W > 1 run_streaming enters one
-/// OpenMP region per request, in which thread w steps its own LivePool over
-/// window w of the network's step state (sized once, before the region),
-/// admitting the next waiting position from a shared cursor, with no
+/// active OpenMP region, whose nested regions get one thread). The
+/// network's step state is sized once per request, and core::LivePool w
+/// steps window w of it, admitting the next waiting position from a shared
+/// cursor. At W = 1 the one pool runs on the calling thread, each op its own
+/// OpenMP loop, with no region around it. At W > 1 run_streaming enters one
+/// OpenMP region per request, in which thread w steps pool w with no
 /// barrier against the other threads. The sink runs on the calling thread
 /// alone, which collects the other windows' exits between its own steps.
 /// At every W exits reach the sink in the order one pool of batch_size rows

@@ -17,6 +17,7 @@ LivePoolRows::LivePoolRows(snn::SpikingNetwork& net, std::size_t offset,
       capacity_(capacity),
       frame_numel_(snn::shape_numel(net.sample_shape())),
       cum_(classes_) {
+  if (capacity == 0) throw std::invalid_argument("LivePool: zero window capacity");
   rows_.reserve(capacity);
   acc_.reserve(capacity * classes_);
   keep_.reserve(capacity);
@@ -32,7 +33,7 @@ void LivePoolRows::push_row(const PoolAdmission& admission) {
   if (admission.budget == 0) {
     throw std::invalid_argument("LivePool::admit: zero timestep budget");
   }
-  if (windowed() && rows_.size() == capacity_) {
+  if (rows_.size() == capacity_) {
     throw std::invalid_argument("LivePool::admit: the window is full");
   }
   rows_.push_back({admission, 0, {}});
@@ -50,32 +51,24 @@ const float* LivePoolRows::forward(const data::Dataset& dataset) {
   }
   // Survivors keep their rows (in order) and admissions become fresh
   // zero-state rows, so admission is an in-place move that never perturbs a
-  // resident's trajectory. A drained whole-network pool starts a new
-  // inference sequence; a window's admissions into a drained pool are all
+  // resident's trajectory. Admissions into a drained or reset pool are all
   // fresh rows.
   const std::size_t rows = rows_.size();
   [[maybe_unused]] const bool resumed = active_;
-  if (windowed()) {
-    if (!reconciled_) net_.compact_window({offset_, held_}, keep_);
-  } else if (!active_) {
-    net_.begin_inference(rows);
-  } else if (!reconciled_) {
-    net_.compact_inference_state(keep_);
-  }
+  if (!reconciled_) net_.compact_window({offset_, held_}, keep_);
   active_ = true;
   held_ = rows;
   std::iota(keep_.begin(), keep_.end(), std::size_t{0});
   reconciled_ = true;
 
-  // The step that begins an inference sequence encodes serially, so a pool
+  // A pool's first step after it was empty encodes serially, so a pool
   // that is its process's first OpenMP user enters that first region in the
   // network step. The first region allocates the OpenMP runtime's lasting
   // thread-pool bookkeeping; entered ahead of the step's first buffers, it
   // was placed mid-heap and split memory freed later (perfbench
-  // static_sharded peak RSS 66.5 -> 73.2 MB on a 4-core Xeon). A sequence
-  // runs many steps (about a hundred per perfbench job), so that one serial
-  // encode is rare.
-  if (frames_.size() < rows * frame_numel_) frames_.resize(rows * frame_numel_);
+  // static_sharded peak RSS 66.5 -> 73.2 MB on a 4-core Xeon). A pool runs
+  // many steps between drains (about a hundred per perfbench job), so that
+  // one serial encode is rare.
   encode_errors_.assign(rows, nullptr);
 #pragma omp parallel for schedule(static) if (resumed)
   for (std::size_t j = 0; j < rows; ++j) {

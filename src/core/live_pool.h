@@ -13,7 +13,7 @@
 //   step(dataset[, force]) one timestep for every row; returns the rows that
 //                          exited, in batch-position order
 //   drop_if(pred)          remove rows without stepping them (cancellation)
-//   reset()                drop every row and the network state (a fault)
+//   reset()                drop every row, whatever its state (a fault)
 //
 // Decision order per row: budget exhaustion, then the row's exit policy
 // (consulted only below the budget, exactly as on the batch-1 oracle), then
@@ -29,34 +29,26 @@
 // never depend on the pool's composition, and every exit is bitwise
 // identical to SequentialEngine on the same sample, policy and budget.
 //
-// A pool steps either the whole network or one row window of it:
-//
-//   LivePool(net)                    every row of the network's step state:
-//                                    a fresh begin_inference when the pool
-//                                    has drained, the state grown with the
-//                                    rows, and each op one OpenMP loop.
-//   LivePool(net, offset, capacity)  rows [offset, offset + capacity) of the
-//                                    state begin_inference already sized.
-//                                    It writes no member of the network, so
-//                                    pools over disjoint windows of one
-//                                    network step concurrently, one thread
-//                                    each, inside one OpenMP region whose
-//                                    nested op loops run on one thread
-//                                    (BatchedSequentialEngine).
+// A pool steps one row window of its network: rows [offset, offset +
+// capacity) of the step state begin_inference() sized, reconciled in place
+// (snn::Layer::compact_window). It writes no member of the network, so
+// pools over disjoint windows of one network step concurrently, one thread
+// each, inside one OpenMP region whose nested op loops run on one thread
+// (BatchedSequentialEngine at W > 1). A pool alone on its network — the
+// engine at W = 1, a ServingFleet worker — is the window {0, capacity}, and
+// each op of its step is one OpenMP loop.
 //
 // A pool encodes its rows' frames as one OpenMP loop over rows
-// (Dataset::write_frame is thread-safe under const access), except on the
-// step that begins an inference sequence, which encodes serially. Each row
-// writes only
-// its own frame, into a buffer the pool keeps, so the step input does not
-// depend on the thread count.
+// (Dataset::write_frame is thread-safe under const access), except on its
+// first step after it was empty, which encodes serially. Each row writes
+// only its own frame, into a buffer the pool keeps, so the step input does
+// not depend on the thread count.
 
 #pragma once
 
 #include <cstddef>
 #include <exception>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -92,9 +84,11 @@ class LivePoolRows {
  public:
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
   [[nodiscard]] bool empty() const { return rows_.empty(); }
+  /// The most rows the pool admits: its window's rows.
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  protected:
-  /// capacity 0: the whole network; else the window at `offset`.
+  /// Throws std::invalid_argument for a zero capacity.
   LivePoolRows(snn::SpikingNetwork& net, std::size_t offset, std::size_t capacity);
 
   /// Append a row; throws std::invalid_argument on a null policy, a zero
@@ -130,12 +124,10 @@ class LivePoolRows {
     std::vector<float> history;  ///< cumulative-mean trajectory when recording
   };
 
-  [[nodiscard]] bool windowed() const { return capacity_ != 0; }
-
   snn::SpikingNetwork& net_;
   std::size_t classes_;
-  std::size_t offset_;    ///< the window's first row (0 for the whole network)
-  std::size_t capacity_;  ///< the window's rows; 0 for the whole network
+  std::size_t offset_;    ///< the window's first row
+  std::size_t capacity_;  ///< the window's rows
   std::size_t frame_numel_;
   std::vector<float> frames_;  ///< the step input, one frame per row
   std::vector<Row> rows_;
@@ -146,9 +138,9 @@ class LivePoolRows {
   std::vector<std::size_t> keep_;
   /// Per row, the exception its frame encode threw in the last forward().
   std::vector<std::exception_ptr> encode_errors_;
-  std::size_t held_ = 0;     ///< rows the network state holds for this pool
-  bool active_ = false;      ///< the network holds inference state for keep_
-  bool reconciled_ = false;  ///< keep_ is the identity over that state
+  std::size_t held_ = 0;     ///< rows the window's state holds for this pool
+  bool active_ = false;      ///< a step ran since the pool was last empty
+  bool reconciled_ = false;  ///< keep_ is the identity over the held rows
 };
 
 }  // namespace detail
@@ -168,9 +160,6 @@ class LivePool : public detail::LivePoolRows {
     std::exception_ptr error;  ///< kFailed only
   };
 
-  /// The pool steps `net` (exclusively) for its lifetime.
-  explicit LivePool(snn::SpikingNetwork& net) : LivePoolRows(net, 0, 0) {}
-
   /// The pool steps rows [offset, offset + capacity) of `net`'s step state,
   /// which net.begin_inference() must have sized to cover them, and admits
   /// at most `capacity` rows. It allocates its buffers here, so stepping it
@@ -178,7 +167,6 @@ class LivePool : public detail::LivePoolRows {
   /// for a zero capacity.
   LivePool(snn::SpikingNetwork& net, std::size_t offset, std::size_t capacity)
       : LivePoolRows(net, offset, capacity) {
-    if (capacity == 0) throw std::invalid_argument("LivePool: zero window capacity");
     payloads_.reserve(capacity);
   }
 
@@ -240,8 +228,9 @@ class LivePool : public detail::LivePoolRows {
     return dropped;
   }
 
-  /// Drop every row and the network state; the next admission begins a
-  /// fresh inference sequence. Returns the removed payloads in row order.
+  /// Drop every row; the next step starts the admissions afresh, whatever
+  /// state the window's rows were left in. Returns the removed payloads in
+  /// row order.
   std::vector<Payload> reset() {
     std::vector<Payload> dropped = std::move(payloads_);
     payloads_.clear();

@@ -17,9 +17,9 @@ double elapsed_us(ServeClock::time_point from, ServeClock::time_point to) {
 
 }  // namespace
 
-/// One worker's live pool. Touched only by its own thread (the admission
-/// helpers mutate it while holding mu_, but always on behalf of — and
-/// called from — the owning worker).
+/// One worker's live pool: the window {0, max_pool} of its network. Touched
+/// only by its own thread (the admission helpers mutate it while holding
+/// mu_, but always on behalf of — and called from — the owning worker).
 struct ServingFleet::Worker {
   /// The payload of one pool row: whose sample it is.
   struct Slot {
@@ -29,11 +29,10 @@ struct ServingFleet::Worker {
     ServeClock::time_point admitted_at;
   };
 
-  Worker(std::size_t model_index, std::size_t pool_capacity, snn::SpikingNetwork& net)
-      : model(model_index), max_pool(pool_capacity), pool(net) {}
+  Worker(std::size_t model_index, std::size_t max_pool, snn::SpikingNetwork& net)
+      : model(model_index), pool(net, 0, max_pool) {}
 
   std::size_t model;
-  std::size_t max_pool;
   core::LivePool<Slot> pool;
 };
 
@@ -452,7 +451,7 @@ void ServingFleet::admit_waiting(Worker& w, std::vector<std::size_t>& admitted_s
     const TenantSpec& ts = tenants.spec(u.tenant);
     return ts.max_in_flight == 0 || counters[u.tenant].in_flight < ts.max_in_flight;
   };
-  while (w.pool.size() < w.max_pool) {
+  while (w.pool.size() < w.pool.capacity()) {
     std::optional<QueuedSample> unit = scheduler_->pop(admissible);
     if (!unit.has_value()) break;
     auto owner = std::static_pointer_cast<Pending>(unit->owner);
@@ -487,6 +486,9 @@ void ServingFleet::admit_waiting(Worker& w, std::vector<std::size_t>& admitted_s
 void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
   const Model& m = models_[model];
   const data::Dataset& dataset = *m.spec.dataset;
+  // The worker's network steps only its pool, so its step state is sized
+  // once, here, and every admission after a drain or a fault is a fresh row.
+  net.begin_inference(m.spec.max_pool);
   Worker w(model, m.spec.max_pool, net);
 
   // Settle a request with `error` exactly once; its other samples are

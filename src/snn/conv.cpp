@@ -82,10 +82,7 @@ void Conv2d::set_time(std::size_t timesteps, std::size_t batch) {
   wt_.invalidate();
 }
 
-void Conv2d::begin_steps(std::size_t batch) {
-  Layer::begin_steps(batch);
-  wt_.invalidate();
-}
+void Conv2d::begin_steps() { wt_.invalidate(); }
 
 void Conv2d::set_geometry(const Tensor& x) {
   if (x.rank() != 4 || x.dim(1) != in_channels_) {

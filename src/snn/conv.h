@@ -29,7 +29,7 @@ class Conv2d final : public Layer, public QuantizedWeightHolder {
          std::size_t stride, std::size_t padding, bool bias, util::Rng& rng);
 
   void set_time(std::size_t timesteps, std::size_t batch) override;
-  void begin_steps(std::size_t batch) override;
+  void begin_steps() override;
   Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
   const float* step_window(const StepWindow& w, const float* x, float* y) override;
   Tensor forward(const Tensor& x, bool train) override;

@@ -70,9 +70,8 @@ class Layer {
 
   /// Announce temporal structure of the upcoming forward: T timesteps of
   /// batch B (leading axis = T*B). Stateless layers may ignore it.
-  virtual void set_time(std::size_t timesteps, std::size_t batch) {
+  virtual void set_time(std::size_t timesteps, std::size_t /*batch*/) {
     timesteps_ = timesteps;
-    batch_ = batch;
   }
 
   /// Multi-step forward over [T*B, ...]. `train` enables stat updates and
@@ -83,15 +82,17 @@ class Layer {
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// Reset any temporal state and prepare for a sequence of single steps.
-  virtual void begin_steps(std::size_t batch) { batch_ = batch; }
+  virtual void begin_steps() {}
 
   /// Size the single-step state for `rows` rows of inputs of `sample_shape`
   /// (one sample) and compute every cache derived from the weights or the
   /// statistics, so that step_window() and compact_window() write no
   /// member. Keeps the state of the rows already held; grows, never
-  /// shrinks. Returns the output sample shape. Throws std::invalid_argument
-  /// for an input shape the layer does not take, or, for a temporal layer,
-  /// one that differs from its open sequence's.
+  /// shrinks, not even across sequences. A temporal layer starts each row
+  /// at zero the first time its sequence reserves it. Returns the output
+  /// sample shape. Throws std::invalid_argument for an input shape the
+  /// layer does not take, or, for a temporal layer, one that differs from
+  /// its open sequence's.
   virtual Shape reserve_steps(std::size_t rows, const Shape& sample_shape) = 0;
 
   /// One eval timestep of window `w`: x holds its w.rows input rows and y
@@ -107,29 +108,22 @@ class Layer {
   /// them.
   Tensor step(const Tensor& x);
 
-  /// Entry in a compact_state() gather meaning "fresh sample": the row is
-  /// reset to the begin_steps() state (zero membrane) instead of copied
-  /// from an existing row. Lets the batched engine admit new samples into
-  /// slots freed by exits (continuous batching).
+  /// Entry in a compact_window() keep meaning "fresh sample": the row is
+  /// reset to the begin_steps() state (zero membrane) instead of kept. Lets
+  /// a live pool admit new samples into rows freed by exits (continuous
+  /// batching).
   static constexpr std::size_t kFreshRow = static_cast<std::size_t>(-1);
 
-  /// Re-shape the single-step batch to rows `keep[j]` of the current batch,
-  /// in the given order (a general gather; entries may repeat, and
-  /// kFreshRow entries become fresh zero-state rows). The batched
-  /// early-exit engine calls this between step()s to drop samples that
-  /// exited and admit waiting ones, so compute follows the live batch.
-  /// Stateless layers only adjust their announced batch; temporal layers
-  /// (LIF) gather their persistent state rows. Only meaningful between
-  /// begin_steps() and the next step().
-  virtual void compact_state(std::span<const std::size_t> keep) {
-    batch_ = keep.size();
-  }
-
-  /// compact_state() within window `w` (w.rows: the rows it held), in
-  /// place: row j of the window becomes its row keep[j], or a fresh row for
-  /// kFreshRow. Every other entry must satisfy keep[j] >= j — survivors in
-  /// order, then admissions, the order core::LivePool produces — and
-  /// keep.size() must fit the rows reserve_steps() sized from w.offset.
+  /// Re-shape window `w` (w.rows: the rows it held) in place, between
+  /// steps: row j of the window becomes its row keep[j], or a fresh row for
+  /// kFreshRow. Every other entry must satisfy j <= keep[j] < w.rows —
+  /// survivors in order, then admissions, the order core::LivePool
+  /// produces — and keep.size() must fit the rows reserve_steps() sized
+  /// from w.offset. A live pool calls this to drop samples that exited and
+  /// admit waiting ones, so compute follows the live rows. Temporal layers
+  /// (LIF) move their state rows and throw, before any row moves,
+  /// std::out_of_range for a keep entry past w.rows and
+  /// std::invalid_argument for any other keep that breaks the rule above.
   /// Writes no member. Default: nothing (stateless layers).
   virtual void compact_window(const StepWindow& /*w*/,
                               std::span<const std::size_t> /*keep*/) {}
@@ -156,7 +150,6 @@ class Layer {
 
  protected:
   std::size_t timesteps_ = 1;
-  std::size_t batch_ = 1;
   util::GemmContext* gemm_context_ = nullptr;  ///< nullptr = global context
 };
 

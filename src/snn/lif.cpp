@@ -97,25 +97,30 @@ Tensor Lif::backward(const Tensor& grad_out) {
   return dx;
 }
 
-void Lif::begin_steps(std::size_t batch) {
-  Layer::begin_steps(batch);
+void Lif::begin_steps() {
   row_shape_.clear();
   row_numel_ = 0;
+  rows_ = 0;
   stepping_ = true;
 }
 
 Shape Lif::reserve_steps(std::size_t rows, const Shape& sample_shape) {
-  if (!stepping_) begin_steps(rows);
+  if (!stepping_) begin_steps();
   if (row_shape_.empty()) {
-    // The first reserve of a sequence: every row starts at zero. assign()
-    // reuses the previous sequence's buffer.
     row_shape_ = sample_shape;
     row_numel_ = shape_numel(sample_shape);
-    membrane_.assign(rows * row_numel_, 0.0f);
   } else if (row_shape_ != sample_shape) {
     throw std::invalid_argument("Lif::step: input shape changed mid-sequence");
-  } else if (membrane_.size() < rows * row_numel_) {
-    membrane_.resize(rows * row_numel_, 0.0f);
+  }
+  // Each row starts at zero the first time the sequence reserves it. The
+  // buffer never shrinks, so a window pool sized by an earlier, larger
+  // sequence keeps its rows when a smaller one runs on the network in
+  // between (its admissions are fresh rows, zeroed by compact_window).
+  if (rows > rows_) {
+    if (membrane_.size() < rows * row_numel_) membrane_.resize(rows * row_numel_);
+    std::fill(membrane_.begin() + static_cast<std::ptrdiff_t>(rows_ * row_numel_),
+              membrane_.begin() + static_cast<std::ptrdiff_t>(rows * row_numel_), 0.0f);
+    rows_ = rows;
   }
   return sample_shape;
 }
@@ -137,87 +142,41 @@ const float* Lif::step_window(const StepWindow& w, const float* x, float* y) {
   return y;
 }
 
-namespace {
-
-/// Throws std::out_of_range unless every non-fresh entry of `keep` is below
-/// `rows`.
-void check_keep(std::span<const std::size_t> keep, std::size_t rows) {
-  for (const std::size_t k : keep) {
-    if (k != Layer::kFreshRow && k >= rows) {
-      throw std::out_of_range("Lif::compact_state: keep index out of range");
-    }
-  }
-}
-
-/// True when gathering rows `keep` can move rows in place, front to back:
-/// every row it reads (keep[j] >= j) is read before a later write reaches it.
-bool in_place(std::span<const std::size_t> keep) {
-  for (std::size_t j = 0; j < keep.size(); ++j) {
-    if (keep[j] != Layer::kFreshRow && keep[j] < j) return false;
-  }
-  return true;
-}
-
-/// Row j of `rows` becomes its row keep[j], or zero for kFreshRow; requires
-/// in_place(keep).
-void move_rows(float* rows, std::size_t row_numel, std::span<const std::size_t> keep) {
-  for (std::size_t j = 0; j < keep.size(); ++j) {
-    float* out = rows + j * row_numel;
-    if (keep[j] == Layer::kFreshRow) {
-      std::fill(out, out + row_numel, 0.0f);
-    } else if (keep[j] != j) {
-      std::copy(rows + keep[j] * row_numel, rows + (keep[j] + 1) * row_numel, out);
-    }
-  }
-}
-
-}  // namespace
-
-void Lif::compact_state(std::span<const std::size_t> keep) {
-  if (stepping_ && !row_shape_.empty()) {
-    check_keep(keep, batch_);
-    // Gather into the spare membrane and swap it in, so a pool that keeps
-    // its batch size reuses both buffers instead of allocating one per
-    // compaction. Only kFreshRow rows need zeroing; every other row is
-    // overwritten.
-    spare_.resize(std::max(spare_.size(), keep.size() * row_numel_));
-    const float* src = membrane_.data();
-    float* dst = spare_.data();
-    const std::size_t numel = row_numel_;
-#pragma omp parallel for schedule(static)
-    for (std::size_t j = 0; j < keep.size(); ++j) {
-      float* out = dst + j * numel;
-      if (keep[j] == kFreshRow) {
-        std::fill(out, out + numel, 0.0f);
-      } else {
-        std::copy(src + keep[j] * numel, src + (keep[j] + 1) * numel, out);
-      }
-    }
-    std::swap(membrane_, spare_);
-  }
-  Layer::compact_state(keep);
-}
-
 void Lif::compact_window(const StepWindow& w, std::span<const std::size_t> keep) {
   if (row_shape_.empty()) return;
-  check_keep(keep, w.rows);
-  if (!in_place(keep) || (w.offset + keep.size()) * row_numel_ > membrane_.size()) {
-    throw std::invalid_argument(
-        "Lif::compact_window: keep must fit the window and move rows in place");
+  for (const std::size_t k : keep) {
+    if (k != kFreshRow && k >= w.rows) {
+      throw std::out_of_range("Lif::compact_window: keep index out of range");
+    }
   }
-  move_rows(window_membrane(w), row_numel_, keep);
+  // Front to back, every row read (keep[j] >= j) is read before a later
+  // write reaches it.
+  for (std::size_t j = 0; j < keep.size(); ++j) {
+    if (keep[j] != kFreshRow && keep[j] < j) {
+      throw std::invalid_argument("Lif::compact_window: keep must move rows in place");
+    }
+  }
+  if ((w.offset + keep.size()) * row_numel_ > membrane_.size()) {
+    throw std::invalid_argument("Lif::compact_window: keep outgrows the reserved rows");
+  }
+  float* rows = window_membrane(w);
+  for (std::size_t j = 0; j < keep.size(); ++j) {
+    float* out = rows + j * row_numel_;
+    if (keep[j] == kFreshRow) {
+      std::fill(out, out + row_numel_, 0.0f);
+    } else if (keep[j] != j) {
+      std::copy(rows + keep[j] * row_numel_, rows + (keep[j] + 1) * row_numel_, out);
+    }
+  }
 }
 
 Tensor Lif::membrane() const {
   if (row_shape_.empty()) return {};
-  const std::size_t rows =
-      row_numel_ == 0 ? batch_ : std::min(batch_, membrane_.size() / row_numel_);
   Shape shape = row_shape_;
-  shape.insert(shape.begin(), rows);
-  const std::size_t numel = rows * row_numel_;
+  shape.insert(shape.begin(), rows_);
   return Tensor(shape, std::vector<float>(membrane_.begin(),
                                           membrane_.begin() +
-                                              static_cast<std::ptrdiff_t>(numel)));
+                                              static_cast<std::ptrdiff_t>(rows_ * row_numel_)));
 }
 
 }  // namespace dtsnn::snn

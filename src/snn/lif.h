@@ -36,10 +36,9 @@ class Lif final : public Layer {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
 
-  void begin_steps(std::size_t batch) override;
+  void begin_steps() override;
   Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
   const float* step_window(const StepWindow& w, const float* x, float* y) override;
-  void compact_state(std::span<const std::size_t> keep) override;
   void compact_window(const StepWindow& w, std::span<const std::size_t> keep) override;
 
   [[nodiscard]] std::string name() const override { return "Lif"; }
@@ -56,9 +55,8 @@ class Lif final : public Layer {
   [[nodiscard]] float* window_membrane(const StepWindow& w) {
     return membrane_.data() + w.offset * row_numel_;
   }
-  /// A copy of the single-step membrane [B, ...] of the batch begin_steps()
-  /// or the latest compact_state() announced (empty before the first step
-  /// of a sequence).
+  /// A copy of the single-step membrane [rows, ...] of every row the open
+  /// sequence reserved (empty before its first reserve_steps()).
   [[nodiscard]] Tensor membrane() const;
   /// Mean firing rate of the most recent multi-step forward (spikes per
   /// neuron per timestep); feeds the IMC activity model.
@@ -74,9 +72,9 @@ class Lif final : public Layer {
 
   // Single-step persistent state: the post-reset membrane, one row of
   // row_numel_ floats per reserved row (row_shape_ empty until the first
-  // reserve_steps() of a sequence).
+  // reserve_steps() of a sequence). Grow-only, across sequences too.
   std::vector<float> membrane_;
-  std::vector<float> spare_;  // compact_state's gather target, swapped in
+  std::size_t rows_ = 0;  // rows the open sequence reserved (and zeroed)
   Shape row_shape_;
   std::size_t row_numel_ = 0;
   bool stepping_ = false;

@@ -27,10 +27,7 @@ void Linear::set_time(std::size_t timesteps, std::size_t batch) {
   wt_.invalidate();
 }
 
-void Linear::begin_steps(std::size_t batch) {
-  Layer::begin_steps(batch);
-  wt_.invalidate();
-}
+void Linear::begin_steps() { wt_.invalidate(); }
 
 Tensor Linear::forward(const Tensor& x, bool train) {
   if (x.rank() != 2 || x.dim(1) != in_features_) {

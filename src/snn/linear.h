@@ -19,7 +19,7 @@ class Linear final : public Layer, public QuantizedWeightHolder {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   void set_time(std::size_t timesteps, std::size_t batch) override;
-  void begin_steps(std::size_t batch) override;
+  void begin_steps() override;
   Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
   /// Runs the NN form against W^T at every density: the B^T form packs B
   /// into a fresh buffer per call.

@@ -57,9 +57,8 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return g;
 }
 
-void Sequential::begin_steps(std::size_t batch) {
-  Layer::begin_steps(batch);
-  for (auto& l : layers_) l->begin_steps(batch);
+void Sequential::begin_steps() {
+  for (auto& l : layers_) l->begin_steps();
 }
 
 Shape Sequential::reserve_steps(std::size_t rows, const Shape& sample_shape) {
@@ -106,11 +105,6 @@ const float* Sequential::step_window(const StepWindow& w, const float* x, float*
     }
   }
   return in;
-}
-
-void Sequential::compact_state(std::span<const std::size_t> keep) {
-  Layer::compact_state(keep);
-  for (auto& l : layers_) l->compact_state(keep);
 }
 
 void Sequential::compact_window(const StepWindow& w, std::span<const std::size_t> keep) {
@@ -177,11 +171,10 @@ Tensor ResidualBlock::backward(const Tensor& grad_out) {
   return gx;
 }
 
-void ResidualBlock::begin_steps(std::size_t batch) {
-  Layer::begin_steps(batch);
-  main_.begin_steps(batch);
-  shortcut_.begin_steps(batch);
-  out_lif_.begin_steps(batch);
+void ResidualBlock::begin_steps() {
+  main_.begin_steps();
+  shortcut_.begin_steps();
+  out_lif_.begin_steps();
 }
 
 Shape ResidualBlock::reserve_steps(std::size_t rows, const Shape& sample_shape) {
@@ -211,13 +204,6 @@ const float* ResidualBlock::step_window(const StepWindow& w, const float* x, flo
 #pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < numel; ++i) y[i] += s[i];
   return out_lif_.step_window(w, y, y);
-}
-
-void ResidualBlock::compact_state(std::span<const std::size_t> keep) {
-  Layer::compact_state(keep);
-  main_.compact_state(keep);
-  shortcut_.compact_state(keep);
-  out_lif_.compact_state(keep);
 }
 
 void ResidualBlock::compact_window(const StepWindow& w, std::span<const std::size_t> keep) {
@@ -260,8 +246,9 @@ Tensor SpikingNetwork::forward(const Tensor& x, std::size_t timesteps, bool trai
 void SpikingNetwork::backward(const Tensor& grad_logits) { body_.backward(grad_logits); }
 
 void SpikingNetwork::begin_inference(std::size_t batch) {
-  body_.begin_steps(batch);
+  body_.begin_steps();
   reserve_inference(batch);
+  held_rows_ = batch;
 }
 
 void SpikingNetwork::reserve_inference(std::size_t rows) {
@@ -269,11 +256,16 @@ void SpikingNetwork::reserve_inference(std::size_t rows) {
   if (step_out_.size() < rows * step_out_numel_) step_out_.resize(rows * step_out_numel_);
 }
 
-Tensor SpikingNetwork::step(const Tensor& x_t) { return body_.step(x_t); }
+Tensor SpikingNetwork::step(const Tensor& x_t) {
+  Tensor y = body_.step(x_t);
+  held_rows_ = x_t.dim(0);
+  return y;
+}
 
 void SpikingNetwork::compact_inference_state(std::span<const std::size_t> keep) {
-  body_.compact_state(keep);
   reserve_inference(keep.size());
+  body_.compact_window({0, held_rows_}, keep);
+  held_rows_ = keep.size();
 }
 
 const float* SpikingNetwork::step_window(const StepWindow& w, const float* x) {

@@ -44,10 +44,9 @@ class Sequential : public Layer {
   void set_time(std::size_t timesteps, std::size_t batch) override;
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  void begin_steps(std::size_t batch) override;
+  void begin_steps() override;
   Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
   const float* step_window(const StepWindow& w, const float* x, float* y) override;
-  void compact_state(std::span<const std::size_t> keep) override;
   void compact_window(const StepWindow& w, std::span<const std::size_t> keep) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
@@ -82,10 +81,9 @@ class ResidualBlock final : public Layer {
   void set_time(std::size_t timesteps, std::size_t batch) override;
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  void begin_steps(std::size_t batch) override;
+  void begin_steps() override;
   Shape reserve_steps(std::size_t rows, const Shape& sample_shape) override;
   const float* step_window(const StepWindow& w, const float* x, float* y) override;
-  void compact_state(std::span<const std::size_t> keep) override;
   void compact_window(const StepWindow& w, std::span<const std::size_t> keep) override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::string name() const override { return "ResidualBlock"; }
@@ -124,15 +122,16 @@ class SpikingNetwork {
   /// scratch, stage buffers, W^T and BN constants), then feed one timestep
   /// at a time. step() returns this timestep's raw classifier output y_t.
   void begin_inference(std::size_t batch);
-  /// The window at offset 0 over every row of x_t.
+  /// The window at offset 0 over every row of x_t; it then holds x_t's rows.
   Tensor step(const Tensor& x_t);
 
-  /// Shrink the sequential-inference batch to rows `keep[j]` of the current
-  /// batch (a general gather, in the given order; it may also grow): every
-  /// layer's temporal state (LIF membranes) is gathered accordingly, and the
-  /// step state is sized for keep.size() rows. The stepping engines call
-  /// this as samples exit so the remaining step()s run on the live samples
-  /// only.
+  /// The whole-batch compact_window(), for callers that step the batch with
+  /// step() (perfbench's traced loop; live pools compact their window):
+  /// sizes the step state for keep.size() rows, then compacts the rows
+  /// begin_inference(), step() or the last compaction left at offset 0 in
+  /// place. keep must be survivors in order, then kFreshRow admissions
+  /// (Layer::compact_window throws on any other). The rows held become
+  /// keep.size().
   void compact_inference_state(std::span<const std::size_t> keep);
 
   /// One timestep of window `w` of the rows begin_inference() sized: x holds
@@ -140,8 +139,8 @@ class SpikingNetwork {
   /// window's next step. Writes no member, so threads can step disjoint
   /// windows concurrently.
   const float* step_window(const snn::StepWindow& w, const float* x);
-  /// compact_inference_state() within window `w`, in place (see
-  /// Layer::compact_window); kFreshRow-only keeps start every row afresh.
+  /// Layer::compact_window over window `w` of the rows begin_inference()
+  /// sized; a kFreshRow-only keep starts every row afresh.
   void compact_window(const snn::StepWindow& w, std::span<const std::size_t> keep) {
     body_.compact_window(w, keep);
   }
@@ -182,6 +181,7 @@ class SpikingNetwork {
   util::GemmContext* gemm_context_ = nullptr;  ///< nullptr = global context
   std::size_t step_out_numel_ = 0;  ///< floats per row of step_window()'s output
   std::vector<float> step_out_;     ///< step_window() outputs, per reserved row
+  std::size_t held_rows_ = 0;       ///< rows the open sequence holds at offset 0
 };
 
 }  // namespace dtsnn::snn

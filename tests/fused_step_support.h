@@ -56,13 +56,14 @@ struct SteppedRun {
   util::GemmStats stats;
 };
 
-/// The compaction before each step t >= 1: a permuted gather admitting a
-/// kFreshRow row, then one at the same batch size (so every Lif gathers into
-/// its reused spare membrane), then one that grows the batch (so the convs'
-/// retained pixel scratch grows).
+/// The compaction before each step t >= 1, in place as core::LivePool
+/// makes them (survivors in order, then admissions): one that drops rows
+/// and admits a kFreshRow row, one at the same number of rows, then one
+/// that grows past the first step's rows (so every Lif's membrane and the
+/// convs' retained pixel scratch grow).
 inline std::vector<std::vector<std::size_t>> compactions() {
   constexpr std::size_t kFresh = Layer::kFreshRow;
-  return {{2, kFresh, 0, 3}, {3, 1, kFresh, 0}, {0, kFresh, 2, 1, kFresh}};
+  return {{0, 2, kFresh}, {1, 2, kFresh}, {0, 1, 2, kFresh, kFresh}};
 }
 
 /// Steps `frames` through `net` from a fresh sequence, fused (net.step) or

@@ -170,7 +170,8 @@ class FaultyFramesDataset final : public data::Dataset {
 /// An encode fault is the request's own too: a request whose frames fail to
 /// encode, sharing one worker's pool with well-behaved requests, fails
 /// alone. Its co-residents keep stepping and match the oracle bitwise, and
-/// every tenant's quota counters settle.
+/// every tenant's quota counters settle: a tenant capped at one sample in
+/// flight gets its slot back from the failed request.
 TEST(ServingFleet, EncodeFaultFailsOnlyItsOwnRequestInASharedPool) {
   core::Experiment& e = micro_experiment("sync10", 3);
   const FaultyFramesDataset faulty(*e.bundle.test, {0, 1});
@@ -221,6 +222,32 @@ TEST(ServingFleet, EncodeFaultFailsOnlyItsOwnRequestInASharedPool) {
               t.submitted_samples)
         << t.name;
   }
+
+  // Quota release on a fault: a tenant allowed one sample in flight, whose
+  // request fails on its frame encode, gets its slot back, so its next,
+  // clean request is admitted without a drain and matches the oracle.
+  FleetConfig capped_config;
+  capped_config.tenants = {TenantSpec{.name = "capped", .max_in_flight = 1}};
+  ServingFleet capped({model}, capped_config);
+  FleetRequest bad = request_for({0}, true);
+  bad.tenant = 1;
+  auto bad_future = capped.submit(std::move(bad)).results;
+  FleetRequest clean = request_for({2}, true);
+  clean.tenant = 1;
+  Submission clean_submission = capped.submit(std::move(clean));
+  const bool admitted = clean_submission.results.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  if (!admitted) capped.cancel(clean_submission.handle);  // else drain() never returns
+  ASSERT_TRUE(admitted) << "the failed request kept its tenant's quota";
+  EXPECT_THROW(bad_future.get(), std::runtime_error);
+  const std::vector<InferenceResult> got = clean_submission.results.get();
+  ASSERT_EQ(got.size(), 1u);
+  expect_identical(got[0], oracle[2], "the capped tenant's clean request");
+  capped.drain();
+  const TenantStats capped_stats = capped.stats().tenants.at(1);
+  EXPECT_EQ(capped_stats.failed_samples, 1u);
+  EXPECT_EQ(capped_stats.completed_samples, 1u);
+  EXPECT_EQ(capped_stats.in_flight, 0u);
 }
 
 /// Multi-model serving: two different trained networks resident at once,

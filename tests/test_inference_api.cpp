@@ -317,8 +317,10 @@ std::vector<Pool::Exit> step_into(Pool& pool, const data::Dataset& ds,
 /// policies and budgets share one pool; admissions join mid-flight; the
 /// caller's force-exit predicate reproduces the truncated oracle; a dropped
 /// middle row leaves its neighbours bitwise untouched; a reset mid-flight
-/// is followed by clean re-admission; and a throwing policy fails only its
-/// own row.
+/// is followed by clean re-admission; a throwing policy fails only its own
+/// row; and the window admits at most its capacity. The batch-1 oracles run
+/// one-row sequences on the pool's network between its uses, so the pool
+/// also checks that they leave its window's state in place (grow-only).
 TEST(LivePool, MixedRulesAdmissionDropAndResetMatchOracle) {
   Experiment e = micro_experiment("sync10", 4);
   const auto& ds = *e.bundle.test;
@@ -350,7 +352,9 @@ TEST(LivePool, MixedRulesAdmissionDropAndResetMatchOracle) {
   };
 
   std::map<std::size_t, InferenceResult> got;
-  Pool pool(e.net);
+  const std::size_t capacity = 8;  // 5 + 3 mid-flight, sample 4 gone at t1
+  e.net.begin_inference(capacity);
+  Pool pool(e.net, 0, capacity);
   for (std::size_t s = 0; s < 5; ++s) pool.admit(admission(s), s);
   step_into(pool, ds, got);
   for (std::size_t s = 5; s < 8; ++s) pool.admit(admission(s), s);  // mid-flight
@@ -409,6 +413,11 @@ TEST(LivePool, MixedRulesAdmissionDropAndResetMatchOracle) {
                std::invalid_argument);
   EXPECT_THROW(pool.admit({.sample = 0, .policy = &never, .budget = 0}, 0),
                std::invalid_argument);
+  // The window admits at most its capacity, and has at least one row.
+  for (std::size_t s = 0; s < capacity; ++s) pool.admit(admission(s), s);
+  EXPECT_THROW(pool.admit(admission(capacity), capacity), std::invalid_argument);
+  EXPECT_EQ(pool.size(), capacity);
+  EXPECT_THROW(Pool(e.net, 0, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -25,6 +25,9 @@ namespace {
 /// Shared tiny experiment (trained once for the whole suite).
 class IntegrationFixture : public testing::Test {
  protected:
+  /// Where the suite's trained weights are cached.
+  static std::string cache_dir() { return testing::TempDir() + "/dtsnn_integration_cache"; }
+
   static void SetUpTestSuite() {
     ExperimentSpec spec;
     spec.model = "vgg_micro";
@@ -36,8 +39,7 @@ class IntegrationFixture : public testing::Test {
     spec.seed = 3;
     // ctest runs each TEST_F in its own process; cache the trained weights
     // so the suite trains once and later processes just load.
-    experiment_ = new Experiment(
-        train_or_load(spec, testing::TempDir() + "/dtsnn_integration_cache"));
+    experiment_ = new Experiment(train_or_load(spec, cache_dir()));
     outputs_ = new TimestepOutputs(test_outputs(*experiment_));
   }
   static void TearDownTestSuite() {
@@ -139,8 +141,8 @@ TEST_F(IntegrationFixture, ExitHistogramMassAtEarlyTimesteps) {
 
 TEST_F(IntegrationFixture, DeviceVariationDegradesGracefully) {
   // Copy weights through the device pipeline and re-evaluate (Fig. 6B).
-  ExperimentSpec spec = experiment_->spec;
-  Experiment noisy = run_experiment(spec);  // deterministic retrain = same net
+  // A second copy of the suite's network: the weights SetUpTestSuite cached.
+  Experiment noisy = train_or_load(experiment_->spec, cache_dir());
   imc::ImcConfig cfg;                        // sigma/mu = 20%
   imc::apply_device_variation(noisy.net, cfg, 99);
   const auto noisy_out = test_outputs(noisy);

@@ -117,7 +117,7 @@ TEST(Lif, StepMatchesMultistep) {
       Tensor s_multi = multi.forward(x, false);
 
       Lif stepper{config};
-      stepper.begin_steps(batch);
+      stepper.begin_steps();
       for (std::size_t t = 0; t < timesteps; ++t) {
         Tensor xt(step_shape);
         std::copy(x.data() + t * slab, x.data() + (t + 1) * slab, xt.data());
@@ -132,19 +132,28 @@ TEST(Lif, StepMatchesMultistep) {
   }
 }
 
+/// begin_steps() resets the state: a sequence starts each row at zero the
+/// first time it reserves it. The membrane never shrinks, so the rows a
+/// smaller sequence grows into later still hold the previous sequence's
+/// values until then, and must not leak into it.
 TEST(Lif, BeginStepsResetsState) {
   Lif lif({.vth = 1.0f, .tau = 1.0f});
-  lif.begin_steps(1);
+  const Tensor x3 = Tensor::full({3, 1}, 0.7f);
+  lif.begin_steps();
+  lif.step(x3);       // u = 0.7 in every row
+  lif.begin_steps();  // reset
   Tensor x({1, 1}, std::vector<float>{0.7f});
-  lif.step(x);          // u = 0.7
-  lif.begin_steps(1);   // reset
   Tensor s = lif.step(x);  // u = 0.7 again, still below threshold
   EXPECT_FLOAT_EQ(s[0], 0.0f);
+  const Tensor grown = lif.step(x3);  // row 0 reaches 1.4; rows 1-2 start at 0
+  EXPECT_FLOAT_EQ(grown[0], 1.0f);
+  EXPECT_FLOAT_EQ(grown[1], 0.0f);
+  EXPECT_FLOAT_EQ(grown[2], 0.0f);
 }
 
 TEST(Lif, StepRejectsShapeChange) {
   Lif lif{LifConfig{}};
-  lif.begin_steps(1);
+  lif.begin_steps();
   lif.step(Tensor({1, 3}));
   EXPECT_THROW(lif.step(Tensor({1, 4})), std::invalid_argument);
 }
@@ -309,14 +318,14 @@ Tensor gather_rows(const Tensor& x, std::span<const std::size_t> keep) {
   return out;
 }
 
-/// compact_state to a *permuted* subset mid-sequence must equal running the
+/// compact_window to an in-place subset mid-sequence must equal running the
 /// kept samples alone from scratch: the membrane is per-sample state, so
-/// gathering its rows is exact, not approximate.
-TEST(Lif, CompactStateEqualsRerunningKeptSamples) {
+/// moving its rows is exact, not approximate.
+TEST(Lif, CompactWindowEqualsRerunningKeptSamples) {
   util::Rng rng(97);
   const LifConfig cfg{.vth = 0.6f, .tau = 0.7f};
   const std::size_t batch = 5;
-  const std::vector<std::size_t> keep{3, 0, 4};  // permuted subset
+  const std::vector<std::size_t> keep{0, 3, 4};  // survivors, in order
 
   std::vector<Tensor> inputs;
   for (std::size_t t = 0; t < 4; ++t) {
@@ -324,13 +333,13 @@ TEST(Lif, CompactStateEqualsRerunningKeptSamples) {
   }
 
   Lif full(cfg);
-  full.begin_steps(batch);
+  full.begin_steps();
   full.step(inputs[0]);
   full.step(inputs[1]);
-  full.compact_state(keep);
+  full.compact_window({0, batch}, keep);
 
   Lif solo(cfg);
-  solo.begin_steps(keep.size());
+  solo.begin_steps();
   solo.step(gather_rows(inputs[0], keep));
   solo.step(gather_rows(inputs[1], keep));
 
@@ -343,72 +352,62 @@ TEST(Lif, CompactStateEqualsRerunningKeptSamples) {
   }
 }
 
-/// kFreshRow entries in the gather become zero-membrane rows — admitting a
+/// kFreshRow entries in the keep become zero-membrane rows — admitting a
 /// new sample into a freed slot equals starting it in a fresh engine.
-TEST(Lif, CompactStateFreshRowEqualsFreshStart) {
+TEST(Lif, CompactWindowFreshRowEqualsFreshStart) {
   util::Rng rng(98);
   const LifConfig cfg{.vth = 0.5f, .tau = 0.6f};
   const Tensor x0 = Tensor::randn({2, 4}, rng, 0.4f, 0.7f);
   const Tensor x1 = Tensor::randn({2, 4}, rng, 0.4f, 0.7f);
 
   Lif pool(cfg);
-  pool.begin_steps(2);
+  pool.begin_steps();
   pool.step(x0);
   // Keep row 1, admit a fresh sample into slot 1.
-  const std::vector<std::size_t> gather{1, Layer::kFreshRow};
-  pool.compact_state(gather);
+  const std::vector<std::size_t> keep{1, Layer::kFreshRow};
+  pool.compact_window({0, 2}, keep);
   const Tensor a = pool.step(x1);
 
   Lif solo(cfg);
-  solo.begin_steps(1);
+  solo.begin_steps();
   // The fresh slot sees x1's row 1 as its first input ever.
   const Tensor b =
       solo.step(Tensor({1, 4}, std::vector<float>(x1.row(1).begin(), x1.row(1).end())));
   for (std::size_t i = 0; i < 4; ++i) ASSERT_EQ(a.at(1, i), b[i]) << i;
 }
 
-/// compact_state gathers into a spare membrane it keeps and swaps in, so a
-/// second compaction at the same batch size writes into the buffer that
-/// still holds an older membrane: kFreshRow rows must come out zero there
-/// too, and kept rows exact.
-TEST(Lif, CompactStateReusesSpareAndZeroesFreshRows) {
+/// An out-of-range index throws std::out_of_range, and a keep that cannot
+/// move rows in place (a permutation) or outgrows the reserved rows throws
+/// std::invalid_argument, each before any row moves.
+TEST(Lif, CompactWindowValidatesKeepBeforeAnyRowMoves) {
   util::Rng rng(99);
-  const LifConfig cfg{.vth = 10.0f, .tau = 0.9f};  // never fires: rows stay nonzero
-  Lif lif(cfg);
-  lif.begin_steps(3);
-  lif.step(Tensor::randn({3, 5}, rng, 1.0f, 0.5f));
-  const std::vector<std::size_t> rotate{2, 0, 1};
-  lif.compact_state(rotate);
+  Lif lif{LifConfig{.vth = 10.0f, .tau = 0.9f}};  // never fires: rows stay nonzero
+  lif.begin_steps();
+  lif.step(Tensor::randn({3, 2}, rng, 1.0f, 0.5f));
   const Tensor before = lif.membrane();
-  const std::vector<std::size_t> admit{Layer::kFreshRow, 1, Layer::kFreshRow};
-  lif.compact_state(admit);
-  const Tensor& after = lif.membrane();
-  ASSERT_EQ(after.shape(), (Shape{3, 5}));
-  for (std::size_t i = 0; i < 5; ++i) {
-    ASSERT_EQ(after.at(0, i), 0.0f) << i;
-    ASSERT_EQ(after.at(1, i), before.at(1, i)) << i;
-    ASSERT_EQ(after.at(2, i), 0.0f) << i;
-  }
-  EXPECT_NE(before.at(1, 0), 0.0f);
+  const auto expect_untouched = [&](const char* what) {
+    ASSERT_EQ(lif.membrane().shape(), before.shape()) << what;
+    for (std::size_t i = 0; i < before.numel(); ++i) {
+      EXPECT_EQ(lif.membrane()[i], before[i]) << what << " i=" << i;
+    }
+  };
+  const std::vector<std::size_t> out_of_range{Layer::kFreshRow, 0, 3};
+  EXPECT_THROW(lif.compact_window({0, 3}, out_of_range), std::out_of_range);
+  expect_untouched("out of range");
+  const std::vector<std::size_t> permuted{2, 0, 1};
+  EXPECT_THROW(lif.compact_window({0, 3}, permuted), std::invalid_argument);
+  expect_untouched("permuted");
+  const std::vector<std::size_t> too_many{0, 1, 2, Layer::kFreshRow};
+  EXPECT_THROW(lif.compact_window({0, 3}, too_many), std::invalid_argument);
+  expect_untouched("outgrows the reserved rows");
+  EXPECT_NE(before[0], 0.0f);
 }
 
-/// An out-of-range index throws before any row moves.
-TEST(Lif, CompactStateValidatesIndices) {
+TEST(Lif, CompactWindowBeforeFirstStepIsHarmless) {
   Lif lif{LifConfig{}};
-  lif.begin_steps(3);
-  lif.step(Tensor::full({3, 2}, 0.5f));
-  const Tensor before = lif.membrane();
-  const std::vector<std::size_t> bad{0, 3};
-  EXPECT_THROW(lif.compact_state(bad), std::out_of_range);
-  ASSERT_EQ(lif.membrane().shape(), before.shape());
-  for (std::size_t i = 0; i < before.numel(); ++i) EXPECT_EQ(lif.membrane()[i], before[i]);
-}
-
-TEST(Lif, CompactStateBeforeFirstStepIsHarmless) {
-  Lif lif{LifConfig{}};
-  lif.begin_steps(4);
+  lif.begin_steps();
   const std::vector<std::size_t> keep{1, 2};
-  lif.compact_state(keep);  // no membrane allocated yet: only batch shrinks
+  lif.compact_window({0, 4}, keep);  // no membrane reserved yet: nothing moves
   const Tensor y = lif.step(Tensor::ones({2, 3}));
   EXPECT_EQ(y.dim(0), 2u);
 }

@@ -119,7 +119,7 @@ TEST(ResidualBlock, MismatchedBranchShapesThrow) {
   const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
   block.set_time(1, 2);
   EXPECT_THROW(block.forward(x, false), std::invalid_argument);
-  block.begin_steps(2);
+  block.begin_steps();
   EXPECT_THROW(block.step(x), std::invalid_argument);
 }
 
@@ -195,10 +195,12 @@ Tensor gather_batch_rows(const Tensor& x, std::span<const std::size_t> keep) {
   return out;
 }
 
-/// Network-level compact_inference_state over a *permuted* subset must be
+/// Network-level compact_inference_state over an in-place subset must be
 /// exact: the compacted network's subsequent steps equal running the kept
-/// samples alone from scratch. Exercised on both model families so the
-/// gather recurses through Sequential, ResidualBlock and every Lif.
+/// samples alone from scratch. A permuted keep is rejected before any row
+/// moves, which the equality then also shows. Exercised on both model
+/// families so the compaction recurses through Sequential, ResidualBlock
+/// and every Lif.
 TEST(SpikingNetwork, CompactedStateEqualsRerunningKeptSamples) {
   for (const std::string preset : {"vgg_micro", "resnet_micro"}) {
     SpikingNetwork full = make_model(preset, tiny_config());
@@ -207,7 +209,7 @@ TEST(SpikingNetwork, CompactedStateEqualsRerunningKeptSamples) {
 
     util::Rng rng(58);
     const std::size_t batch = 4;
-    const std::vector<std::size_t> keep{2, 0, 3};  // permuted subset
+    const std::vector<std::size_t> keep{0, 2, 3};  // survivors, in order
     std::vector<Tensor> frames;
     for (std::size_t t = 0; t < 4; ++t) {
       frames.push_back(Tensor::randn({batch, 3, 8, 8}, rng, 0.0f, 1.0f));
@@ -216,6 +218,8 @@ TEST(SpikingNetwork, CompactedStateEqualsRerunningKeptSamples) {
     full.begin_inference(batch);
     full.step(frames[0]);
     full.step(frames[1]);
+    const std::vector<std::size_t> permuted{2, 0, 3};
+    EXPECT_THROW(full.compact_inference_state(permuted), std::invalid_argument) << preset;
     full.compact_inference_state(keep);
 
     solo.begin_inference(keep.size());
