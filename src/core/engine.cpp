@@ -49,6 +49,17 @@ std::size_t worker_index() {
 #endif
 }
 
+/// Size of the enclosing OpenMP team (1 outside a parallel region and
+/// without OpenMP). A region can get fewer threads than it asked for
+/// (OMP_THREAD_LIMIT, OMP_DYNAMIC); the pools past the team then stay empty.
+std::size_t team_size() {
+#ifdef _OPENMP
+  return static_cast<std::size_t>(omp_get_num_threads());
+#else
+  return 1;
+#endif
+}
+
 /// Carries an exception out of an OpenMP loop: one escaping a parallel
 /// region calls std::terminate. Keeps the exception of the lowest loop
 /// index, so the rethrown error does not depend on thread scheduling.
@@ -543,7 +554,7 @@ void BatchedSequentialEngine::run_streaming(const data::Dataset& dataset,
       if (w == 0) {
         std::vector<InferenceResult> posted;
         const auto deliver_posted = [&](bool wait) {
-          const bool open = outbox.take(posted, wait, windows - 1);
+          const bool open = outbox.take(posted, wait, team_size() - 1);
           for (InferenceResult& result : posted) order.arrive(result);
           order.release(deliver);
           return open;

@@ -486,9 +486,6 @@ void ServingFleet::admit_waiting(Worker& w, std::vector<std::size_t>& admitted_s
 void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
   const Model& m = models_[model];
   const data::Dataset& dataset = *m.spec.dataset;
-  // The worker's network steps only its pool, so its step state is sized
-  // once, here, and every admission after a drain or a fault is a fresh row.
-  net.begin_inference(m.spec.max_pool);
   Worker w(model, m.spec.max_pool, net);
 
   // Settle a request with `error` exactly once; its other samples are
@@ -506,6 +503,7 @@ void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
     // work (and optionally holds the admission window).
     std::vector<std::size_t> admitted_samples;
     bool purged = false;
+    const bool restart = w.pool.empty();
     {
       util::MutexLock lk(mu_);
       // Reclaim slots whose request failed or was cancelled since the last
@@ -539,6 +537,15 @@ void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
     };
     std::vector<core::LivePool<Worker::Slot>::Exit> exits;
     try {
+      // A pool that restarts after a drain or a fault begins a new sequence
+      // on its network: step state sized to the window {0, max_pool}, W^T
+      // rebuilt. Its admissions are fresh rows either way, so this is not
+      // needed for the result. It is kept for the latency tail: without the
+      // restart's ~0.25 ms of W^T work on vgg_mini, the kernel often packed
+      // the submitting thread and both workers of perfbench serve_open_loop
+      // onto one CPU of a 4-vCPU VM for a whole run, and p99 rose from ~4.3
+      // to 7-9 ms.
+      if (restart) net.begin_inference(m.spec.max_pool);
       exits = w.pool.step(dataset, [&decided_at](const Worker::Slot& s) {
         return s.owner->deadline.has_value() && decided_at() >= *s.owner->deadline;
       });

@@ -17,16 +17,17 @@
 // Each worker owns one network (worker 0 of a model borrows the model's
 // base network; extra workers run copy_network_state replicas) and steps it
 // through a core::LivePool over the row window {0, max_pool} of its step
-// state, sized once when the worker starts — the same pool loop
-// BatchedSequentialEngine drives: admit into free pool slots at timestep
-// boundaries, step the pool, apply the shared exit rule (budget → policy →
-// the deadline as the pool's force-exit rule), emit finished samples
-// immediately. The worker adds only admission, deadlines, cancellation,
-// quotas, stats and delivery. Because every sample's trajectory depends
-// only on its own frames and per-row LIF state, fleet results are
-// bitwise identical — prediction, exit timestep, exit entropy, logits — to
-// the batch-1 SequentialEngine oracle for that sample's model, regardless
-// of scheduler policy, worker count, tenant mix, or arrival order.
+// state, begun afresh whenever the pool restarts after a drain — the same
+// pool loop BatchedSequentialEngine drives: admit into free pool slots at
+// timestep boundaries, step the pool, apply the shared exit rule (budget →
+// policy → the deadline as the pool's force-exit rule), emit finished
+// samples immediately. The worker adds only admission, deadlines,
+// cancellation, quotas, stats and delivery. Because every sample's
+// trajectory depends only on its own frames and per-row LIF state, fleet
+// results are bitwise identical — prediction, exit timestep, exit entropy,
+// logits — to the batch-1 SequentialEngine oracle for that sample's model,
+// regardless of scheduler policy, worker count, tenant mix, or arrival
+// order.
 // Schedulers and quotas change *when* a sample runs, never *what* it
 // computes.
 //
